@@ -15,7 +15,6 @@ counted in the result's audit.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy import linalg
 
+from .influence import interpolated_quantile
 from .ols import pivoted_effective_coef
 from .table import DesignMatrix
 
@@ -120,27 +120,18 @@ class CVResult:
         return {lab: five_number_summary(data[:, j]) for j, lab in enumerate(self.labels)}
 
 
-def _interp_quantile(sorted_v: np.ndarray, p: float) -> float:
-    n = sorted_v.size
-    h = (n - 1) * p
-    lo = int(math.floor(h))
-    hi = min(lo + 1, n - 1)
-    return float(sorted_v[lo] + (h - lo) * (sorted_v[hi] - sorted_v[lo]))
-
-
 def five_number_summary(v) -> FiveNumberSummary:
     """Min, quartiles (linear-interpolation rule h = (n-1)p + 1), mean, max."""
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise ValueError("five-number summary of an empty vector")
-    s = np.sort(v)
     return FiveNumberSummary(
-        minimum=float(s[0]),
-        q1=_interp_quantile(s, 0.25),
-        median=_interp_quantile(s, 0.50),
+        minimum=float(v.min()),
+        q1=interpolated_quantile(v, 0.25),
+        median=interpolated_quantile(v, 0.50),
         mean=float(v.mean()),
-        q3=_interp_quantile(s, 0.75),
-        maximum=float(s[-1]),
+        q3=interpolated_quantile(v, 0.75),
+        maximum=float(v.max()),
     )
 
 

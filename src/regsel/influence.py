@@ -10,6 +10,15 @@ predictors; :func:`vif_prune` repeats the removal of the single worst
 offender until every survivor is at or below the threshold.  Exactly
 collinear columns report an infinite VIF (flagged, not raised) so the prune
 loop can dispose of them first.
+
+A prune pass that is certain to remove a variable is scored from one QR of
+the centered, unit-scaled surviving block: VIF_j = [(XᵀX)⁻¹]_jj there, which
+is ‖x_j − x̄_j‖²·[(RᵀR)⁻¹]_jj on the raw scale.  Only the variables scored
+within ``VIF_MARGIN`` (relative) of the worst get the exact auxiliary
+regression, which picks the one removed and the value in the trail.  A pass
+whose scored worst is within ``VIF_MARGIN`` of the threshold, or whose block
+is near-singular, runs exactly, so the final pass is always exact and the
+reported values and trail are those of an all-exact loop.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ols import FittedModel
+from .ols import FittedModel, qr_block
 from .table import DesignMatrix
 
 __all__ = [
@@ -38,6 +47,11 @@ __all__ = [
 ]
 
 _LEVERAGE_EPS = 1e-12
+# Relative margin within which scored VIFs are recomputed exactly.
+VIF_MARGIN = 1e-6
+# A surviving block is near-singular, and its pass runs exactly, when a
+# diagonal of the unit-scaled block's pivoted QR falls below this.
+VIF_SINGULAR_GUARD = 1e-4
 
 
 def _check_leverage_below_one(model: FittedModel) -> np.ndarray:
@@ -161,6 +175,20 @@ def vif(design: DesignMatrix, numeric_only: bool = True) -> VifReport:
     return VifReport(values=values, infinite=infinite)
 
 
+def _scored_vifs(block: np.ndarray):
+    """VIFs of every column of `block` from one QR of it centered and
+    unit-scaled; None when the block is near-singular."""
+    centered = block - block.mean(axis=0)
+    norms = np.sqrt(np.einsum("ij,ij->j", centered, centered))
+    if norms.min() == 0.0:
+        return None
+    qr = qr_block(centered / norms)
+    if qr.rank < qr.n_cols or np.abs(np.diag(qr.r)).min() < VIF_SINGULAR_GUARD:
+        return None
+    w = qr.inverse_gram_rows()
+    return np.einsum("ij,ij->i", w, w)
+
+
 def vif_prune(design: DesignMatrix, vstar: float = 10.0):
     """Iteratively drop the single worst numeric variable until max VIF <= vstar.
 
@@ -179,9 +207,14 @@ def vif_prune(design: DesignMatrix, vstar: float = 10.0):
     while True:
         targets = [(name, design.term(name).columns[0]) for name in survivors]
         regressors = [c for _, c in targets]
+        scored = _scored_vifs(design.X[:, regressors]) if len(regressors) > 1 else None
+        if scored is not None and scored.max() > vstar * (1.0 + VIF_MARGIN):
+            # a removal is certain: only the near-worst need exact values
+            near = scored >= scored.max() * (1.0 - VIF_MARGIN)
+            targets = [t for t, hit in zip(targets, near) if hit]
         values = _vif_values(design.X, targets, regressors)
         worst_name, worst = None, -math.inf
-        for name in survivors:                     # earliest column wins ties
+        for name, _ in targets:                    # earliest column wins ties
             if values[name] > worst:
                 worst_name, worst = name, values[name]
         if worst <= vstar:

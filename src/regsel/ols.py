@@ -91,6 +91,51 @@ def _effective_coef(coef: np.ndarray, aliased: np.ndarray) -> np.ndarray:
     return np.where(aliased, 0.0, coef)
 
 
+@dataclass(frozen=True)
+class BlockQR:
+    """Pivoted QR of a column block: ``X[:, pivot] = q @ r``.
+
+    Only the first ``rank`` pivoted columns are kept: ``q`` is n x rank with
+    orthonormal columns, ``r`` is rank x rank upper triangular, and
+    ``pivot`` lists all block columns in pivot order (the trailing
+    ``n_cols - rank`` are the aliased ones).
+    """
+
+    q: np.ndarray
+    r: np.ndarray
+    pivot: np.ndarray
+    rank: int
+
+    @property
+    def n_cols(self) -> int:
+        return self.pivot.size
+
+    def inverse_gram_rows(self) -> np.ndarray:
+        """W with (XᵀX)⁻¹ = W Wᵀ, rows in block-column order (full rank only).
+
+        W is R⁻¹ with its rows un-pivoted, so a term's block of (XᵀX)⁻¹ is
+        ``W[G] @ W[G].T`` and its diagonal is the row sums of W².
+        """
+        if self.rank < self.n_cols:
+            raise ValueError("(X'X)^-1 is undefined for a rank-deficient block")
+        w = np.empty((self.rank, self.rank))
+        w[self.pivot] = linalg.solve_triangular(self.r, np.eye(self.rank))
+        return w
+
+
+def qr_block(X: np.ndarray, rank_tol: float = RANK_TOL) -> BlockQR:
+    """Rank-revealing QR of a column block.
+
+    Column k (in pivot order) is aliased when |R[k, k]| < rank_tol * |R[0, 0]|.
+    """
+    Q, R, piv = linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    if diag[0] == 0.0:
+        raise ValueError("design matrix is identically zero")
+    rank = int(np.sum(diag >= rank_tol * diag[0]))
+    return BlockQR(q=Q[:, :rank], r=R[:rank, :rank], pivot=piv, rank=rank)
+
+
 def pivoted_effective_coef(X: np.ndarray, y: np.ndarray, rank_tol: float = RANK_TOL):
     """Rank-revealing least squares on raw arrays.
 
@@ -98,16 +143,12 @@ def pivoted_effective_coef(X: np.ndarray, y: np.ndarray, rank_tol: float = RANK_
     mirroring :func:`fit_ols` without the model bookkeeping.  Used by
     resampling loops that refit the same column block many times.
     """
-    Q, R, piv = linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag[0] == 0.0:
-        raise ValueError("design matrix is identically zero")
-    rank = int(np.sum(diag >= rank_tol * diag[0]))
-    beta_piv = linalg.solve_triangular(R[:rank, :rank], Q[:, :rank].T @ y)
+    qr = qr_block(X, rank_tol)
+    kept = qr.pivot[:qr.rank]
     coef = np.zeros(X.shape[1])
-    coef[piv[:rank]] = beta_piv
+    coef[kept] = linalg.solve_triangular(qr.r, qr.q.T @ y)
     aliased = np.ones(X.shape[1], dtype=bool)
-    aliased[piv[:rank]] = False
+    aliased[kept] = False
     return coef, aliased
 
 
@@ -138,26 +179,20 @@ def fit_ols(design: DesignMatrix, strict: bool = False, rank_tol: float = RANK_T
         if zero.size:
             raise ValueError(f"all-zero design column '{design.column_names[zero[0]]}' (strict mode)")
 
-    Q, R, piv = linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag[0] == 0.0:
-        raise ValueError("design matrix is identically zero")
-    rank = int(np.sum(diag >= rank_tol * diag[0]))
-
-    qty = Q[:, :rank].T @ y
-    beta_piv = linalg.solve_triangular(R[:rank, :rank], qty)
+    qr = qr_block(X, rank_tol)
+    kept = qr.pivot[:qr.rank]
     coef = np.full(p, np.nan)
-    coef[piv[:rank]] = beta_piv
+    coef[kept] = linalg.solve_triangular(qr.r, qr.q.T @ y)
     aliased = np.ones(p, dtype=bool)
-    aliased[piv[:rank]] = False
+    aliased[kept] = False
 
     fitted = X @ _effective_coef(coef, aliased)
     residuals = y - fitted
     rss = float(residuals @ residuals)
-    leverage = np.einsum("ij,ij->i", Q[:, :rank], Q[:, :rank])
+    leverage = np.einsum("ij,ij->i", qr.q, qr.q)
     return FittedModel(design=design, coef=coef, aliased=aliased, fitted=fitted,
-                       residuals=residuals, rss=rss, rank=rank, leverage=leverage,
-                       r_upper=R[:rank, :rank], pivot=piv[:rank])
+                       residuals=residuals, rss=rss, rank=qr.rank, leverage=leverage,
+                       r_upper=qr.r, pivot=kept)
 
 
 def _check_alignment(model: FittedModel, new_design: DesignMatrix) -> None:

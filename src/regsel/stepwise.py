@@ -1,10 +1,28 @@
 """Greedy model-space search over term groups under the selection AIC.
 
 Moves operate on whole terms: a factor's indicator columns enter and leave
-together.  At every iteration all legal single-term moves are fitted, and
+together.  At every iteration all legal single-term moves are scored, and
 the minimum-AIC move is applied if it beats the current model by more than
 ``tol_aic`` (1e-9 by default, so floating-point ties cannot loop).  Ties
 between candidate moves go to the term earliest in the design's term order.
+
+Scoring uses one QR of the current model instead of a refit per candidate
+(the add/drop-one identities behind R's ``add1``/``drop1``):
+
+* dropping term G raises the RSS by β_Gᵀ([(XᵀX)⁻¹]_GG)⁻¹β_G;
+* adding term G lowers it by the squared norm of the residuals projected
+  onto G's columns after those are residualized against the current Q.
+
+Scored values only choose which candidates to refit.  The best-scored move,
+and every candidate scored within ``SCORE_MARGIN`` of it, is refit exactly
+with :func:`fit_ols`, so the trace's AIC values, tie-breaks, stop test and
+final model are those of a search that refits every candidate.  A candidate
+is refit instead of scored when the current model is rank-deficient or
+near-aliased, when its own column block is near-aliased against the
+current model, when it would leave at most one residual degree of freedom,
+or when its RSS would fall near the floor where the AIC is undefined; such
+refits are logged in ``skipped`` when they fail, exactly as before, and all
+refits beyond the best-scored move are counted in ``exact_refits``.
 
 Forward search starts from the scope's lower model, backward from the upper
 model.  Both-direction search also starts from the upper model by default;
@@ -18,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .influence import dffits, press_residuals
-from .ols import FittedModel, fit_ols, fit_statistics
+from .ols import FittedModel, aic_selection_value, fit_ols, fit_statistics, qr_block
 from .table import DesignMatrix, model_formula
 
 __all__ = [
@@ -35,6 +53,17 @@ __all__ = [
 
 TOL_AIC = 1e-9
 MODES = ("forward", "backward", "both")
+
+# Candidates scored within SCORE_MARGIN (AIC units) of the best are refit
+# exactly; scoring errors are orders of magnitude smaller.
+SCORE_MARGIN = 1e-6
+# A column block is near-aliased when a diagonal of its QR falls below
+# ALIAS_GUARD times the largest column norm, 1e4 above the rank tolerance.
+ALIAS_GUARD = 1e-6
+# A scored RSS below NEAR_FLOOR times the current RSS (cancellation), or
+# below NEAR_FLOOR**2 times the total sum of squares (the AIC floor is
+# 1e-12 of it), is refit exactly.
+NEAR_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -80,6 +109,7 @@ class SelectionTrace:
     final: FittedModel
     aic_start: float
     skipped: tuple = ()
+    exact_refits: int = 0     # candidate refits beyond each iteration's best-scored move
 
     @property
     def final_terms(self) -> tuple:
@@ -139,39 +169,102 @@ def step_select(design: DesignMatrix, scope: Scope | None = None, mode: str = "f
     aic_start = current_aic
     moves: list = []
     skipped: list = []
+    exact_refits = 0
 
     can_add = mode in ("forward", "both")
     can_remove = mode in ("backward", "both")
     upper_set, lower_set = set(upper), set(lower)
+    y = design.y
+    tss = float(np.sum((y - y.mean()) ** 2))
 
     while True:
-        best = None     # (aic, order index, direction, term, model)
+        legal = []      # (direction, term) in design term order
         for term in design.term_names:
             if term in current:
-                if not can_remove or term in lower_set:
-                    continue
-                direction, candidate = "remove", current - {term}
-            else:
-                if not can_add or term not in upper_set:
-                    continue
-                direction, candidate = "add", current | {term}
+                if can_remove and term not in lower_set:
+                    legal.append(("remove", term))
+            elif can_add and term in upper_set:
+                legal.append(("add", term))
+        scores = _score_moves(design, model, legal, scope.k, tss)
+        ranked = [s for s in scores if s is not None]
+        cutoff = min(ranked) + SCORE_MARGIN if ranked else None
+        refit = [mv for mv, s in zip(legal, scores) if s is None or s <= cutoff]
+        exact_refits += len(refit) - bool(ranked)   # the best-scored move is not counted
+        best = None     # (aic, direction, term, model)
+        for direction, term in refit:
+            candidate = current - {term} if direction == "remove" else current | {term}
             try:
                 cand_model, cand_aic = _fit_terms(design, candidate, scope.k)
             except (ValueError, np.linalg.LinAlgError) as exc:
                 skipped.append(f"{direction} {term}: {exc}")
                 continue
             if best is None or cand_aic < best[0]:
-                best = (cand_aic, order[term], direction, term, cand_model)
+                best = (cand_aic, direction, term, cand_model)
         if best is None or best[0] >= current_aic - tol_aic:
             break
-        cand_aic, _, direction, term, cand_model = best
+        cand_aic, direction, term, cand_model = best
         moves.append(Move(direction=direction, term=term,
                           aic_before=current_aic, aic_after=cand_aic))
         current = current - {term} if direction == "remove" else current | {term}
         model, current_aic = cand_model, cand_aic
 
     return SelectionTrace(mode=mode, start=start, moves=tuple(moves), final=model,
-                          aic_start=aic_start, skipped=tuple(skipped))
+                          aic_start=aic_start, skipped=tuple(skipped),
+                          exact_refits=exact_refits)
+
+
+def _score_moves(design: DesignMatrix, model: FittedModel, legal, k: float, tss: float) -> list:
+    """Selection AIC of each legal move, scored from one QR of the current
+    model; None marks a move that must be refit exactly."""
+    n, rank, rss = model.n, model.rank, model.rss
+    if rank < model.p:
+        return [None] * len(legal)
+    qr = qr_block(model.design.X)
+    diag = np.abs(np.diag(qr.r))
+    if diag.min() < ALIAS_GUARD * diag[0]:
+        return [None] * len(legal)
+    w = qr.inverse_gram_rows()
+    floor = max(NEAR_FLOOR * rss, NEAR_FLOOR ** 2 * tss)
+
+    added = [design.term(t).columns for d, t in legal if d == "add"]
+    if added:
+        G = design.X[:, [c for cols in added for c in cols]]
+        Z = G - qr.q @ (qr.q.T @ G)
+        Z -= qr.q @ (qr.q.T @ Z)        # second pass restores orthogonality
+        g_norm = np.sqrt(np.einsum("ij,ij->j", G, G))
+        z_norm = np.sqrt(np.einsum("ij,ij->j", Z, Z))
+        z_r = Z.T @ model.residuals
+    scores = []
+    start = 0
+    for direction, term in legal:
+        if direction == "remove":
+            cols = list(model.design.term(term).columns)
+            beta = model.coef[cols]
+            block = w[cols] @ w[cols].T
+            new_rss = rss + float(beta @ np.linalg.solve(block, beta))
+            new_rank = rank - len(cols)
+        else:
+            m = len(design.term(term).columns)
+            sl = slice(start, start + m)
+            start += m
+            scale = max(diag[0], g_norm[sl].max())
+            if m == 1:
+                zn = z_norm[sl][0]
+                drop = (z_r[sl][0] / zn) ** 2 if zn > 0.0 else 0.0
+            else:
+                qz, rz = np.linalg.qr(Z[:, sl])
+                zn = np.abs(np.diag(rz)).min()
+                drop = float(np.sum((qz.T @ model.residuals) ** 2))
+            if zn < ALIAS_GUARD * scale:
+                scores.append(None)
+                continue
+            new_rss = rss - drop
+            new_rank = rank + m
+        if n - new_rank <= 1 or new_rss <= floor:
+            scores.append(None)
+        else:
+            scores.append(aic_selection_value(new_rss, n, new_rank, k))
+    return scores
 
 
 def format_trace(trace: SelectionTrace) -> str:

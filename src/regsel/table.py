@@ -261,13 +261,16 @@ def _parse_numeric(token: str, name: str, row: int, lenient: bool) -> float:
     if token in MISSING_TOKENS:
         return math.nan
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         if lenient:
             return math.nan
         raise ValueError(
             f"column '{name}', data row {row}: cannot parse {token!r} as numeric"
         ) from None
+    if math.isinf(value):
+        raise ValueError(f"column '{name}', data row {row}: non-finite value {token!r}")
+    return value
 
 
 def load_table(path, schema, delimiter: str = ",") -> RawTable:
@@ -282,6 +285,8 @@ def load_table(path, schema, delimiter: str = ",") -> RawTable:
         every explicit schema entry must appear in the file.  Numeric parse
         failures raise unless the column is flagged lenient, in which case
         they become missing.  Empty cells and the literal ``NA`` are missing.
+        Infinite values (``inf``, or a literal that overflows such as
+        ``1e999``) always raise, naming the file, data row and column.
     delimiter : str
         Field separator, ``","`` by default (use ``"\\t"`` for tab files).
     """
@@ -315,9 +320,11 @@ def load_table(path, schema, delimiter: str = ",") -> RawTable:
         raw = [rows[i][j].strip() for i in range(len(rows))]
         if role in (ColumnRole.NUMERIC, ColumnRole.RESPONSE):
             lenient = schema.is_lenient(name)
-            columns.append(np.array(
-                [_parse_numeric(tok, name, i + 1, lenient) for i, tok in enumerate(raw)],
-                dtype=np.float64))
+            try:
+                values = [_parse_numeric(tok, name, i + 1, lenient) for i, tok in enumerate(raw)]
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+            columns.append(np.array(values, dtype=np.float64))
         elif role is ColumnRole.ID:
             for i, tok in enumerate(raw, start=1):
                 if tok in MISSING_TOKENS:
@@ -553,6 +560,11 @@ class DesignMatrix:
             raise ValueError("column_names length must match the number of columns of X")
         if not np.all(X[:, 0] == 1.0):
             raise ValueError("first design column must be the all-ones intercept")
+        for values, names in ((y[:, None], (self.response_name,)), (X, self.column_names)):
+            bad = np.argwhere(~np.isfinite(values))
+            if bad.size:
+                i, j = bad[0]
+                raise ValueError(f"column '{names[j]}', row {i + 1}: non-finite value {values[i, j]}")
         seen = [0]
         for t in self.terms:
             seen.extend(t.columns)

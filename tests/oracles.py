@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from regsel import DesignMatrix, fit_ols, predict
+from regsel import DesignMatrix, fit_ols, fit_statistics, predict
 from regsel.ols import aic_selection_value
 
 
@@ -72,6 +72,22 @@ def aux_regression_vif(design: DesignMatrix, numeric_only: bool = True) -> dict:
     return values
 
 
+def prune_by_auxiliary_regression(design: DesignMatrix, vstar: float):
+    """VIF pruning with every pass recomputed by :func:`aux_regression_vif`.
+
+    Returns (trail, final values); the earliest variable wins VIF ties.
+    """
+    survivors = [t.name for t in design.terms if t.kind == "numeric"]
+    trail = []
+    while True:
+        values = aux_regression_vif(design.subset_terms(survivors))
+        worst = max(survivors, key=values.get)
+        if values[worst] <= vstar:
+            return trail, values
+        trail.append((worst, values[worst]))
+        survivors.remove(worst)
+
+
 def candidate_moves(design: DesignMatrix, current: set, lower: set, upper: set, mode: str):
     """All legal single-term moves from `current`, in design term order."""
     moves = []
@@ -82,6 +98,44 @@ def candidate_moves(design: DesignMatrix, current: set, lower: set, upper: set, 
         elif mode in ("forward", "both") and term in upper:
             moves.append(("add", term, current | {term}))
     return moves
+
+
+def refit_step_search(design: DesignMatrix, mode: str, lower=(), upper=None, start=None,
+                      k: float = 2.0, tol: float = 1e-9):
+    """Greedy search that refits every candidate move, literally.
+
+    Returns (moves, final_terms, skipped) shaped like a SelectionTrace:
+    moves are (direction, term, aic_before, aic_after); a candidate whose
+    fit or AIC fails is logged as ``"<direction> <term>: <error>"``.
+    """
+    upper = set(design.term_names if upper is None else upper)
+    lower = set(lower)
+    if start is None:
+        start = lower if mode == "forward" else upper
+    current = set(start)
+
+    def aic_of(terms):
+        return fit_statistics(fit_ols(design.subset_terms(terms)), k=k).aic_selection
+
+    current_aic = aic_of(current)
+    moves, skipped = [], []
+    while True:
+        best = None
+        for direction, term, cand in candidate_moves(design, current, lower, upper, mode):
+            try:
+                aic = aic_of(cand)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                skipped.append(f"{direction} {term}: {exc}")
+                continue
+            if best is None or aic < best[0]:
+                best = (aic, direction, term, cand)
+        if best is None or best[0] >= current_aic - tol:
+            break
+        aic, direction, term, current = best
+        moves.append((direction, term, current_aic, aic))
+        current_aic = aic
+    order = {name: i for i, name in enumerate(design.term_names)}
+    return moves, tuple(sorted(current, key=order.get)), skipped
 
 
 def exhaustive_step_check(design: DesignMatrix, trace, lower=(), upper=None, k=2.0,

@@ -16,7 +16,8 @@ from regsel import (
     vif,
     vif_prune,
 )
-from oracles import aux_regression_vif, loo_cooks, loo_dffits, loo_predictions, random_design
+from oracles import (aux_regression_vif, loo_cooks, loo_dffits, loo_predictions,
+                     prune_by_auxiliary_regression, random_design)
 
 
 @pytest.fixture
@@ -296,6 +297,74 @@ def test_vif_prune_factor_terms_pass_through():
     pruned, report = vif_prune(d, vstar=10.0)
     assert "f" in pruned.term_names
     assert len([t_ for t_ in pruned.terms if t_.kind == "numeric"]) == 1
+
+
+def assert_prune_matches_oracles(d, vstar):
+    """Trail names and values, and the final values, match a per-pass
+    auxiliary-regression loop; each trail value and the final values equal
+    the all-exact VIF pass over that pass's survivors bit for bit."""
+    pruned, report = vif_prune(d, vstar=vstar)
+    trail, values = prune_by_auxiliary_regression(d, vstar)
+    assert [name for name, _ in report.trail] == [name for name, _ in trail]
+    for (_, got), (_, want) in zip(report.trail, trail):
+        assert got == want if math.isinf(want) else math.isclose(got, want, rel_tol=1e-9)
+    assert report.values.keys() == values.keys()
+    for name, want in values.items():
+        assert math.isclose(report.values[name], want, rel_tol=1e-9)
+    factors = [t.name for t in d.terms if t.kind == "factor"]
+    survivors = [t.name for t in d.terms if t.kind == "numeric"]
+    for name, v in report.trail:
+        assert vif(d.subset_terms(factors + survivors)).values[name] == v
+        survivors.remove(name)
+    if len(survivors) > 1:
+        assert vif(pruned).values == report.values
+    return report
+
+
+def test_vif_prune_matches_per_pass_oracle(monkeypatch):
+    rng = np.random.default_rng(38)
+    n = 150
+    X = rng.standard_normal((n, 10))
+    X[:, 1] = X[:, 0] + 0.1 * rng.standard_normal(n)
+    X[:, 2] = X[:, 0] - X[:, 3] + 0.2 * rng.standard_normal(n)
+    X[:, 6] = 0.5 * X[:, 4] + X[:, 5] + 0.15 * rng.standard_normal(n)
+    from regsel.table import RawTable, encode_design
+    names = [f"x{j + 1}" for j in range(10)]
+    t = RawTable.build(["id", *names, "f", "y"], ["id", *["numeric"] * 10, "factor", "response"],
+                       [np.arange(n), *X.T, rng.choice(["u", "v", "w"], size=n), rng.standard_normal(n)])
+    d = encode_design(t)
+    report = assert_prune_matches_oracles(d, vstar=3.0)
+    assert len(report.trail) >= 3
+
+    from regsel import influence
+    calls = []
+    exact = influence._vif_one
+    monkeypatch.setattr(influence, "_vif_one", lambda x, others: calls.append(1) or exact(x, others))
+    vif_prune(d, vstar=3.0)
+    all_exact = sum(10 - i for i in range(len(report.trail) + 1))
+    assert len(calls) < all_exact              # the removal passes were scored
+
+
+def test_vif_prune_exact_collinearity_is_infinite():
+    rng = np.random.default_rng(39)
+    X = rng.standard_normal((40, 4))
+    X[:, 2] = X[:, 0] + X[:, 1]
+    d = DesignMatrix.from_arrays(X, rng.standard_normal(40))
+    report = assert_prune_matches_oracles(d, vstar=10.0)
+    assert report.trail[0] == ("x1", math.inf)
+    assert all(math.isfinite(v) for v in report.values.values())
+
+
+def test_vif_prune_at_the_threshold():
+    rng = np.random.default_rng(40)
+    X = rng.standard_normal((80, 3))
+    X[:, 1] = X[:, 0] + 0.4 * rng.standard_normal(80)
+    d = DesignMatrix.from_arrays(X, rng.standard_normal(80))
+    worst_name, worst = max(vif(d).values.items(), key=lambda kv: kv[1])
+    report = assert_prune_matches_oracles(d, vstar=worst * (1.0 - 1e-9))
+    assert report.trail == ((worst_name, worst),)
+    report = assert_prune_matches_oracles(d, vstar=worst * (1.0 + 1e-9))
+    assert report.trail == ()
 
 
 def test_vif_prune_would_remove_everything():

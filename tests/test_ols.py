@@ -53,6 +53,21 @@ def test_duplicated_column_is_aliased():
     np.testing.assert_allclose(m_dup.fitted, m_single.fitted, atol=1e-10)
 
 
+def test_qr_block_inverse_gram_matches_inverse():
+    from regsel.ols import qr_block
+    rng = np.random.default_rng(24)
+    X = rng.standard_normal((30, 5)) * np.array([1.0, 100.0, 0.01, 3.0, 1.0])
+    qr = qr_block(X)
+    assert qr.rank == 5
+    np.testing.assert_allclose(X[:, qr.pivot], qr.q @ qr.r, atol=1e-10)
+    w = qr.inverse_gram_rows()
+    np.testing.assert_allclose(w @ w.T, np.linalg.inv(X.T @ X), rtol=1e-9)
+    aliased = qr_block(np.column_stack([X, X[:, 1] + X[:, 3]]))
+    assert aliased.rank == 5 and aliased.n_cols == 6
+    with pytest.raises(ValueError, match="rank-deficient"):
+        aliased.inverse_gram_rows()
+
+
 def test_predict_in_sample_identity(hand_design):
     m = fit_ols(hand_design)
     assert np.array_equal(predict(m, hand_design), m.fitted)

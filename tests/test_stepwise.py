@@ -13,7 +13,7 @@ from regsel import (
     refit_excluding_rows,
     step_select,
 )
-from oracles import best_subset_aic, exhaustive_step_check
+from oracles import best_subset_aic, exhaustive_step_check, refit_step_search
 
 
 def signal_design(rng, n=100, p=8, signal=(0, 3), sigma=1.0):
@@ -149,6 +149,83 @@ def test_tie_break_prefers_earliest_term():
     d = DesignMatrix.from_arrays(np.column_stack([x, x]), y, names=["first", "second"])
     trace = step_select(d, mode="forward")
     assert trace.moves[0].term == "first"
+
+
+def factor_design(rng, n, p, n_factors):
+    """Numeric predictors (the first two nearly collinear) plus 3-5 level factors."""
+    from regsel.table import RawTable, encode_design
+    X = rng.standard_normal((n, p))
+    X[:, 1] = X[:, 0] + 0.05 * rng.standard_normal(n)
+    y = 3.0 + X @ (rng.standard_normal(p) * (rng.random(p) < 0.5)) + rng.standard_normal(n)
+    names, roles, cols = ["id"], ["id"], [np.arange(n)]
+    for j in range(p):
+        names.append(f"x{j + 1}"), roles.append("numeric"), cols.append(X[:, j])
+    for f in range(n_factors):
+        labels = rng.choice(list("abcde")[: 3 + f], size=n)
+        y = y + 0.6 * (labels == "b")
+        names.append(f"f{f + 1}"), roles.append("factor"), cols.append(labels)
+    names.append("y"), roles.append("response"), cols.append(y)
+    return encode_design(RawTable.build(names, roles, cols))
+
+
+def assert_matches_refit_search(d, mode, **kwargs):
+    """The scored search reproduces a search that refits every candidate, bit for bit."""
+    trace = step_select(d, mode=mode, **kwargs)
+    moves, final_terms, skipped = refit_step_search(d, mode, **kwargs)
+    assert [(m.direction, m.term, m.aic_before, m.aic_after) for m in trace.moves] == moves
+    assert trace.final_terms == final_terms
+    assert list(trace.skipped) == skipped
+    return trace
+
+
+def test_scored_search_matches_refit_oracle():
+    rng = np.random.default_rng(72)
+    for _ in range(6):
+        d = factor_design(rng, n=int(rng.integers(40, 160)), p=int(rng.integers(3, 9)),
+                          n_factors=int(rng.integers(0, 3)))
+        for mode in ("forward", "backward", "both"):
+            assert_matches_refit_search(d, mode)
+
+
+def test_well_conditioned_search_needs_no_extra_refits():
+    rng = np.random.default_rng(73)
+    d = signal_design(rng, n=120, p=8)
+    for mode in ("forward", "backward", "both"):
+        assert assert_matches_refit_search(d, mode).exact_refits == 0
+
+
+def test_duplicated_column_takes_aliasing_fallback():
+    rng = np.random.default_rng(74)
+    X = rng.standard_normal((50, 3))
+    X = np.column_stack([X, X[:, 0]])          # "dup" repeats x1 exactly
+    y = 1.0 + 2.0 * X[:, 0] - X[:, 1] + rng.standard_normal(50)
+    d = DesignMatrix.from_arrays(X, y, names=["x1", "x2", "x3", "dup"])
+    for mode in ("forward", "backward", "both"):
+        trace = assert_matches_refit_search(d, mode)
+        assert trace.exact_refits > 0
+
+
+def test_identical_candidates_tie_goes_to_earliest_term():
+    rng = np.random.default_rng(75)
+    x = rng.standard_normal(40)
+    other = rng.standard_normal(40)
+    y = 2.0 * x + 0.3 * other + rng.standard_normal(40)
+    d = DesignMatrix.from_arrays(np.column_stack([other, x, x]), y,
+                                 names=["other", "first", "second"])
+    trace = assert_matches_refit_search(d, "forward")
+    assert trace.moves[0].term == "first"
+    assert "second" not in trace.final_terms
+    assert trace.exact_refits > 0               # the tie was refit, not decided by scores
+
+
+def test_candidate_without_residual_df_is_logged_as_skipped():
+    rng = np.random.default_rng(76)
+    X = rng.standard_normal((4, 3))
+    y = 1.0 + 3.0 * X[:, 0] + 2.0 * X[:, 1] + 0.01 * rng.standard_normal(4)
+    d = DesignMatrix.from_arrays(X, y)
+    trace = assert_matches_refit_search(d, "forward")
+    assert [m.term for m in trace.moves] == ["x1", "x2"]
+    assert trace.skipped == ("add x3: fit statistics undefined: no residual degrees of freedom",)
 
 
 def test_best_subset_lower_bound():

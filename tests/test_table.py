@@ -65,6 +65,36 @@ def test_load_strict_numeric_parse_error(tmp_path):
         load_table(f, {"ID": "id", "x": "numeric", "y": "response"})
 
 
+@pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "1e999"])
+@pytest.mark.parametrize("column", ["x", "y"])
+def test_load_rejects_non_finite_numbers(tmp_path, token, column):
+    f = tmp_path / "d.csv"
+    rows = {"x": ["0.5", "1.5", "2.5", "3.5", "4.5"], "y": ["2", "3", "4", "5", "6"]}
+    rows[column][3] = token
+    f.write_text("ID,x,y\n" + "".join(f"{i + 1},{x},{y}\n" for i, (x, y) in
+                                      enumerate(zip(rows["x"], rows["y"]))))
+    with pytest.raises(ValueError, match=rf"d\.csv: column '{column}', data row 4: non-finite"):
+        load_table(f, {"ID": "id", "x": "numeric", "y": "response"})
+    with pytest.raises(ValueError, match="non-finite"):
+        load_table(f, Schema({"ID": ColumnRole.ID, "x": ColumnRole.NUMERIC,
+                              "y": ColumnRole.RESPONSE}, lenient=frozenset({"x"})))
+
+
+def test_design_matrix_rejects_non_finite_values():
+    from regsel import DesignMatrix
+    X = np.arange(12.0).reshape(6, 2)
+    y = np.arange(6.0)
+    for bad in (np.inf, -np.inf, np.nan):
+        Xb = X.copy()
+        Xb[4, 1] = bad
+        with pytest.raises(ValueError, match="column 'x2', row 5: non-finite"):
+            DesignMatrix.from_arrays(Xb, y)
+        yb = y.copy()
+        yb[2] = bad
+        with pytest.raises(ValueError, match="column 'y', row 3: non-finite"):
+            DesignMatrix.from_arrays(X, yb)
+
+
 def test_load_lenient_numeric_becomes_missing(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text("ID,x,y\n1,0.5,2\n2,oops,3\n")
