@@ -1,21 +1,26 @@
 """Seeded Monte Carlo cross-validation with MSPE reporting.
 
 Each replication draws one random train/test split that every candidate
-model shares, refits each candidate on the training rows, and scores the
-mean squared prediction error on the held-out rows.
+model shares and scores the mean squared prediction error on the held-out
+rows.  No training split is refit: each distinct candidate is factored once
+on the full data, and its held-out errors follow from the multi-row
+deletion identity e_(T) = e_T + Q_T (I - Q_TᵀQ_T)⁻¹ Q_Tᵀ e_T (see
+:class:`_Candidate`).  A candidate whose full-data QR is rank deficient, or
+whose training Gram is near singular in a replication, takes the exact
+pivoted refit on the training rows instead; those replications are counted
+in the result's ``exact_refits``.
 
 Reproducibility is the design driver: replication i's split comes from a
 counter-based Philox stream keyed by (seed, i), so the MSPE vectors are a
-pure function of (data, config): bitwise identical across runs, worker
-counts, and replication-count extensions.  Training splits that alias a
-factor dummy column (a level unseen in training) fall back to the
-reference-level encoding for the affected held-out rows; those rows are
-counted in the result's audit.
+pure function of (data, config): bitwise identical across runs and
+replication-count extensions.  Training splits that alias a factor dummy
+column (a level unseen in training) fall back to the reference-level
+encoding for the affected held-out rows; those rows are counted in the
+result's audit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +28,7 @@ import numpy as np
 from scipy import linalg
 
 from .influence import interpolated_quantile
-from .ols import pivoted_effective_coef
+from .ols import pivoted_effective_coef, qr_block
 from .table import DesignMatrix
 
 __all__ = [
@@ -57,8 +62,10 @@ class CVConfig:
     """Cross-validation parameters.
 
     ``models`` is an ordered tuple of (label, term-name tuple) pairs; every
-    candidate is refit on the same split within a replication.  ``workers``
-    only controls parallelism; results are identical for any value.
+    candidate is scored on the same split within a replication.  ``workers``
+    is accepted and has no effect: the loop runs in the calling thread,
+    because threads contend on the interpreter lock and on BLAS and made
+    the loop slower, not faster.
     """
 
     models: tuple
@@ -100,13 +107,16 @@ class CVResult:
 
     ``unseen_level_rows`` counts held-out rows per model whose prediction
     fell back to the reference level because a factor level was absent from
-    the training split.
+    the training split.  ``exact_refits`` counts, per model, the
+    replications that took the exact pivoted refit instead of the deletion
+    identity (empty when not recorded).
     """
 
     labels: tuple
     mspe: np.ndarray
     config: CVConfig
     unseen_level_rows: tuple
+    exact_refits: tuple = ()
 
     @property
     def rmspe(self) -> np.ndarray:
@@ -141,60 +151,78 @@ def five_number_summary(v) -> FiveNumberSummary:
 
 
 class _Candidate:
-    """Per-model state for the replication loop: the model's column block as
-    one contiguous array plus a prepared full-rank solver (LAPACK dgels).
-    Rank-deficient training splits (an all-zero dummy column from an unseen
-    factor level, or exact collinearity) fall back to the pivoted
-    rank-revealing path so aliased columns predict at the reference level."""
+    """One distinct column block: its full-data QR and its exact fallback.
+
+    With the full-data factorization X = QR (Q is n x p with orthonormal
+    columns) and full-data residuals e, deleting the test rows T from the
+    fit gives the held-out errors
+
+        e_(T) = e_T + Q_T (I - Q_TᵀQ_T)⁻¹ Q_Tᵀ e_T,
+
+    the multi-row form of the PRESS identity (Cook & Weisberg 1982).
+    I - Q_TᵀQ_T is the training rows' Gram Q_trainᵀQ_train, so a replication
+    costs a gather of the test rows of Q, one p x p Gram and a Cholesky
+    factor-and-solve; no training split is refit.
+
+    The exact path refits the training rows with the pivoted rank-revealing
+    solver, so aliased columns (an all-zero dummy from a factor level unseen
+    in training, or exact collinearity) predict at the reference level.  A
+    candidate takes it in every replication when its full-data QR is rank
+    deficient (|R_kk| < RANK_TRIGGER * |R_00|), and in a replication whose
+    training Gram is not positive definite or has a squared Cholesky pivot
+    below PIVOT_FLOOR (the Gram's diagonal is at most 1).
+    """
 
     RANK_TRIGGER = 1e-8
+    PIVOT_FLOOR = 1e-6
 
-    def __init__(self, design: DesignMatrix, n_train: int):
+    def __init__(self, design: DesignMatrix):
         self.X = np.ascontiguousarray(design.X)
         self.y = design.y
-        self.p = design.n_cols
         self.factor_cols = np.asarray(
             [c for t in design.terms if t.kind == "factor" for c in t.columns],
             dtype=np.intp)
-        self._gels, gels_lwork = linalg.get_lapack_funcs(("gels", "gels_lwork"), (self.X,))
-        self._lwork = int(gels_lwork(n_train, self.p, 1)[0])
+        qr = qr_block(self.X, self.RANK_TRIGGER)
+        self.q = None
+        if qr.rank == self.X.shape[1]:
+            self.q = np.ascontiguousarray(qr.q)
+            self.e = self.y - self.q @ (self.q.T @ self.y)
+            self._potrf, self._potrs = linalg.get_lapack_funcs(("potrf", "potrs"), (self.q,))
 
-    def fit(self, train):
-        """(effective coefficients, aliased mask or None) on the training rows."""
-        Xt = self.X[train]
-        lqr, bx, info = self._gels(Xt, self.y[train, None], lwork=self._lwork)
-        diag = np.abs(np.diag(lqr[: self.p, : self.p]))
-        if info == 0 and diag.min() >= self.RANK_TRIGGER * diag.max():
-            return bx[: self.p, 0], None
-        return pivoted_effective_coef(Xt, self.y[train])
+    def _deletion_errors(self, test):
+        """Held-out errors by the deletion identity, or None if the Gram is near singular."""
+        qt, et = self.q[test], self.e[test]
+        gram = qt.T @ qt
+        gram *= -1.0
+        gram.flat[:: gram.shape[0] + 1] += 1.0
+        chol, info = self._potrf(gram, overwrite_a=True, clean=False)
+        if info != 0 or np.diag(chol).min() ** 2 < self.PIVOT_FLOOR:
+            return None
+        z, _ = self._potrs(chol, qt.T @ et)
+        return et + qt @ z
 
     def mspe(self, train, test):
-        coef, aliased = self.fit(train)
+        """(MSPE, unseen-level held-out rows, whether the exact path ran)."""
+        err = None if self.q is None else self._deletion_errors(test)
+        if err is not None:
+            return float(err @ err) / err.size, 0, False
+        coef, aliased = pivoted_effective_coef(self.X[train], self.y[train])
         err = self.y[test] - self.X[test] @ coef
-        value = float(err @ err) / err.size
         unseen = 0
-        if aliased is not None and self.factor_cols.size:
-            hit = self.factor_cols[aliased[self.factor_cols]]
-            if hit.size:
-                unseen = int(np.count_nonzero(self.X[np.ix_(test, hit)].any(axis=1)))
-        return value, unseen
-
-
-def _one_replication(index, candidates, n, n_train, seed):
-    train, test = replication_split(seed, index, n, n_train)
-    mspes = np.empty(len(candidates))
-    unseen = np.zeros(len(candidates), dtype=np.int64)
-    for j, cand in enumerate(candidates):
-        mspes[j], unseen[j] = cand.mspe(train, test)
-    return mspes, unseen
+        hit = self.factor_cols[aliased[self.factor_cols]]
+        if hit.size:
+            unseen = int(np.count_nonzero(self.X[np.ix_(test, hit)].any(axis=1)))
+        return float(err @ err) / err.size, unseen, True
 
 
 def mc_cross_validate(design: DesignMatrix, config: CVConfig) -> CVResult:
     """Run the seeded Monte Carlo cross-validation loop.
 
     Every replication uses one shared train/test split across candidates;
-    the training size is round-half-to-even(train_fraction * n).  The result
-    is a pure function of (design, config), independent of ``workers``.
+    the training size is round-half-to-even(train_fraction * n).  Candidates
+    with the same column set are solved once per replication and get
+    bit-identical MSPE columns.  The result is a pure function of
+    (design, config).
     """
     if config.replications < 1:
         raise ValueError("replications must be >= 1")
@@ -214,27 +242,26 @@ def mc_cross_validate(design: DesignMatrix, config: CVConfig) -> CVResult:
         raise ValueError(
             f"training size {n_train} is too small for the largest candidate "
             f"({max_cols} columns); need at least {max_cols + 1}")
-    candidates = [_Candidate(sub, n_train) for sub in subdesigns]
+    slots = {}                  # column names -> the first candidate with them
+    for sub in subdesigns:
+        slots.setdefault(sub.column_names, sub)
+    keys = list(slots)
+    candidates = [_Candidate(slots[key]) for key in keys]
+    slot_of = [keys.index(sub.column_names) for sub in subdesigns]
 
     reps = config.replications
     mspe = np.empty((reps, len(candidates)))
     unseen = np.zeros(len(candidates), dtype=np.int64)
-
-    def run(i):
-        return i, _one_replication(i, candidates, n, n_train, config.seed)
-
-    if config.workers <= 1:
-        results = map(run, range(reps))
-        for i, (row, u) in results:
-            mspe[i] = row
-            unseen += u
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            for i, (row, u) in pool.map(run, range(reps)):
-                mspe[i] = row
-                unseen += u
-    return CVResult(labels=labels, mspe=mspe, config=config,
-                    unseen_level_rows=tuple(int(u) for u in unseen))
+    exact = np.zeros(len(candidates), dtype=np.int64)
+    for i in range(reps):
+        train, test = replication_split(config.seed, i, n, n_train)
+        for j, cand in enumerate(candidates):
+            mspe[i, j], u, x = cand.mspe(train, test)
+            unseen[j] += u
+            exact[j] += x
+    return CVResult(labels=labels, mspe=mspe[:, slot_of], config=config,
+                    unseen_level_rows=tuple(int(unseen[j]) for j in slot_of),
+                    exact_refits=tuple(int(exact[j]) for j in slot_of))
 
 
 # ---------------------------------------------------------------------------

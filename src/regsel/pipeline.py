@@ -264,10 +264,8 @@ def _pruned_design(stage: str, out: Path) -> DesignMatrix:
     return design.subset_terms(kept)
 
 
-def _selected_models(stage: str, out: Path, excluded: bool = False) -> dict:
-    name = "selected_models.json"
-    base = out / "excluded" if excluded else out
-    return json.loads(_need(stage, base / name, "select").read_text())
+def _selected_models(stage: str, base: Path) -> dict:
+    return json.loads(_need(stage, base / "selected_models.json", "select").read_text())
 
 
 def _excluded_indices(cfg: RunConfig, design: DesignMatrix, stage: str) -> np.ndarray:
@@ -359,10 +357,8 @@ def _stage_select(cfg: RunConfig) -> list:
     return paths
 
 
-def _diagnose_into(cfg: RunConfig, design: DesignMatrix, out: Path) -> list:
+def _diagnose_into(cfg: RunConfig, design: DesignMatrix, selected: dict, out: Path) -> list:
     out.mkdir(parents=True, exist_ok=True)
-    selected = _selected_models("diagnose", out.parent if out.name == "excluded" else out,
-                                excluded=(out.name == "excluded"))
     paths = []
     full_fit = fit_ols(design)
     full_report = influence_flags(full_fit, min(cfg.top_m_full, full_fit.n))
@@ -390,10 +386,11 @@ def _diagnose_into(cfg: RunConfig, design: DesignMatrix, out: Path) -> list:
 def _stage_diagnose(cfg: RunConfig) -> list:
     out = cfg.out
     design = _pruned_design("diagnose", out)
-    paths = _diagnose_into(cfg, design, out)
+    paths = _diagnose_into(cfg, design, _selected_models("diagnose", out), out)
     if cfg.exclude_rows and cfg.modes:
         idx = _excluded_indices(cfg, design, "diagnose")
-        paths += _diagnose_into(cfg, design.drop_rows(idx), out / "excluded")
+        paths += _diagnose_into(cfg, design.drop_rows(idx),
+                                _selected_models("diagnose", out / "excluded"), out / "excluded")
         # side-by-side table: full-data columns then excluded-data columns
         primary = (out / "comparison.tsv").read_text(encoding="utf-8").splitlines()
         excluded = (out / "excluded" / "comparison.tsv").read_text(encoding="utf-8").splitlines()
@@ -412,9 +409,7 @@ def _stage_diagnose(cfg: RunConfig) -> list:
     return paths
 
 
-def _cv_into(cfg: RunConfig, design: DesignMatrix, out: Path) -> list:
-    selected = _selected_models("cv", out.parent if out.name == "excluded" else out,
-                                excluded=(out.name == "excluded"))
+def _cv_into(cfg: RunConfig, design: DesignMatrix, selected: dict, out: Path) -> list:
     out.mkdir(parents=True, exist_ok=True)
     config = CVConfig.for_models({mode: selected[mode] for mode in cfg.modes},
                                  replications=cfg.cv_replications,
@@ -443,10 +438,11 @@ def _stage_cv(cfg: RunConfig) -> list:
         return []
     out = cfg.out
     design = _pruned_design("cv", out)
-    paths = _cv_into(cfg, design, out)
+    paths = _cv_into(cfg, design, _selected_models("cv", out), out)
     if cfg.exclude_rows:
         idx = _excluded_indices(cfg, design, "cv")
-        paths += _cv_into(cfg, design.drop_rows(idx), out / "excluded")
+        paths += _cv_into(cfg, design.drop_rows(idx),
+                          _selected_models("cv", out / "excluded"), out / "excluded")
     return paths
 
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from regsel import DesignMatrix, fit_ols, fit_statistics, predict
+from regsel import DesignMatrix, fit_ols, fit_statistics, predict, replication_split
 from regsel.ols import aic_selection_value
 
 
@@ -176,6 +176,27 @@ def best_subset_aic(design: DesignMatrix, k: float = 2.0) -> float:
             model = fit_ols(design.subset_terms(subset))
             best = min(best, aic_selection_value(model.rss, model.n, model.rank, k))
     return best
+
+
+def refit_cv_mspe(design: DesignMatrix, config) -> np.ndarray:
+    """Monte Carlo CV by literal refits: replications x models MSPE.
+
+    Each replication refits every candidate on its training rows with
+    ``numpy.linalg.lstsq``.  Its minimum-norm solution gives an all-zero
+    training column (a factor level unseen in training) a zero coefficient,
+    which is the reference-level prediction.
+    """
+    n = design.n_rows
+    n_train = round(config.train_fraction * n)
+    mats = [design.subset_terms(terms).X for _, terms in config.models]
+    out = np.empty((config.replications, len(mats)))
+    for i in range(config.replications):
+        train, test = replication_split(config.seed, i, n, n_train)
+        for j, X in enumerate(mats):
+            coef = np.linalg.lstsq(X[train], design.y[train], rcond=None)[0]
+            err = design.y[test] - X[test] @ coef
+            out[i, j] = float(err @ err) / err.size
+    return out
 
 
 def random_design(rng, n, p, names=None) -> DesignMatrix:

@@ -11,6 +11,9 @@ from regsel import (
     write_mspe_dump,
     write_mspe_summary,
 )
+from regsel.table import RawTable, encode_design
+
+from oracles import random_design, refit_cv_mspe
 
 
 def noisy_design(rng, n=60, p=4, sigma=1.0):
@@ -128,7 +131,6 @@ def test_rmspe_is_elementwise_sqrt():
 def test_unseen_factor_level_fallback_and_audit():
     rng = np.random.default_rng(88)
     n = 20
-    from regsel.table import RawTable, encode_design
     labels = np.array(["common"] * (n - 1) + ["rare"], dtype=object)
     t = RawTable.build(["id", "x", "f", "y"],
                        ["id", "numeric", "factor", "response"],
@@ -138,6 +140,54 @@ def test_unseen_factor_level_fallback_and_audit():
     res = mc_cross_validate(d, config_for(d, reps=50, seed=7))
     assert np.isfinite(res.mspe).all()
     assert res.unseen_level_rows[0] > 0      # the rare level landed in some test sets
+
+
+def test_deletion_identity_matches_refits_on_nested_candidates():
+    rng = np.random.default_rng(93)
+    for n, p, frac in ((40, 3, 0.8), (90, 7, 0.5), (20, 10, 0.8)):
+        d = random_design(rng, n, p)
+        names = d.term_names
+        models = {"small": names[:1], "mid": names[: p // 2 + 1], "full": names,
+                  "same": names[::-1]}     # the column set of "full", listed in another order
+        cfg = CVConfig.for_models(models, replications=30, train_fraction=frac, seed=11)
+        res = mc_cross_validate(d, cfg)
+        np.testing.assert_allclose(res.mspe, refit_cv_mspe(d, cfg), rtol=1e-10, atol=0)
+        assert res.exact_refits == (0, 0, 0, 0)
+        assert np.array_equal(res.column("full"), res.column("same"))
+
+
+def test_two_row_factor_level_is_refit_exactly_when_both_rows_are_held_out():
+    rng = np.random.default_rng(94)
+    n, reps, seed = 60, 200, 3
+    labels = np.array(["a", "b"] * 29 + ["rare"] * 2, dtype=object)
+    rng.shuffle(labels)
+    x = rng.standard_normal((n, 2))
+    y = 1.0 + x @ np.array([1.0, -0.5]) + 2.0 * (labels == "rare") + rng.standard_normal(n)
+    d = encode_design(RawTable.build(
+        ["id", "x1", "x2", "f", "y"], ["id", "numeric", "numeric", "factor", "response"],
+        [np.arange(n), x[:, 0], x[:, 1], labels, y]))
+    cfg = CVConfig.for_models({"numeric": ("x1", "x2"), "factor": ("x1", "x2", "f")},
+                              replications=reps, seed=seed)
+    res = mc_cross_validate(d, cfg)
+    np.testing.assert_allclose(res.mspe, refit_cv_mspe(d, cfg), rtol=1e-10, atol=0)
+    rare = np.flatnonzero(labels == "rare")
+    unseen_reps = sum(not np.isin(rare, replication_split(seed, i, n, round(0.8 * n))[0]).any()
+                      for i in range(reps))
+    assert unseen_reps > 0
+    assert res.exact_refits == (0, unseen_reps)
+    assert res.unseen_level_rows == (0, 2 * unseen_reps)
+
+
+def test_rank_deficient_candidate_is_refit_exactly_every_replication():
+    rng = np.random.default_rng(95)
+    X = rng.standard_normal((50, 3))
+    X = np.column_stack([X, X[:, 1]])       # an exact duplicate of x2
+    y = 1.0 + X[:, :3] @ np.array([1.0, 2.0, -1.0]) + rng.standard_normal(50)
+    d = DesignMatrix.from_arrays(X, y)
+    cfg = CVConfig.for_models({"dup": d.term_names, "clean": d.term_names[:3]}, replications=25)
+    res = mc_cross_validate(d, cfg)
+    np.testing.assert_allclose(res.mspe, refit_cv_mspe(d, cfg), rtol=1e-10, atol=0)
+    assert res.exact_refits == (25, 0)
 
 
 def test_config_validation():
