@@ -54,13 +54,11 @@ from .influence import (
 )
 from .stepwise import (
     ComparisonTable,
-    ExclusionComparison,
     Move,
     Scope,
     SelectionTrace,
     compare_models,
     format_trace,
-    refit_excluding_rows,
     step_select,
 )
 from .crossval import (

@@ -323,9 +323,10 @@ def added_variable_data(model: FittedModel, term: str) -> AddedVariable:
     """Partial-regression data for a single-column term.
 
     ``x_partial`` and ``y_partial`` are the residuals of the term column and
-    the response after regressing out every other design column; the
-    no-intercept slope of y_partial on x_partial equals the full-model
-    coefficient for the term.
+    the response after regressing out every other estimated (non-aliased)
+    design column; the no-intercept slope of y_partial on x_partial equals
+    the full-model coefficient for the term.  An aliased term has no
+    coefficient and raises.
     """
     t = model.design.term(term)
     if len(t.columns) != 1:
@@ -333,15 +334,14 @@ def added_variable_data(model: FittedModel, term: str) -> AddedVariable:
             f"term '{term}' spans {len(t.columns)} columns; added-variable data "
             "is defined for single-column terms only")
     j = t.columns[0]
+    if model.aliased[j]:
+        raise ValueError(f"term '{term}' is aliased in the model; it has no added-variable data")
     X, y = model.design.X, model.design.y
-    others = [c for c in range(X.shape[1]) if c != j]
+    others = [c for c in range(X.shape[1]) if c != j and not model.aliased[c]]
     Z = X[:, others]
     coef_x, _, _, _ = np.linalg.lstsq(Z, X[:, j], rcond=None)
     coef_y, _, _, _ = np.linalg.lstsq(Z, y, rcond=None)
     x_partial = X[:, j] - Z @ coef_x
     y_partial = y - Z @ coef_y
-    denom = float(x_partial @ x_partial)
-    if denom == 0.0:
-        raise ValueError(f"term '{term}' is exactly collinear with the other columns")
-    slope = float(x_partial @ y_partial) / denom
+    slope = float(x_partial @ y_partial) / float(x_partial @ x_partial)
     return AddedVariable(term=term, x_partial=x_partial, y_partial=y_partial, slope=slope)

@@ -47,7 +47,9 @@ class FittedModel:
     """Immutable OLS fit.
 
     ``coef`` has one entry per design column with NaN at aliased positions;
-    ``leverage`` is the hat-matrix diagonal and sums to ``rank``.
+    ``leverage`` is the hat-matrix diagonal and sums to ``rank``.  ``qr``
+    is the pivoted factorization of ``design.X`` the fit was solved from;
+    consumers that need Q or R read it instead of factoring X again.
     ``transform`` records the response scale ("identity" or "log").
     """
 
@@ -59,9 +61,8 @@ class FittedModel:
     rss: float
     rank: int
     leverage: np.ndarray
+    qr: BlockQR
     transform: str = "identity"
-    r_upper: np.ndarray | None = None   # rank x rank upper-triangular factor
-    pivot: np.ndarray | None = None     # design columns for r_upper, in pivot order
 
     @property
     def n(self) -> int:
@@ -136,6 +137,16 @@ def qr_block(X: np.ndarray, rank_tol: float = RANK_TOL) -> BlockQR:
     return BlockQR(q=Q[:, :rank], r=R[:rank, :rank], pivot=piv, rank=rank)
 
 
+def _solve(qr: BlockQR, y: np.ndarray):
+    """(coef, aliased) from a factorization: aliased columns get coefficient zero."""
+    kept = qr.pivot[:qr.rank]
+    coef = np.zeros(qr.n_cols)
+    coef[kept] = linalg.solve_triangular(qr.r, qr.q.T @ y)
+    aliased = np.ones(qr.n_cols, dtype=bool)
+    aliased[kept] = False
+    return coef, aliased
+
+
 def pivoted_effective_coef(X: np.ndarray, y: np.ndarray, rank_tol: float = RANK_TOL):
     """Rank-revealing least squares on raw arrays.
 
@@ -143,13 +154,19 @@ def pivoted_effective_coef(X: np.ndarray, y: np.ndarray, rank_tol: float = RANK_
     mirroring :func:`fit_ols` without the model bookkeeping.  Used by
     resampling loops that refit the same column block many times.
     """
-    qr = qr_block(X, rank_tol)
-    kept = qr.pivot[:qr.rank]
-    coef = np.zeros(X.shape[1])
-    coef[kept] = linalg.solve_triangular(qr.r, qr.q.T @ y)
-    aliased = np.ones(X.shape[1], dtype=bool)
-    aliased[kept] = False
-    return coef, aliased
+    return _solve(qr_block(X, rank_tol), y)
+
+
+def _fit(design: DesignMatrix, qr: BlockQR) -> FittedModel:
+    """The least-squares fit of ``design`` through ``qr``, a factorization of ``design.X``."""
+    coef, aliased = _solve(qr, design.y)
+    fitted = design.X @ coef
+    residuals = design.y - fitted
+    coef[aliased] = np.nan
+    rss = float(residuals @ residuals)
+    leverage = np.einsum("ij,ij->i", qr.q, qr.q)
+    return FittedModel(design=design, coef=coef, aliased=aliased, fitted=fitted,
+                       residuals=residuals, rss=rss, rank=qr.rank, leverage=leverage, qr=qr)
 
 
 def fit_ols(design: DesignMatrix, strict: bool = False, rank_tol: float = RANK_TOL) -> FittedModel:
@@ -170,29 +187,14 @@ def fit_ols(design: DesignMatrix, strict: bool = False, rank_tol: float = RANK_T
         With fitted values computed as ``X @ coef`` (aliased coefficients
         contribute zero), so in-sample prediction reproduces them exactly.
     """
-    X, y = design.X, design.y
-    n, p = X.shape
-    if n < 1:
+    X = design.X
+    if design.n_rows < 1:
         raise ValueError("cannot fit on an empty design")
     if strict:
         zero = np.flatnonzero(~X.any(axis=0))
         if zero.size:
             raise ValueError(f"all-zero design column '{design.column_names[zero[0]]}' (strict mode)")
-
-    qr = qr_block(X, rank_tol)
-    kept = qr.pivot[:qr.rank]
-    coef = np.full(p, np.nan)
-    coef[kept] = linalg.solve_triangular(qr.r, qr.q.T @ y)
-    aliased = np.ones(p, dtype=bool)
-    aliased[kept] = False
-
-    fitted = X @ _effective_coef(coef, aliased)
-    residuals = y - fitted
-    rss = float(residuals @ residuals)
-    leverage = np.einsum("ij,ij->i", qr.q, qr.q)
-    return FittedModel(design=design, coef=coef, aliased=aliased, fitted=fitted,
-                       residuals=residuals, rss=rss, rank=qr.rank, leverage=leverage,
-                       r_upper=qr.r, pivot=kept)
+    return _fit(design, qr_block(X, rank_tol))
 
 
 def _check_alignment(model: FittedModel, new_design: DesignMatrix) -> None:
@@ -267,7 +269,11 @@ def fit_statistics(model: FittedModel, k: float = 2.0) -> FitStatistics:
 
 
 def refit_log_response(model: FittedModel) -> FittedModel:
-    """Refit the identical design against ln(y); requires a strictly positive response."""
+    """Refit the identical design against ln(y); requires a strictly positive response.
+
+    X is unchanged, so the refit is solved from ``model.qr`` without
+    factoring X again.
+    """
     y = model.design.y
     bad = np.flatnonzero(y <= 0.0)
     if bad.size:
@@ -275,9 +281,7 @@ def refit_log_response(model: FittedModel) -> FittedModel:
         raise ValueError(
             f"log transform requires positive response values; row {i + 1} "
             f"(id {model.design.row_ids[i]}) has y = {y[i]}")
-    log_design = replace(model.design, y=np.log(y))
-    refit = fit_ols(log_design)
-    return replace(refit, transform="log")
+    return replace(_fit(replace(model.design, y=np.log(y)), model.qr), transform="log")
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +295,10 @@ def coefficient_table(model: FittedModel):
     if n - r < 1:
         raise ValueError("standard errors undefined: no residual degrees of freedom")
     sigma = math.sqrt(model.sigma2)
-    rinv = linalg.solve_triangular(model.r_upper, np.eye(r))
+    rinv = linalg.solve_triangular(model.qr.r, np.eye(r))
     unscaled = np.einsum("ij,ij->i", rinv, rinv)   # diag of (R'R)^-1
     se = np.full(model.p, np.nan)
-    se[model.pivot] = sigma * np.sqrt(unscaled)
+    se[model.qr.pivot[:r]] = sigma * np.sqrt(unscaled)
     rows = []
     for j, name in enumerate(model.design.column_names):
         est = model.coef[j]

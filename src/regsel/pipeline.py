@@ -23,7 +23,7 @@ from . import report as rpt
 from .crossval import CVConfig, emit_mspe_boxplot_data, mc_cross_validate, write_mspe_dump, write_mspe_summary
 from .influence import influence_flags, vif, vif_prune
 from .ols import fit_ols, refit_log_response, write_summary
-from .stepwise import MODES, Scope, compare_models, format_trace, step_select
+from .stepwise import COMPARISON_ROWS, MODES, ComparisonTable, Scope, compare_models, format_trace, step_select
 from .table import DesignMatrix, coerce_to_factor, drop_incomplete_rows, drop_sparse_columns, encode_design, load_table, merge_by_id, read_schema, write_schema, write_table
 
 __all__ = ["RunConfig", "PipelineError", "ReportBundle", "run_pipeline", "run_stage",
@@ -74,7 +74,7 @@ class RunConfig:
     cv_replications: int = 8000
     cv_train_fraction: float = 0.8
     cv_seed: int = 20883271
-    cv_workers: int = 1
+    cv_workers: int = 1                 # accepted; has no effect
     log_refit: bool = True
     report_model: str = "forward"
     top_m_full: int = 10
@@ -204,7 +204,7 @@ exclude_rows =             # 1-based rows for the outlier-exclusion rerun, e.g. 
 cv_replications = 8000
 cv_train_fraction = 0.8
 cv_seed = 20883271
-cv_workers = 1
+cv_workers = 1             # accepted; has no effect (cross-validation runs in one thread)
 log_refit = true           # also emit diagnostics for the log-response refit
 report_model = forward     # which selected model the report stage describes
 top_m_full = 10            # top-influence flags on the full model
@@ -357,7 +357,9 @@ def _stage_select(cfg: RunConfig) -> list:
     return paths
 
 
-def _diagnose_into(cfg: RunConfig, design: DesignMatrix, selected: dict, out: Path) -> list:
+def _diagnose_into(cfg: RunConfig, design: DesignMatrix, selected: dict, out: Path):
+    """Write the influence files and ``comparison.tsv``; returns the paths and
+    the ComparisonTable (None with no modes)."""
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     full_fit = fit_ols(design)
@@ -375,36 +377,30 @@ def _diagnose_into(cfg: RunConfig, design: DesignMatrix, selected: dict, out: Pa
                 flags.leverage, flags.cooks_d, out / f"influence_{mode}.svg",
                 highlight=flags.top_influence, xlabel="leverage", ylabel="Cook's distance",
                 vline=2.0 * flags.mean_leverage))
+    table = None
     if models:
         table = compare_models(models, labels=tuple(labels))
         comp = out / "comparison.tsv"
         comp.write_text(table.to_tsv(), encoding="utf-8")
         paths.append(comp)
-    return paths
+    return paths, table
 
 
 def _stage_diagnose(cfg: RunConfig) -> list:
     out = cfg.out
     design = _pruned_design("diagnose", out)
-    paths = _diagnose_into(cfg, design, _selected_models("diagnose", out), out)
+    paths, full = _diagnose_into(cfg, design, _selected_models("diagnose", out), out)
     if cfg.exclude_rows and cfg.modes:
         idx = _excluded_indices(cfg, design, "diagnose")
-        paths += _diagnose_into(cfg, design.drop_rows(idx),
-                                _selected_models("diagnose", out / "excluded"), out / "excluded")
+        more, excl = _diagnose_into(cfg, design.drop_rows(idx),
+                                    _selected_models("diagnose", out / "excluded"), out / "excluded")
+        paths += more
         # side-by-side table: full-data columns then excluded-data columns
-        primary = (out / "comparison.tsv").read_text(encoding="utf-8").splitlines()
-        excluded = (out / "excluded" / "comparison.tsv").read_text(encoding="utf-8").splitlines()
-        lines = []
-        for row_a, row_b in zip(primary, excluded):
-            cells_a, cells_b = row_a.split("\t"), row_b.split("\t")
-            if lines:
-                lines.append("\t".join(cells_a + cells_b[1:]))
-            else:
-                header = cells_a[:1] + [f"{c}_full" for c in cells_a[1:]] \
-                    + [f"{c}_excluded" for c in cells_b[1:]]
-                lines.append("\t".join(header))
+        side_table = ComparisonTable(
+            labels=tuple(f"{l}_full" for l in full.labels) + tuple(f"{l}_excluded" for l in excl.labels),
+            cells={row: full.cells[row] + excl.cells[row] for row in COMPARISON_ROWS})
         side = out / "comparison_side_by_side.tsv"
-        side.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        side.write_text(side_table.to_tsv(), encoding="utf-8")
         paths.append(side)
     return paths
 

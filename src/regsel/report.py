@@ -89,12 +89,12 @@ def residual_diagnostics(model: FittedModel, out_dir, prefix: str = "model") -> 
 
 
 def write_added_variable_data(model: FittedModel, out_dir, prefix: str = "av") -> list:
-    """Added-variable data for every single-column term of the model."""
+    """Added-variable data for every single-column, non-aliased term of the model."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for term in model.design.terms:
-        if len(term.columns) != 1:
+        if len(term.columns) != 1 or model.aliased[term.columns[0]]:
             continue
         av = added_variable_data(model, term.name)
         lines = [f"# slope\t{av.slope!r}", "x_partial\ty_partial"]

@@ -6,8 +6,9 @@ the minimum-AIC move is applied if it beats the current model by more than
 ``tol_aic`` (1e-9 by default, so floating-point ties cannot loop).  Ties
 between candidate moves go to the term earliest in the design's term order.
 
-Scoring uses one QR of the current model instead of a refit per candidate
-(the add/drop-one identities behind R's ``add1``/``drop1``):
+Scoring reads the QR the current model was solved from (``FittedModel.qr``)
+instead of refitting each candidate (the add/drop-one identities behind R's
+``add1``/``drop1``):
 
 * dropping term G raises the RSS by β_Gᵀ([(XᵀX)⁻¹]_GG)⁻¹β_G;
 * adding term G lowers it by the squared norm of the residuals projected
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .influence import dffits, press_residuals
-from .ols import FittedModel, aic_selection_value, fit_ols, fit_statistics, qr_block
+from .ols import FittedModel, aic_selection_value, fit_ols, fit_statistics
 from .table import DesignMatrix, model_formula
 
 __all__ = [
@@ -46,8 +47,6 @@ __all__ = [
     "step_select",
     "ComparisonTable",
     "compare_models",
-    "ExclusionComparison",
-    "refit_excluding_rows",
     "format_trace",
 ]
 
@@ -214,12 +213,11 @@ def step_select(design: DesignMatrix, scope: Scope | None = None, mode: str = "f
 
 
 def _score_moves(design: DesignMatrix, model: FittedModel, legal, k: float, tss: float) -> list:
-    """Selection AIC of each legal move, scored from one QR of the current
-    model; None marks a move that must be refit exactly."""
-    n, rank, rss = model.n, model.rank, model.rss
+    """Selection AIC of each legal move, scored from the current model's own
+    QR; None marks a move that must be refit exactly."""
+    n, rank, rss, qr = model.n, model.rank, model.rss, model.qr
     if rank < model.p:
         return [None] * len(legal)
-    qr = qr_block(model.design.X)
     diag = np.abs(np.diag(qr.r))
     if diag.min() < ALIAS_GUARD * diag[0]:
         return [None] * len(legal)
@@ -347,62 +345,3 @@ def compare_models(models, labels=None) -> ComparisonTable:
         "sum_sq_dffits": tuple(dff_sq),
         "rank": tuple(ranks),
     })
-
-
-# ---------------------------------------------------------------------------
-# Outlier-exclusion rerun
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExclusionComparison:
-    """Selection results on the full data and on the data minus the excluded rows."""
-
-    excluded: tuple
-    baseline_traces: dict
-    filtered_traces: dict
-    baseline_table: ComparisonTable
-    filtered_table: ComparisonTable
-
-    def side_by_side(self) -> str:
-        lines = ["metric\t" + "\t".join(
-            [f"{l}_full" for l in self.baseline_table.labels]
-            + [f"{l}_excluded" for l in self.filtered_table.labels])]
-        for row in COMPARISON_ROWS:
-            vals = list(self.baseline_table.cells[row]) + list(self.filtered_table.cells[row])
-            lines.append(row + "\t" + "\t".join(repr(float(v)) for v in vals))
-        return "\n".join(lines) + "\n"
-
-
-def refit_excluding_rows(design: DesignMatrix, excluded, scope: Scope | None = None,
-                         modes=MODES, tol_aic: float = TOL_AIC,
-                         baseline: dict | None = None) -> ExclusionComparison:
-    """Rerun every selection mode on the design minus the given rows (0-based).
-
-    ``baseline`` may supply already computed full-data traces (keyed by
-    mode); otherwise they are recomputed so the comparison is self-contained.
-    """
-    scope = scope or Scope()
-    excluded = tuple(int(i) for i in excluded)
-    _, upper = scope.resolve(design)
-    upper_cols = len(design.columns_for(upper))
-    filtered = design.drop_rows(excluded) if excluded else design
-    if filtered.n_rows <= upper_cols:
-        raise ValueError(
-            f"excluding {len(excluded)} rows leaves {filtered.n_rows} rows, not enough "
-            f"for the {upper_cols}-column upper model")
-
-    if baseline is None:
-        baseline = {m: step_select(design, scope, mode=m, tol_aic=tol_aic) for m in modes}
-    else:
-        baseline = dict(baseline)
-        for m in modes:
-            if m not in baseline:
-                baseline[m] = step_select(design, scope, mode=m, tol_aic=tol_aic)
-    filtered_traces = {m: step_select(filtered, scope, mode=m, tol_aic=tol_aic) for m in modes}
-
-    baseline_table = compare_models([baseline[m].final for m in modes], labels=tuple(modes))
-    filtered_table = compare_models([filtered_traces[m].final for m in modes], labels=tuple(modes))
-    return ExclusionComparison(excluded=excluded, baseline_traces=baseline,
-                               filtered_traces=filtered_traces,
-                               baseline_table=baseline_table, filtered_table=filtered_table)

@@ -619,18 +619,6 @@ class DesignMatrix:
 
     # -- subsetting -----------------------------------------------------------
 
-    def columns_for(self, term_names: Iterable[str]) -> tuple:
-        """Design column indices for the given terms, intercept included."""
-        wanted = set(term_names)
-        unknown = wanted - set(self.term_names)
-        if unknown:
-            raise KeyError(f"unknown terms: {', '.join(sorted(unknown))}")
-        cols = [0]
-        for t in self.terms:
-            if t.name in wanted:
-                cols.extend(t.columns)
-        return tuple(cols)
-
     def subset_terms(self, term_names: Iterable[str]) -> "DesignMatrix":
         """New design containing the intercept plus the named terms.
 

@@ -445,6 +445,23 @@ def test_av_slope_equals_full_model_coefficient():
         assert abs(av.slope - m.coef[j]) < 1e-10
 
 
+def test_av_on_rank_deficient_model():
+    # x3 = x1 + x2 exactly: one of the three is aliased, the other two keep
+    # slopes equal to their coefficients
+    rng = np.random.default_rng(43)
+    X = rng.standard_normal((40, 2))
+    X = np.column_stack([X, X[:, 0] + X[:, 1]])
+    y = 1.0 + X[:, 0] - 2.0 * X[:, 1] + rng.standard_normal(40)
+    m = fit_ols(DesignMatrix.from_arrays(X, y))
+    assert int(m.aliased.sum()) == 1
+    for j, term in enumerate(m.design.term_names, start=1):
+        if m.aliased[j]:
+            with pytest.raises(ValueError, match=f"'{term}' is aliased"):
+                added_variable_data(m, term)
+        else:
+            assert abs(added_variable_data(m, term).slope - m.coef[j]) < 1e-10
+
+
 def test_av_rejects_multi_column_terms():
     rng = np.random.default_rng(42)
     n = 30

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,6 +182,39 @@ def test_log_refit_improves_multiplicative_data():
     logged = refit_log_response(identity)
     # on multiplicative data the log scale is the true model
     assert logged.rss / (n - logged.rank) < identity.rss / (n - identity.rank)
+
+
+def _positive_design(rng, aliased: bool) -> DesignMatrix:
+    X = rng.standard_normal((40, 3))
+    if aliased:
+        X = np.column_stack([X, X[:, 0] + X[:, 1]])
+    y = np.exp(0.5 + 0.3 * X[:, 0] - 0.2 * X[:, 2] + 0.2 * rng.standard_normal(40))
+    return DesignMatrix.from_arrays(X, y)
+
+
+@pytest.mark.parametrize("aliased", [False, True])
+def test_log_refit_equals_fit_on_log_design(aliased):
+    d = _positive_design(np.random.default_rng(9), aliased)
+    m = fit_ols(d)
+    logged = refit_log_response(m)
+    direct = fit_ols(replace(d, y=np.log(d.y)))
+    assert logged.transform == "log" and direct.transform == "identity"
+    assert logged.rank == direct.rank == d.n_cols - int(aliased)
+    assert logged.rss == direct.rss
+    for name in ("coef", "aliased", "fitted", "residuals", "leverage"):
+        np.testing.assert_array_equal(getattr(logged, name), getattr(direct, name))
+    assert logged.qr is m.qr
+
+
+@pytest.mark.parametrize("aliased", [False, True])
+def test_fit_keeps_its_factorization(aliased):
+    d = _positive_design(np.random.default_rng(10), aliased)
+    m = fit_ols(d)
+    qr = m.qr
+    assert qr.rank == m.rank and qr.n_cols == d.n_cols
+    np.testing.assert_allclose(d.X[:, qr.pivot[:qr.rank]], qr.q @ qr.r, atol=1e-12)
+    assert set(qr.pivot[qr.rank:]) == set(np.flatnonzero(m.aliased))
+    np.testing.assert_array_equal(m.leverage, np.einsum("ij,ij->i", qr.q, qr.q))
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,19 @@ def test_cv_dump_has_one_row_per_replication(bundle_and_out):
     assert len(lines) == 1 + cfg.cv_replications
 
 
+def test_side_by_side_layout(bundle_and_out):
+    _, cfg = bundle_and_out
+    side = (cfg.out / "comparison_side_by_side.tsv").read_text().splitlines()
+    full = (cfg.out / "comparison.tsv").read_text().splitlines()
+    excluded = (cfg.out / "excluded" / "comparison.tsv").read_text().splitlines()
+    modes = list(cfg.modes)
+    assert side[0].split("\t") == (["metric"] + [f"{m}_full" for m in modes]
+                                    + [f"{m}_excluded" for m in modes])
+    assert len(side) == len(full) == len(excluded) == 6
+    for row, row_full, row_excl in zip(side[1:], full[1:], excluded[1:]):
+        assert row.split("\t") == row_full.split("\t") + row_excl.split("\t")[1:]
+
+
 def test_rerun_is_byte_identical(dataset_dir, bundle_and_out):
     _, cfg = bundle_and_out
     cfg2 = read_config(write_config(dataset_dir, "out_rerun"))

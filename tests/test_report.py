@@ -102,6 +102,17 @@ def test_added_variable_files(tmp_path):
     assert abs(slope - m.coef[1]) < 1e-10
 
 
+def test_added_variable_files_skip_aliased_terms(tmp_path):
+    rng = np.random.default_rng(104)
+    X = rng.standard_normal((30, 2))
+    X = np.column_stack([X, X[:, 0] + X[:, 1]])
+    m = fit_ols(DesignMatrix.from_arrays(X, 1.0 + X[:, 0] + rng.standard_normal(30)))
+    aliased = [t.name for t in m.design.terms if m.aliased[t.columns[0]]]
+    assert len(aliased) == 1
+    paths = write_added_variable_data(m, tmp_path)
+    assert {p.name for p in paths} == {f"av_{t}.tsv" for t in ("x1", "x2", "x3") if t not in aliased}
+
+
 def test_vif_emission(tmp_path):
     values = {"a": 1.5, "b": math.inf, "c": 12.0}
     path = write_vif_values(values, tmp_path / "vif.tsv")

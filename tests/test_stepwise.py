@@ -10,7 +10,6 @@ from regsel import (
     fit_statistics,
     format_trace,
     press_residuals,
-    refit_excluding_rows,
     step_select,
 )
 from oracles import best_subset_aic, exhaustive_step_check, refit_step_search
@@ -295,50 +294,3 @@ def test_comparison_table_render_and_tsv():
     tsv = table.to_tsv().strip().splitlines()
     assert tsv[0] == "metric\tonly"
     assert len(tsv) == 6
-
-
-# ---------------------------------------------------------------------------
-# refit_excluding_rows
-# ---------------------------------------------------------------------------
-
-
-def test_exclude_nothing_is_identity():
-    rng = np.random.default_rng(67)
-    d = signal_design(rng, n=60, p=4, signal=(0,))
-    result = refit_excluding_rows(d, excluded=())
-    for mode in ("forward", "backward", "both"):
-        assert result.baseline_traces[mode].moves == result.filtered_traces[mode].moves
-    assert result.baseline_table.cells == result.filtered_table.cells
-
-
-def test_excluding_planted_outlier_reduces_dffits():
-    rng = np.random.default_rng(68)
-    n = 80
-    X = rng.standard_normal((n, 4))
-    y = 1.0 + 2.0 * X[:, 0] + rng.standard_normal(n)
-    X[5, :] = 8.0                      # gross leverage-and-residual outlier
-    y[5] = -60.0
-    d = DesignMatrix.from_arrays(X, y)
-    result = refit_excluding_rows(d, excluded=(5,), modes=("forward",))
-    before = result.baseline_table.column("forward")["sum_sq_dffits"]
-    after = result.filtered_table.column("forward")["sum_sq_dffits"]
-    assert after < before
-
-
-def test_exclude_row_validation():
-    rng = np.random.default_rng(69)
-    d = signal_design(rng, n=30, p=3, signal=(0,))
-    with pytest.raises(IndexError):
-        refit_excluding_rows(d, excluded=(99,), modes=("forward",))
-    with pytest.raises(ValueError, match="not enough"):
-        refit_excluding_rows(d, excluded=tuple(range(28)), modes=("forward",))
-
-
-def test_side_by_side_layout():
-    rng = np.random.default_rng(70)
-    d = signal_design(rng, n=50, p=3, signal=(0,))
-    result = refit_excluding_rows(d, excluded=(1,), modes=("forward", "backward"))
-    lines = result.side_by_side().strip().splitlines()
-    assert lines[0].split("\t") == ["metric", "forward_full", "backward_full",
-                                    "forward_excluded", "backward_excluded"]
-    assert len(lines) == 6
