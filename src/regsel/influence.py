@@ -1,24 +1,21 @@
 """Influence and collinearity diagnostics for fitted OLS models.
 
-Everything here is a closed-form function of the stored fit (residuals,
+Everything here reads a pivoted QR; nothing refits.  The deletion
+diagnostics are closed-form functions of the stored fit (residuals,
 leverage, RSS, rank): PRESS residuals equal the leave-one-out prediction
 errors, Cook's distance and DFFITS match their delete-one definitions, and
 the studentized residuals come in internal and external flavours.
 
-VIF values are computed per numeric predictor by regressing it on the other
-predictors; :func:`vif_prune` repeats the removal of the single worst
-offender until every survivor is at or below the threshold.  Exactly
-collinear columns report an infinite VIF (flagged, not raised) so the prune
-loop can dispose of them first.
-
-A prune pass that is certain to remove a variable is scored from one QR of
-the centered, unit-scaled surviving block: VIF_j = [(XᵀX)⁻¹]_jj there, which
-is ‖x_j − x̄_j‖²·[(RᵀR)⁻¹]_jj on the raw scale.  Only the variables scored
-within ``VIF_MARGIN`` (relative) of the worst get the exact auxiliary
-regression, which picks the one removed and the value in the trail.  A pass
-whose scored worst is within ``VIF_MARGIN`` of the threshold, or whose block
-is near-singular, runs exactly, so the final pass is always exact and the
-reported values and trail are those of an all-exact loop.
+The rest reads the rows W of ``BlockQR.inverse_gram_rows()``, with
+W Wᵀ = (XᵀX)⁻¹ on the non-aliased columns.  Added-variable residuals come
+from the fit's own QR: x_partial = Q w_j / ‖w_j‖² and y_partial =
+e + β_j x_partial.  VIFs come from one QR of the centered, unit-scaled
+block of numeric predictors, as the row sums of W².  A column's VIF is
+infinite (flagged, not raised) when it is aliased, lies in the support of
+an aliased column's dependency, has zero variance, or is at least
+``VIF_COLLINEAR``.  :func:`vif_prune` removes the single worst column per
+pass, the earliest on ties, until every survivor is at or below the
+threshold.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ols import FittedModel, qr_block
+from .ols import RANK_TOL, FittedModel, qr_block
 from .table import DesignMatrix
 
 __all__ = [
@@ -47,11 +44,10 @@ __all__ = [
 ]
 
 _LEVERAGE_EPS = 1e-12
-# Relative margin within which scored VIFs are recomputed exactly.
-VIF_MARGIN = 1e-6
-# A surviving block is near-singular, and its pass runs exactly, when a
-# diagonal of the unit-scaled block's pivoted QR falls below this.
-VIF_SINGULAR_GUARD = 1e-4
+# A VIF at or above this is numerical collinearity and reported as infinite:
+# it means a condition index of at least 1e4 on the unit-scaled block
+# (Belsley, Kuh & Welsch 1980), where rounding, not the data, orders VIFs.
+VIF_COLLINEAR = 1e8
 
 
 def _check_leverage_below_one(model: FittedModel) -> np.ndarray:
@@ -121,8 +117,8 @@ def dffits(model: FittedModel) -> np.ndarray:
 class VifReport:
     """Per-variable VIFs plus the ordered elimination trail of a prune run.
 
-    ``values`` maps surviving variable names to their VIF (math.inf for an
-    exactly collinear column, also listed in ``infinite``); ``trail`` holds
+    ``values`` maps surviving variable names to their VIF (math.inf for a
+    collinear column, also listed in ``infinite``); ``trail`` holds
     (name, vif-at-removal) pairs in removal order.
     """
 
@@ -132,61 +128,59 @@ class VifReport:
     threshold: float | None = None
 
 
-def _vif_one(x: np.ndarray, others: np.ndarray) -> float:
-    """VIF of x given regressor matrix `others` (must include the intercept)."""
-    coef, _, _, _ = np.linalg.lstsq(others, x, rcond=None)
-    resid = x - others @ coef
-    rss = float(resid @ resid)
-    tss = float(np.sum((x - x.mean()) ** 2))
-    if tss <= 0.0 or rss <= 1e-12 * tss:
-        return math.inf
-    return tss / rss           # 1 / (1 - R_j^2)
+def _block_vifs(block: np.ndarray) -> np.ndarray:
+    """VIF of every column of `block` given the others and an intercept.
+
+    One QR of the block centered and unit-scaled, Z: the VIFs are the
+    diagonal of (ZᵀZ)⁻¹, the row sums of W² from ``inverse_gram_rows``.  On
+    a rank-deficient block an aliased column is Z_kept c up to a residual
+    below ``RANK_TOL``, so a kept column j with VIF v_j among the kept
+    columns has a VIF of at least v_j + c_j² / RANK_TOL² on the whole
+    block; a column with c = 0 keeps v_j.  Zero-variance columns, and VIFs at or
+    above ``VIF_COLLINEAR``, come back infinite.
+    """
+    vifs = np.full(block.shape[1], math.inf)
+    live = np.flatnonzero(block.max(axis=0) > block.min(axis=0))
+    if live.size == 0:
+        return vifs
+    centered = block[:, live] - block[:, live].mean(axis=0)
+    z = centered / np.sqrt(np.einsum("ij,ij->j", centered, centered))
+    qr = qr_block(z)
+    w = qr.inverse_gram_rows()
+    v = np.einsum("ij,ij->i", w, w)
+    bound = v
+    aliased = qr.pivot[qr.rank:]
+    if aliased.size:
+        c = w @ (qr.q.T @ z[:, aliased])          # aliased columns in the kept basis
+        bound = v + (c ** 2).max(axis=1) / RANK_TOL ** 2
+        bound[aliased] = math.inf
+    vifs[live] = np.where(bound >= VIF_COLLINEAR, math.inf, v)
+    return vifs
 
 
-def _vif_values(X: np.ndarray, target_cols, regressor_cols) -> dict:
-    values = {}
-    regressors = list(regressor_cols)
-    for name, j in target_cols:
-        others = [0] + [c for c in regressors if c != j]
-        values[name] = _vif_one(X[:, j], X[:, others])
-    return values
+def _numeric_columns(design: DesignMatrix, names) -> np.ndarray:
+    return design.X[:, [design.term(name).columns[0] for name in names]]
 
 
-def vif(design: DesignMatrix, numeric_only: bool = True) -> VifReport:
-    """Variance inflation factors for the design's predictor columns.
+def _report(names, vifs: np.ndarray, **kwargs) -> VifReport:
+    values = dict(zip(names, vifs.tolist()))
+    infinite = tuple(name for name, v in values.items() if math.isinf(v))
+    return VifReport(values=values, infinite=infinite, **kwargs)
 
-    With ``numeric_only`` (the default) only numeric terms are scored and
-    only numeric columns serve as regressors, matching a prune loop that
-    leaves factor blocks untouched.  Otherwise every non-intercept column is
-    scored against all the others.  Infinite VIFs are flagged, not raised.
+
+def vif(design: DesignMatrix) -> VifReport:
+    """Variance inflation factors of the design's numeric terms.
+
+    Each numeric term is scored against the other numeric terms and the
+    intercept; factor blocks are left out, as in the prune loop that passes
+    them through.  Infinite VIFs are flagged, not raised.
     """
     if design.n_cols - 1 < 2:
         raise ValueError("VIF requires at least two non-intercept design columns")
-    if numeric_only:
-        targets = [(t.name, t.columns[0]) for t in design.terms if t.kind == "numeric"]
-        regressors = [c for _, c in targets]
-    else:
-        targets = [(design.column_names[c], c) for t in design.terms for c in t.columns]
-        regressors = [c for _, c in targets]
-    if not targets:
+    names = [t.name for t in design.terms if t.kind == "numeric"]
+    if not names:
         raise ValueError("no columns to score: the design has no numeric terms")
-    values = _vif_values(design.X, targets, regressors)
-    infinite = tuple(name for name, v in values.items() if math.isinf(v))
-    return VifReport(values=values, infinite=infinite)
-
-
-def _scored_vifs(block: np.ndarray):
-    """VIFs of every column of `block` from one QR of it centered and
-    unit-scaled; None when the block is near-singular."""
-    centered = block - block.mean(axis=0)
-    norms = np.sqrt(np.einsum("ij,ij->j", centered, centered))
-    if norms.min() == 0.0:
-        return None
-    qr = qr_block(centered / norms)
-    if qr.rank < qr.n_cols or np.abs(np.diag(qr.r)).min() < VIF_SINGULAR_GUARD:
-        return None
-    w = qr.inverse_gram_rows()
-    return np.einsum("ij,ij->i", w, w)
+    return _report(names, _block_vifs(_numeric_columns(design, names)))
 
 
 def vif_prune(design: DesignMatrix, vstar: float = 10.0):
@@ -199,36 +193,21 @@ def vif_prune(design: DesignMatrix, vstar: float = 10.0):
     """
     if vstar <= 1.0:
         raise ValueError(f"vstar must exceed 1, got {vstar}")
-    numeric = [t.name for t in design.terms if t.kind == "numeric"]
-    if not numeric:
+    survivors = [t.name for t in design.terms if t.kind == "numeric"]
+    if not survivors:
         raise ValueError("design has no numeric predictors to prune")
-    survivors = list(numeric)
     trail = []
     while True:
-        targets = [(name, design.term(name).columns[0]) for name in survivors]
-        regressors = [c for _, c in targets]
-        scored = _scored_vifs(design.X[:, regressors]) if len(regressors) > 1 else None
-        if scored is not None and scored.max() > vstar * (1.0 + VIF_MARGIN):
-            # a removal is certain: only the near-worst need exact values
-            near = scored >= scored.max() * (1.0 - VIF_MARGIN)
-            targets = [t for t, hit in zip(targets, near) if hit]
-        values = _vif_values(design.X, targets, regressors)
-        worst_name, worst = None, -math.inf
-        for name, _ in targets:                    # earliest column wins ties
-            if values[name] > worst:
-                worst_name, worst = name, values[name]
-        if worst <= vstar:
+        vifs = _block_vifs(_numeric_columns(design, survivors))
+        worst = int(np.argmax(vifs))               # the first maximum: earliest column wins ties
+        if vifs[worst] <= vstar:
             break
-        trail.append((worst_name, worst))
-        survivors.remove(worst_name)
+        trail.append((survivors.pop(worst), float(vifs[worst])))
         if not survivors:
             raise ValueError(
                 f"VIF pruning at vstar={vstar} would remove every numeric predictor")
     kept = [t.name for t in design.terms if t.kind == "factor" or t.name in survivors]
-    pruned = design.subset_terms(kept)
-    report = VifReport(values=values, infinite=tuple(n for n, v in values.items() if math.isinf(v)),
-                       trail=tuple(trail), threshold=vstar)
-    return pruned, report
+    return design.subset_terms(kept), _report(survivors, vifs, trail=tuple(trail), threshold=vstar)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +304,10 @@ def added_variable_data(model: FittedModel, term: str) -> AddedVariable:
     ``x_partial`` and ``y_partial`` are the residuals of the term column and
     the response after regressing out every other estimated (non-aliased)
     design column; the no-intercept slope of y_partial on x_partial equals
-    the full-model coefficient for the term.  An aliased term has no
-    coefficient and raises.
+    the full-model coefficient for the term.  Both come from the fit's QR:
+    with w_j row j of ``inverse_gram_rows()``, x_partial = Q w_j / ‖w_j‖²
+    and y_partial = e + β_j x_partial.  An aliased term has no coefficient
+    and raises.
     """
     t = model.design.term(term)
     if len(t.columns) != 1:
@@ -336,12 +317,8 @@ def added_variable_data(model: FittedModel, term: str) -> AddedVariable:
     j = t.columns[0]
     if model.aliased[j]:
         raise ValueError(f"term '{term}' is aliased in the model; it has no added-variable data")
-    X, y = model.design.X, model.design.y
-    others = [c for c in range(X.shape[1]) if c != j and not model.aliased[c]]
-    Z = X[:, others]
-    coef_x, _, _, _ = np.linalg.lstsq(Z, X[:, j], rcond=None)
-    coef_y, _, _, _ = np.linalg.lstsq(Z, y, rcond=None)
-    x_partial = X[:, j] - Z @ coef_x
-    y_partial = y - Z @ coef_y
+    w = model.qr.inverse_gram_rows()[j]
+    x_partial = model.qr.q @ (w / (w @ w))
+    y_partial = model.residuals + model.coef[j] * x_partial
     slope = float(x_partial @ y_partial) / float(x_partial @ x_partial)
     return AddedVariable(term=term, x_partial=x_partial, y_partial=y_partial, slope=slope)

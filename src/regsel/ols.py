@@ -112,15 +112,17 @@ class BlockQR:
         return self.pivot.size
 
     def inverse_gram_rows(self) -> np.ndarray:
-        """W with (XᵀX)⁻¹ = W Wᵀ, rows in block-column order (full rank only).
+        """W (n_cols x rank) with W Wᵀ = (XᵀX)⁻¹ over the non-aliased columns.
 
-        W is R⁻¹ with its rows un-pivoted, so a term's block of (XᵀX)⁻¹ is
-        ``W[G] @ W[G].T`` and its diagonal is the row sums of W².
+        Rows ``pivot[:rank]`` hold R⁻¹ un-pivoted and the aliased rows are
+        zero, so for a set G of non-aliased columns the block of
+        (X_keptᵀX_kept)⁻¹ is ``W[G] @ W[G].T``, its diagonal is the row sums
+        of W², and ``q @ W[j]`` is X_kept (X_keptᵀX_kept)⁻¹ e_j.
         """
-        if self.rank < self.n_cols:
-            raise ValueError("(X'X)^-1 is undefined for a rank-deficient block")
-        w = np.empty((self.rank, self.rank))
-        w[self.pivot] = linalg.solve_triangular(self.r, np.eye(self.rank))
+        # column-major, as solve_triangular returns R⁻¹: row sums of W² add
+        # up column by column
+        w = np.zeros((self.n_cols, self.rank), order="F")
+        w[self.pivot[:self.rank]] = linalg.solve_triangular(self.r, np.eye(self.rank))
         return w
 
 
@@ -294,11 +296,8 @@ def coefficient_table(model: FittedModel):
     n, r = model.n, model.rank
     if n - r < 1:
         raise ValueError("standard errors undefined: no residual degrees of freedom")
-    sigma = math.sqrt(model.sigma2)
-    rinv = linalg.solve_triangular(model.qr.r, np.eye(r))
-    unscaled = np.einsum("ij,ij->i", rinv, rinv)   # diag of (R'R)^-1
-    se = np.full(model.p, np.nan)
-    se[model.qr.pivot[:r]] = sigma * np.sqrt(unscaled)
+    w = model.qr.inverse_gram_rows()
+    se = math.sqrt(model.sigma2) * np.sqrt(np.einsum("ij,ij->i", w, w))
     rows = []
     for j, name in enumerate(model.design.column_names):
         est = model.coef[j]

@@ -315,7 +315,7 @@ def _stage_prep(cfg: RunConfig) -> list:
 def _stage_prune(cfg: RunConfig) -> list:
     out = cfg.out
     design = _encoded("prune", out)
-    before = vif(design, numeric_only=True)
+    before = vif(design)
     pruned, after = vif_prune(design, vstar=cfg.vstar)
     paths = [
         rpt.write_vif_values(before.values, out / "vif_values_before.tsv"),

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from regsel import DesignMatrix, fit_ols, fit_statistics, predict, replication_split
+from regsel.influence import VIF_COLLINEAR
 from regsel.ols import aic_selection_value
 
 
@@ -52,23 +53,26 @@ def loo_dffits(design: DesignMatrix) -> np.ndarray:
     return out
 
 
-def aux_regression_vif(design: DesignMatrix, numeric_only: bool = True) -> dict:
-    """VIF via a literal auxiliary regression of each column on the others."""
-    if numeric_only:
-        targets = [(t.name, t.columns[0]) for t in design.terms if t.kind == "numeric"]
-    else:
-        targets = [(design.column_names[c], c) for t in design.terms for c in t.columns]
+def aux_regression_vif(design: DesignMatrix) -> dict:
+    """VIF via a literal auxiliary regression of each numeric term on the others.
+
+    An R² at or above 1 - 1/VIF_COLLINEAR counts as collinear and gives an
+    infinite VIF, the same rule :func:`regsel.vif` applies.  The columns are
+    centered first, which leaves R² unchanged (the regression has an
+    intercept) and keeps a column whose mean dwarfs its spread accurate.
+    """
+    targets = [(t.name, t.columns[0]) for t in design.terms if t.kind == "numeric"]
     regressors = [c for _, c in targets]
+    centered = design.X - design.X.mean(axis=0)
     values = {}
     for name, j in targets:
-        x = design.X[:, j]
+        x = centered[:, j]
         others = [c for c in regressors if c != j]
-        aux = DesignMatrix.from_arrays(design.X[:, others], x,
+        aux = DesignMatrix.from_arrays(centered[:, others], x,
                                        names=[f"z{k}" for k in range(len(others))])
         fit = fit_ols(aux)
-        tss = float(np.sum((x - x.mean()) ** 2))
-        r2 = 1.0 - fit.rss / tss
-        values[name] = math.inf if r2 >= 1.0 - 1e-12 else 1.0 / (1.0 - r2)
+        r2 = 1.0 - fit.rss / float(x @ x)
+        values[name] = math.inf if r2 >= 1.0 - 1.0 / VIF_COLLINEAR else 1.0 / (1.0 - r2)
     return values
 
 
@@ -86,6 +90,18 @@ def prune_by_auxiliary_regression(design: DesignMatrix, vstar: float):
             return trail, values
         trail.append((worst, values[worst]))
         survivors.remove(worst)
+
+
+def added_variable_by_regression(model, term: str):
+    """(x_partial, y_partial, slope) by regressing the term's column and the
+    response on every other non-aliased design column with lstsq."""
+    X, y = model.design.X, model.design.y
+    j = model.design.term(term).columns[0]
+    others = [c for c in range(X.shape[1]) if c != j and not model.aliased[c]]
+    Z = X[:, others]
+    x_partial = X[:, j] - Z @ np.linalg.lstsq(Z, X[:, j], rcond=None)[0]
+    y_partial = y - Z @ np.linalg.lstsq(Z, y, rcond=None)[0]
+    return x_partial, y_partial, float(x_partial @ y_partial) / float(x_partial @ x_partial)
 
 
 def candidate_moves(design: DesignMatrix, current: set, lower: set, upper: set, mode: str):

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +14,13 @@ from regsel import (
     influence_flags,
     interpolated_quantile,
     press_residuals,
+    refit_log_response,
     studentized,
     vif,
     vif_prune,
 )
-from oracles import (aux_regression_vif, loo_cooks, loo_dffits, loo_predictions,
-                     prune_by_auxiliary_regression, random_design)
+from oracles import (added_variable_by_regression, aux_regression_vif, loo_cooks, loo_dffits,
+                     loo_predictions, prune_by_auxiliary_regression, random_design)
 
 
 @pytest.fixture
@@ -242,10 +245,42 @@ def test_vif_numeric_only_excludes_factor_dummies():
                        ["id", "numeric", "numeric", "factor", "response"],
                        [np.arange(n), X[:, 0], X[:, 1], labels, base.y])
     d = encode_design(t)
-    numeric_report = vif(d, numeric_only=True)
-    assert set(numeric_report.values) == {"x1", "x2"}
-    full_report = vif(d, numeric_only=False)
-    assert {"x1", "x2", "fb", "fc"} == set(full_report.values)
+    report = vif(d)
+    assert set(report.values) == {"x1", "x2"}
+    assert report.values == vif(base).values
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_vif_rank_deficient_block(order):
+    # x3 = x1 + x2 exactly, in each column order, beside a correlated x4:
+    # the three dependent columns are infinite and x4 keeps its VIF given
+    # the span of x1..x3
+    rng = np.random.default_rng(45)
+    n = 50
+    x1, x2, noise = rng.standard_normal((3, n))
+    dependent = {"x1": x1, "x2": x2, "x3": x1 + x2}
+    names = [["x1", "x2", "x3"][k] for k in order] + ["x4"]
+    X = np.column_stack([dependent[name] for name in names[:3]] + [0.6 * x1 - 0.3 * x2 + noise])
+    d = DesignMatrix.from_arrays(X, rng.standard_normal(n), names=names)
+    report = vif(d)
+    assert set(report.infinite) == {"x1", "x2", "x3"}
+    want = aux_regression_vif(d)
+    assert set(name for name, v in want.items() if math.isinf(v)) == {"x1", "x2", "x3"}
+    assert abs(report.values["x4"] - want["x4"]) < 1e-10 * want["x4"]
+
+
+def test_vif_exact_duplicate_pair():
+    rng = np.random.default_rng(46)
+    n = 40
+    X = rng.standard_normal((n, 4))
+    X[:, 2] = X[:, 1]
+    X[:, 3] += 0.5 * X[:, 0]
+    d = DesignMatrix.from_arrays(X, rng.standard_normal(n))
+    report = vif(d)
+    assert report.infinite == ("x2", "x3")
+    want = aux_regression_vif(d)
+    for name in ("x1", "x4"):
+        assert abs(report.values[name] - want[name]) < 1e-10 * want[name]
 
 
 def test_vif_requires_two_columns():
@@ -321,7 +356,7 @@ def assert_prune_matches_oracles(d, vstar):
     return report
 
 
-def test_vif_prune_matches_per_pass_oracle(monkeypatch):
+def test_vif_prune_matches_per_pass_oracle():
     rng = np.random.default_rng(38)
     n = 150
     X = rng.standard_normal((n, 10))
@@ -335,14 +370,6 @@ def test_vif_prune_matches_per_pass_oracle(monkeypatch):
     d = encode_design(t)
     report = assert_prune_matches_oracles(d, vstar=3.0)
     assert len(report.trail) >= 3
-
-    from regsel import influence
-    calls = []
-    exact = influence._vif_one
-    monkeypatch.setattr(influence, "_vif_one", lambda x, others: calls.append(1) or exact(x, others))
-    vif_prune(d, vstar=3.0)
-    all_exact = sum(10 - i for i in range(len(report.trail) + 1))
-    assert len(calls) < all_exact              # the removal passes were scored
 
 
 def test_vif_prune_exact_collinearity_is_infinite():
@@ -460,6 +487,34 @@ def test_av_on_rank_deficient_model():
                 added_variable_data(m, term)
         else:
             assert abs(added_variable_data(m, term).slope - m.coef[j]) < 1e-10
+
+
+def assert_av_matches_regression(m, term):
+    av = added_variable_data(m, term)
+    x_partial, y_partial, slope = added_variable_by_regression(m, term)
+    assert np.abs(av.x_partial - x_partial).max() <= 1e-10 * np.abs(x_partial).max()
+    assert np.abs(av.y_partial - y_partial).max() <= 1e-10 * np.abs(y_partial).max()
+    assert abs(av.slope - slope) <= 1e-10 * abs(slope)
+
+
+def test_av_matches_regression_oracle():
+    rng = np.random.default_rng(44)
+    for p in (1, 3, 6):
+        m = fit_ols(random_design(rng, 50, p))
+        for term in m.design.term_names:
+            assert_av_matches_regression(m, term)
+    # x3 = x1 + x2: the other columns are the non-aliased ones
+    X = rng.standard_normal((40, 2))
+    X = np.column_stack([X, X[:, 0] + X[:, 1], rng.standard_normal(40)])
+    m = fit_ols(DesignMatrix.from_arrays(X, 1.0 + X @ [1.0, -2.0, 0.0, 0.5] + rng.standard_normal(40)))
+    for j, term in enumerate(m.design.term_names, start=1):
+        if not m.aliased[j]:
+            assert_av_matches_regression(m, term)
+    # a log refit reads the same QR against ln(y)
+    d = random_design(rng, 60, 4)
+    log_model = refit_log_response(fit_ols(replace(d, y=np.exp(0.3 * d.y))))
+    for term in d.term_names:
+        assert_av_matches_regression(log_model, term)
 
 
 def test_av_rejects_multi_column_terms():

@@ -63,10 +63,14 @@ def test_qr_block_inverse_gram_matches_inverse():
     np.testing.assert_allclose(X[:, qr.pivot], qr.q @ qr.r, atol=1e-10)
     w = qr.inverse_gram_rows()
     np.testing.assert_allclose(w @ w.T, np.linalg.inv(X.T @ X), rtol=1e-9)
-    aliased = qr_block(np.column_stack([X, X[:, 1] + X[:, 3]]))
+    Xa = np.column_stack([X, X[:, 1] + X[:, 3]])
+    aliased = qr_block(Xa)
     assert aliased.rank == 5 and aliased.n_cols == 6
-    with pytest.raises(ValueError, match="rank-deficient"):
-        aliased.inverse_gram_rows()
+    w = aliased.inverse_gram_rows()
+    assert w.shape == (6, 5) and not w[aliased.pivot[5:]].any()
+    kept = np.sort(aliased.pivot[:5])
+    np.testing.assert_allclose(w[kept] @ w[kept].T, np.linalg.inv(Xa[:, kept].T @ Xa[:, kept]),
+                               rtol=1e-9)
 
 
 def test_predict_in_sample_identity(hand_design):

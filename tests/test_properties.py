@@ -1,16 +1,19 @@
-"""Property tests of the OLS core on random designs with aliased columns and factors.
+"""Property tests of the OLS core and VIF pruning on random designs.
 
-Each example draws a design shape (rows, numeric predictors, factor levels
-and one exactly duplicated column) and a seed for its values; the checks
-are the rank/leverage identity and the PRESS = leave-one-out identity.
+Each example draws a design shape and a seed for its values.  Designs with
+one exactly duplicated column and factors check the rank/leverage identity
+and the PRESS = leave-one-out identity; designs with near-collinear columns
+check VIFs and the prune trail against auxiliary regressions.
 """
+
+import math
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from regsel import RawTable, encode_design, fit_ols, press_residuals
-from oracles import loo_predictions
+from regsel import DesignMatrix, RawTable, encode_design, fit_ols, press_residuals, vif_prune
+from oracles import loo_predictions, prune_by_auxiliary_regression
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
@@ -69,3 +72,44 @@ def test_press_equals_leave_one_out(design):
     assume(m.leverage.max() < 0.95)
     loo_err = design.y - loo_predictions(design)
     assert np.abs(press_residuals(m) - loo_err).max() < 1e-8
+
+
+@st.composite
+def near_collinear_designs(draw):
+    """Four to eight numeric columns, one to three of which are rewritten as
+    another column, or a combination of two, plus noise of scale 1e-9 to
+    1e-2; every column is then rescaled and shifted."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    p = draw(st.integers(4, 8))
+    n = draw(st.integers(30, 80))
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    for _ in range(draw(st.integers(1, 3))):
+        target, a, b = draw(st.lists(st.integers(0, p - 1), min_size=3, max_size=3, unique=True))
+        weight = draw(st.sampled_from([0.0, 0.5, -1.0]))
+        noise = 10.0 ** draw(st.floats(-9.0, -2.0))
+        X[:, target] = X[:, a] + weight * X[:, b] + noise * rng.standard_normal(n)
+    X = X * rng.uniform(0.1, 10.0, p) + rng.normal(0.0, 5.0, p)
+    return DesignMatrix.from_arrays(X, rng.standard_normal(n))
+
+
+def assert_vifs_agree(got, want):
+    """Both infinite, or within a relative 1e-13 x VIF: the rounding error of
+    a VIF grows with the conditioning of its block, and a block whose VIFs
+    are all finite has none above VIF_COLLINEAR."""
+    assert math.isinf(got) == math.isinf(want)
+    if math.isfinite(want):
+        assert abs(got - want) <= 1e-13 * want * want
+
+
+@PROPERTY_SETTINGS
+@given(near_collinear_designs())
+def test_vif_prune_matches_auxiliary_regression(design):
+    _, report = vif_prune(design, vstar=10.0)
+    trail, values = prune_by_auxiliary_regression(design, 10.0)
+    assert [name for name, _ in report.trail] == [name for name, _ in trail]
+    for (_, got), (_, want) in zip(report.trail, trail):
+        assert_vifs_agree(got, want)
+    assert report.values.keys() == values.keys()
+    for name, want in values.items():
+        assert_vifs_agree(report.values[name], want)
