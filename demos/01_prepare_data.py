@@ -20,13 +20,13 @@ from regsel import (
 )
 from regsel.synth import write_dataset
 
-work = Path(tempfile.mkdtemp(prefix="regsel_demo_"))
-paths = write_dataset(work, n=500, seed=6021)
-print(f"synthetic study written to {work}")
+with tempfile.TemporaryDirectory(prefix="regsel_demo_") as work:
+    paths = write_dataset(Path(work), n=500, seed=6021)
+    print(f"synthetic study written to {work}")
 
-covariates = load_table(paths["covariates"], read_schema(paths["covariates_schema"]))
-exposures = load_table(paths["exposures"], read_schema(paths["exposures_schema"]))
-response = load_table(paths["outcome"], read_schema(paths["outcome_schema"]))
+    covariates = load_table(paths["covariates"], read_schema(paths["covariates_schema"]))
+    exposures = load_table(paths["exposures"], read_schema(paths["exposures_schema"]))
+    response = load_table(paths["outcome"], read_schema(paths["outcome_schema"]))
 print(f"covariates: {covariates.n_rows} rows x {len(covariates.names)} columns")
 print(f"exposures:  {exposures.n_rows} rows x {len(exposures.names)} columns")
 

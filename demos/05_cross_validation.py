@@ -41,6 +41,6 @@ rerun = mc_cross_validate(design, config)
 print("\nsame seed, second run is bitwise identical:",
       np.array_equal(result.mspe, rerun.mspe))
 
-out = Path(tempfile.mkdtemp(prefix="regsel_demo_"))
-for path in emit_mspe_boxplot_data(result, out):
-    print(f"boxplot data written: {path}")
+with tempfile.TemporaryDirectory(prefix="regsel_demo_") as out:
+    for path in emit_mspe_boxplot_data(result, Path(out)):
+        print(f"boxplot data written: {path}")

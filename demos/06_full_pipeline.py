@@ -13,11 +13,12 @@ from regsel import run_pipeline
 from regsel.pipeline import read_config
 from regsel.synth import write_dataset
 
-work = Path(tempfile.mkdtemp(prefix="regsel_demo_"))
-write_dataset(work, n=400, seed=6021)
+with tempfile.TemporaryDirectory(prefix="regsel_demo_") as tmp:
+    work = Path(tmp)
+    write_dataset(work, n=400, seed=6021)
 
-config_path = work / "demo.cfg"
-config_path.write_text("""\
+    config_path = work / "demo.cfg"
+    config_path.write_text("""\
 table_a = covariates.csv
 schema_a = covariates.schema
 table_b = exposures.csv
@@ -31,16 +32,16 @@ cv_workers = 2
 out_dir = out
 """)
 
-bundle = run_pipeline(read_config(config_path))
+    bundle = run_pipeline(read_config(config_path))
 
-print(f"pipeline finished; outputs under {bundle.out_dir}\n")
-for stage, files in bundle.files.items():
-    print(f"{stage:9s} {len(files)} file(s)")
-    for path in files[:4]:
-        print(f"          {path.name}")
-    if len(files) > 4:
-        print(f"          ... and {len(files) - 4} more")
+    print(f"pipeline finished; outputs under {bundle.out_dir}\n")
+    for stage, files in bundle.files.items():
+        print(f"{stage:9s} {len(files)} file(s)")
+        for path in files[:4]:
+            print(f"          {path.name}")
+        if len(files) > 4:
+            print(f"          ... and {len(files) - 4} more")
 
-print("\nfinal model report (head):")
-report = (bundle.out_dir / "model_report.txt").read_text().splitlines()
-print("\n".join(report[:12]))
+    print("\nfinal model report (head):")
+    report = (bundle.out_dir / "model_report.txt").read_text().splitlines()
+    print("\n".join(report[:12]))

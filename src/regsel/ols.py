@@ -3,7 +3,7 @@
 The solver is a rank-revealing QR factorization with column pivoting, never
 an explicit normal-equations inverse: the data this toolkit targets is
 ill-conditioned by construction.  Columns whose pivoted diagonal falls below
-``rank_tol * |R[0, 0]|`` are flagged aliased and excluded from estimation;
+``RANK_TOL * |R[0, 0]|`` are flagged aliased and excluded from estimation;
 their coefficients are NaN and they contribute zero to predictions.
 
 Two AIC conventions coexist on purpose: ``aic_selection`` is the
@@ -149,14 +149,14 @@ def _solve(qr: BlockQR, y: np.ndarray):
     return coef, aliased
 
 
-def pivoted_effective_coef(X: np.ndarray, y: np.ndarray, rank_tol: float = RANK_TOL):
+def pivoted_effective_coef(X: np.ndarray, y: np.ndarray):
     """Rank-revealing least squares on raw arrays.
 
     Returns (coef, aliased) where aliased columns carry coefficient zero,
     mirroring :func:`fit_ols` without the model bookkeeping.  Used by
     resampling loops that refit the same column block many times.
     """
-    return _solve(qr_block(X, rank_tol), y)
+    return _solve(qr_block(X), y)
 
 
 def _fit(design: DesignMatrix, qr: BlockQR) -> FittedModel:
@@ -171,7 +171,7 @@ def _fit(design: DesignMatrix, qr: BlockQR) -> FittedModel:
                        residuals=residuals, rss=rss, rank=qr.rank, leverage=leverage, qr=qr)
 
 
-def fit_ols(design: DesignMatrix, strict: bool = False, rank_tol: float = RANK_TOL) -> FittedModel:
+def fit_ols(design: DesignMatrix, strict: bool = False) -> FittedModel:
     """Fit least squares by pivoted QR.
 
     Parameters
@@ -180,8 +180,6 @@ def fit_ols(design: DesignMatrix, strict: bool = False, rank_tol: float = RANK_T
     strict : bool
         When True, an all-zero design column is an error instead of being
         silently aliased.
-    rank_tol : float
-        Pivot threshold: column k is aliased when |R[k, k]| < rank_tol * |R[0, 0]|.
 
     Returns
     -------
@@ -196,7 +194,7 @@ def fit_ols(design: DesignMatrix, strict: bool = False, rank_tol: float = RANK_T
         zero = np.flatnonzero(~X.any(axis=0))
         if zero.size:
             raise ValueError(f"all-zero design column '{design.column_names[zero[0]]}' (strict mode)")
-    return _fit(design, qr_block(X, rank_tol))
+    return _fit(design, qr_block(X))
 
 
 def _check_alignment(model: FittedModel, new_design: DesignMatrix) -> None:

@@ -4,7 +4,10 @@ Every stage reads its inputs from checkpoint files in the output directory
 and writes its own outputs there, so any stage can be rerun alone and a
 stage-by-stage run is byte-identical to a single-shot :func:`run_pipeline`.
 Outputs carry no timestamps; identical inputs and config give identical
-bundles.
+bundles.  Checkpoints are written to a temp file and moved into place, so a
+failed write leaves the previous one whole.  The prepared design is parsed
+once per process and shared by the stages while the bytes of ``prep.csv``
+and ``prep.schema`` and the output directory stay the same.
 
 Row exclusions (the outlier protocol) are 1-based row numbers into the
 prepared dataset (the same numbers the influence files report).  Excluded
@@ -13,7 +16,10 @@ artifacts mirror the primary ones inside an ``excluded/`` subdirectory.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -125,8 +131,6 @@ def read_config(path, overrides: dict | None = None) -> RunConfig:
     rejected.  The ``REGSEL_OUT`` environment variable, when set, overrides
     the output directory.
     """
-    import os
-
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
@@ -236,49 +240,66 @@ class ReportBundle:
         self.files.setdefault(stage, [])
         self.files[stage].extend(Path(p) for p in paths)
 
-    @property
-    def all_files(self) -> list:
-        return [p for paths in self.files.values() for p in paths]
 
-
-def _need(stage: str, path: Path, produced_by: str) -> Path:
-    if not path.exists():
+def _checkpoint(stage: str, path: Path, producer: str) -> bytes:
+    """The bytes of a checkpoint file; a missing one names the stage that writes it."""
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
         raise PipelineError(stage, f"missing checkpoint {path.name}",
-                            hint=f"run the '{produced_by}' stage first")
+                            hint=f"run the '{producer}' stage first") from None
+
+
+def _prepared(stage: str, out: Path) -> DesignMatrix:
+    """The encoded prepared design, parsed once per process while the bytes
+    of ``prep.csv`` and ``prep.schema`` and the directory stay the same."""
+    digests = [hashlib.sha256(_checkpoint(stage, out / name, "prep")).hexdigest()
+               for name in ("prep.csv", "prep.schema")]
+    return _parse_prepared(out.resolve(), *digests)
+
+
+@functools.lru_cache(maxsize=1)
+def _parse_prepared(directory: Path, csv_digest: str, schema_digest: str) -> DesignMatrix:
+    # the digests only key the cache; X and y are shared by every stage, so read-only
+    design = encode_design(load_table(directory / "prep.csv", read_schema(directory / "prep.schema")))
+    design.X.flags.writeable = False
+    design.y.flags.writeable = False
+    return design
+
+
+def _runs(cfg: RunConfig, stage: str) -> list:
+    """(pruned design, output directory) of the primary run, then of the
+    excluded-rows rerun when ``exclude_rows`` is set."""
+    out = cfg.out
+    design = _prepared(stage, out)
+    design = design.subset_terms(json.loads(_checkpoint(stage, out / "kept_terms.json", "prune")))
+    runs = [(design, out)]
+    if cfg.exclude_rows:
+        last = max(cfg.exclude_rows)
+        if last > design.n_rows:
+            raise PipelineError(stage, f"exclude_rows names row {last} but the "
+                                       f"prepared dataset has {design.n_rows} rows")
+        runs.append((design.drop_rows(np.asarray(cfg.exclude_rows, dtype=np.intp) - 1),
+                     out / "excluded"))
+    return runs
+
+
+def _replace(path: Path, write) -> Path:
+    """Call ``write`` on a temp file beside ``path``, then move it into place,
+    so a failed or interrupted write never leaves a partial checkpoint."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
-
-
-def _load_prepared(stage: str, out: Path):
-    prep_csv = _need(stage, out / "prep.csv", "prep")
-    prep_schema = _need(stage, out / "prep.schema", "prep")
-    return load_table(prep_csv, read_schema(prep_schema))
-
-
-def _encoded(stage: str, out: Path) -> DesignMatrix:
-    return encode_design(_load_prepared(stage, out))
-
-
-def _pruned_design(stage: str, out: Path) -> DesignMatrix:
-    design = _encoded(stage, out)
-    kept = json.loads(_need(stage, out / "kept_terms.json", "prune").read_text())
-    return design.subset_terms(kept)
-
-
-def _selected_models(stage: str, base: Path) -> dict:
-    return json.loads(_need(stage, base / "selected_models.json", "select").read_text())
-
-
-def _excluded_indices(cfg: RunConfig, design: DesignMatrix, stage: str) -> np.ndarray:
-    idx = np.asarray([r - 1 for r in cfg.exclude_rows], dtype=np.intp)
-    if idx.size and idx.max() >= design.n_rows:
-        raise PipelineError(stage, f"exclude_rows names row {idx.max() + 1} but the "
-                                   f"prepared dataset has {design.n_rows} rows")
-    return idx
 
 
 def _write_json(path: Path, obj) -> Path:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _replace(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +324,8 @@ def _stage_prep(cfg: RunConfig) -> list:
     table = coerce_to_factor(table, cfg.factor_columns, auto=cfg.factor_auto,
                              max_levels=cfg.max_factor_levels)
     paths = [
-        write_table(table, out / "prep.csv"),
-        write_schema(table, out / "prep.schema"),
+        _replace(out / "prep.csv", lambda tmp: write_table(table, tmp)),
+        _replace(out / "prep.schema", lambda tmp: write_schema(table, tmp)),
     ]
     audit = out / "audit.txt"
     audit.write_text("\n".join(table.audit) + "\n", encoding="utf-8")
@@ -314,7 +335,7 @@ def _stage_prep(cfg: RunConfig) -> list:
 
 def _stage_prune(cfg: RunConfig) -> list:
     out = cfg.out
-    design = _encoded("prune", out)
+    design = _prepared("prune", out)
     before = vif(design)
     pruned, after = vif_prune(design, vstar=cfg.vstar)
     paths = [
@@ -348,19 +369,13 @@ def _select_into(cfg: RunConfig, design: DesignMatrix, out: Path) -> list:
 
 
 def _stage_select(cfg: RunConfig) -> list:
-    out = cfg.out
-    design = _pruned_design("select", out)
-    paths = _select_into(cfg, design, out)
-    if cfg.exclude_rows:
-        idx = _excluded_indices(cfg, design, "select")
-        paths += _select_into(cfg, design.drop_rows(idx), out / "excluded")
-    return paths
+    return [path for design, out in _runs(cfg, "select") for path in _select_into(cfg, design, out)]
 
 
-def _diagnose_into(cfg: RunConfig, design: DesignMatrix, selected: dict, out: Path):
+def _diagnose_into(cfg: RunConfig, design: DesignMatrix, out: Path):
     """Write the influence files and ``comparison.tsv``; returns the paths and
     the ComparisonTable (None with no modes)."""
-    out.mkdir(parents=True, exist_ok=True)
+    selected = json.loads(_checkpoint("diagnose", out / "selected_models.json", "select"))
     paths = []
     full_fit = fit_ols(design)
     full_report = influence_flags(full_fit, min(cfg.top_m_full, full_fit.n))
@@ -387,26 +402,26 @@ def _diagnose_into(cfg: RunConfig, design: DesignMatrix, selected: dict, out: Pa
 
 
 def _stage_diagnose(cfg: RunConfig) -> list:
-    out = cfg.out
-    design = _pruned_design("diagnose", out)
-    paths, full = _diagnose_into(cfg, design, _selected_models("diagnose", out), out)
-    if cfg.exclude_rows and cfg.modes:
-        idx = _excluded_indices(cfg, design, "diagnose")
-        more, excl = _diagnose_into(cfg, design.drop_rows(idx),
-                                    _selected_models("diagnose", out / "excluded"), out / "excluded")
+    runs = _runs(cfg, "diagnose")
+    paths, tables = [], []
+    for design, out in runs if cfg.modes else runs[:1]:     # no modes: the rerun has no models
+        more, table = _diagnose_into(cfg, design, out)
         paths += more
+        tables.append(table)
+    if len(tables) == 2:
         # side-by-side table: full-data columns then excluded-data columns
+        full, excl = tables
         side_table = ComparisonTable(
             labels=tuple(f"{l}_full" for l in full.labels) + tuple(f"{l}_excluded" for l in excl.labels),
             cells={row: full.cells[row] + excl.cells[row] for row in COMPARISON_ROWS})
-        side = out / "comparison_side_by_side.tsv"
+        side = cfg.out / "comparison_side_by_side.tsv"
         side.write_text(side_table.to_tsv(), encoding="utf-8")
         paths.append(side)
     return paths
 
 
-def _cv_into(cfg: RunConfig, design: DesignMatrix, selected: dict, out: Path) -> list:
-    out.mkdir(parents=True, exist_ok=True)
+def _cv_into(cfg: RunConfig, design: DesignMatrix, out: Path) -> list:
+    selected = json.loads(_checkpoint("cv", out / "selected_models.json", "select"))
     config = CVConfig.for_models({mode: selected[mode] for mode in cfg.modes},
                                  replications=cfg.cv_replications,
                                  train_fraction=cfg.cv_train_fraction,
@@ -432,27 +447,14 @@ def _cv_into(cfg: RunConfig, design: DesignMatrix, selected: dict, out: Path) ->
 def _stage_cv(cfg: RunConfig) -> list:
     if not cfg.modes:
         return []
-    out = cfg.out
-    design = _pruned_design("cv", out)
-    paths = _cv_into(cfg, design, _selected_models("cv", out), out)
-    if cfg.exclude_rows:
-        idx = _excluded_indices(cfg, design, "cv")
-        paths += _cv_into(cfg, design.drop_rows(idx),
-                          _selected_models("cv", out / "excluded"), out / "excluded")
-    return paths
+    return [path for design, out in _runs(cfg, "cv") for path in _cv_into(cfg, design, out)]
 
 
 def _stage_report(cfg: RunConfig) -> list:
-    out = cfg.out
-    design = _pruned_design("report", out)
-    if cfg.modes:
-        which = cfg.report_model if cfg.report_model != "full" else None
-        if which is None:
-            terms = design.term_names
-        else:
-            terms = _selected_models("report", out)[which]
-    else:
-        terms = design.term_names
+    design, out = _runs(cfg, "report")[0]
+    terms = design.term_names
+    if cfg.modes and cfg.report_model != "full":
+        terms = json.loads(_checkpoint("report", out / "selected_models.json", "select"))[cfg.report_model]
     model = fit_ols(design.subset_terms(terms))
     paths = list(write_summary(model, out / "model_report.txt", out / "model_report.tsv",
                                k=cfg.k_penalty))

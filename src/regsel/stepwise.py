@@ -3,7 +3,7 @@
 Moves operate on whole terms: a factor's indicator columns enter and leave
 together.  At every iteration all legal single-term moves are scored, and
 the minimum-AIC move is applied if it beats the current model by more than
-``tol_aic`` (1e-9 by default, so floating-point ties cannot loop).  Ties
+``TOL_AIC`` (1e-9, so floating-point ties cannot loop).  Ties
 between candidate moves go to the term earliest in the design's term order.
 
 Scoring reads the QR the current model was solved from (``FittedModel.qr``)
@@ -128,7 +128,7 @@ def _fit_terms(design: DesignMatrix, terms, k: float):
 
 
 def step_select(design: DesignMatrix, scope: Scope | None = None, mode: str = "forward",
-                start=None, tol_aic: float = TOL_AIC) -> SelectionTrace:
+                start=None) -> SelectionTrace:
     """Greedy forward / backward / both-direction term selection.
 
     Parameters
@@ -142,8 +142,6 @@ def step_select(design: DesignMatrix, scope: Scope | None = None, mode: str = "f
     start : iterable of term names, optional
         Starting model.  Defaults: lower for forward, upper for backward and
         for both.
-    tol_aic : float
-        A move is applied only if it lowers the AIC by more than this.
 
     Returns
     -------
@@ -199,7 +197,7 @@ def step_select(design: DesignMatrix, scope: Scope | None = None, mode: str = "f
                 continue
             if best is None or cand_aic < best[0]:
                 best = (cand_aic, direction, term, cand_model)
-        if best is None or best[0] >= current_aic - tol_aic:
+        if best is None or best[0] >= current_aic - TOL_AIC:
             break
         cand_aic, direction, term, cand_model = best
         moves.append(Move(direction=direction, term=term,

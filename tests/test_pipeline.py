@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from regsel import PipelineError, RunConfig, run_pipeline, run_stage
+from regsel import PipelineError, RunConfig, pipeline, run_pipeline, run_stage
 from regsel.cli import main as cli_main
 from regsel.pipeline import read_config, write_reference_config
 from regsel.synth import write_dataset
@@ -218,6 +221,62 @@ def test_exclude_rows_out_of_range(dataset_dir, tmp_path):
     run_stage("prune", cfg)
     with pytest.raises(PipelineError, match="exclude_rows"):
         run_stage("select", cfg)
+
+
+def test_failed_checkpoint_write_keeps_the_previous_one(dataset_dir, monkeypatch):
+    cfg = read_config(write_config(dataset_dir, "out_atomic"))
+    run_stage("prep", cfg)
+    run_stage("prune", cfg)
+    before = tree_bytes(cfg.out)
+
+    def half_write(table, path):
+        Path(path).write_text("id,cov01\n1,0.5\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pipeline, "write_table", half_write)
+    with pytest.raises(PipelineError, match=r"\[prep\].*disk full"):
+        run_stage("prep", cfg)
+    assert tree_bytes(cfg.out) == before
+    assert not list(cfg.out.glob(".*"))
+
+
+def test_cached_design_is_read_only(bundle_and_out):
+    _, cfg = bundle_and_out
+    design = pipeline._prepared("prune", cfg.out)
+    assert not design.X.flags.writeable and not design.y.flags.writeable
+    with pytest.raises(ValueError):
+        design.X[0, 1] = 0.0
+
+
+def test_stage_rereads_changed_prep_in_the_same_process(dataset_dir):
+    cfg = read_config(write_config(dataset_dir, "out_reprep"))
+    for stage in ("prep", "prune", "select", "diagnose"):
+        run_stage(stage, cfg)
+
+    def influence_rows():       # two comment lines and a header precede one line per row
+        return len((cfg.out / "influence_full.tsv").read_text().splitlines()) - 3
+
+    prep = cfg.out / "prep.csv"
+    lines = prep.read_text().splitlines()
+    assert influence_rows() == len(lines) - 1 > 120
+    prep.write_text("\n".join(lines[:121]) + "\n")    # header and the first 120 rows
+    run_stage("diagnose", cfg)
+    assert influence_rows() == 120
+
+
+def test_stage_subprocesses_match_one_in_process_all(dataset_dir):
+    cfg_all = read_config(write_config(dataset_dir, "out_proc_all"))
+    assert cfg_all.exclude_rows
+    run_pipeline(cfg_all)
+    cfg_steps = write_config(dataset_dir, "out_proc_steps")
+    env = dict(os.environ, PYTHONPATH=str(Path(pipeline.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    env.pop("REGSEL_OUT", None)
+    for stage in pipeline.STAGES:
+        done = subprocess.run([sys.executable, "-m", "regsel.cli", stage, "--config", str(cfg_steps)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+    assert tree_bytes(dataset_dir / "out_proc_steps") == tree_bytes(cfg_all.out)
 
 
 def test_svg_emission(dataset_dir):
