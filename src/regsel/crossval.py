@@ -57,6 +57,25 @@ def replication_split(seed: int, index: int, n: int, n_train: int):
     return perm[:n_train], perm[n_train:]
 
 
+def _replication_splits(seed: int, count: int, n: int, n_train: int):
+    """``replication_split(seed, i, n, n_train)`` for i in range(count).
+
+    One Philox generator is re-keyed to (seed, i) for each replication
+    instead of building a new one: the state set is the freshly keyed one
+    (counter zero, empty buffer), so every split is the same.
+    """
+    key = np.array([np.uint64(seed), np.uint64(0)], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    for i in range(count):
+        key[1] = i
+        state["state"]["key"] = key
+        bitgen.state = state
+        perm = rng.permutation(n)
+        yield perm[:n_train], perm[n_train:]
+
+
 @dataclass(frozen=True)
 class CVConfig:
     """Cross-validation parameters.
@@ -253,8 +272,7 @@ def mc_cross_validate(design: DesignMatrix, config: CVConfig) -> CVResult:
     mspe = np.empty((reps, len(candidates)))
     unseen = np.zeros(len(candidates), dtype=np.int64)
     exact = np.zeros(len(candidates), dtype=np.int64)
-    for i in range(reps):
-        train, test = replication_split(config.seed, i, n, n_train)
+    for i, (train, test) in enumerate(_replication_splits(config.seed, reps, n, n_train)):
         for j, cand in enumerate(candidates):
             mspe[i, j], u, x = cand.mspe(train, test)
             unseen[j] += u

@@ -137,7 +137,9 @@ def _block_vifs(block: np.ndarray) -> np.ndarray:
     below ``RANK_TOL``, so a kept column j with VIF v_j among the kept
     columns has a VIF of at least v_j + c_j² / RANK_TOL² on the whole
     block; a column with c = 0 keeps v_j.  Zero-variance columns, and VIFs at or
-    above ``VIF_COLLINEAR``, come back infinite.
+    above ``VIF_COLLINEAR``, come back infinite.  Two columns with variance
+    both get the earlier one's VIF, so a prune between them removes the
+    earlier, as the tie rule says.
     """
     vifs = np.full(block.shape[1], math.inf)
     live = np.flatnonzero(block.max(axis=0) > block.min(axis=0))
@@ -148,6 +150,8 @@ def _block_vifs(block: np.ndarray) -> np.ndarray:
     qr = qr_block(z)
     w = qr.inverse_gram_rows()
     v = np.einsum("ij,ij->i", w, w)
+    if live.size == 2:
+        v[1] = v[0]         # two columns share one VIF, 1/(1 - r²); rounding must not split it
     bound = v
     aliased = qr.pivot[qr.rank:]
     if aliased.size:

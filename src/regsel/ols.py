@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import linalg, special
 
 from .table import DesignMatrix
 
@@ -303,7 +303,7 @@ def coefficient_table(model: FittedModel):
             rows.append((name, math.nan, math.nan, math.nan, math.nan))
             continue
         t = est / se[j]
-        p = 2.0 * float(stats.t.sf(abs(t), n - r))
+        p = 2.0 * float(special.stdtr(n - r, -abs(t)))
         rows.append((name, float(est), float(se[j]), float(t), p))
     return rows
 
@@ -350,7 +350,9 @@ def format_summary(model: FittedModel, k: float = 2.0) -> str:
         y = model.design.y
         tss = float(np.sum((y - y.mean()) ** 2))
         f_val = ((tss - model.rss) / (r - 1)) / model.sigma2
-        f_p = float(stats.f.sf(f_val, r - 1, n - r))
+        # fdtrc is NaN below zero, where the F survival function is 1; a fit
+        # that explains nothing can round tss - rss just below zero.
+        f_p = float(special.fdtrc(r - 1, n - r, max(f_val, 0.0)))
         lines.append(
             f"F-statistic: {f_val:.4g} on {r - 1} and {n - r} DF, p-value: {_format_p(f_p)}")
     lines.append(f"AIC: {stat.aic_full:.4f} (search form with k={k:g}: {stat.aic_selection:.4f})")

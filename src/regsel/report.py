@@ -12,7 +12,7 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .influence import InfluenceReport, added_variable_data, studentized
 from .ols import FittedModel
@@ -41,16 +41,10 @@ def write_influence_data(model: FittedModel, report: InfluenceReport, path) -> P
         f"# cook_threshold\t{report.cook_threshold!r}",
         "row_id\tleverage\tcooks_d\thigh_leverage_flag\ttop_influence_flag",
     ]
-    for i in range(model.n):
-        lines.append("\t".join([
-            str(i + 1),
-            repr(float(report.leverage[i])),
-            repr(float(report.cooks_d[i])),
-            str(int(report.high_leverage[i])),
-            str(int(report.top_influence[i])),
-        ]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    rows = zip(report.leverage.tolist(), report.cooks_d.tolist(),
+               report.high_leverage.tolist(), report.top_influence.tolist())
+    lines += [f"{i}\t{h!r}\t{d!r}\t{int(hi)}\t{int(top)}" for i, (h, d, hi, top) in enumerate(rows, 1)]
+    return _write(path, lines)
 
 
 def residual_diagnostics(model: FittedModel, out_dir, prefix: str = "model") -> list:
@@ -60,31 +54,26 @@ def residual_diagnostics(model: FittedModel, out_dir, prefix: str = "model") -> 
     studentized residuals (Sturges bins, edges emitted)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    e = model.residuals
-    n = e.size
+    e = model.residuals.tolist()
+    n = len(e)
     paths = []
 
     lines = ["index\tresidual"]
-    lines += [f"{i + 1}\t{float(e[i])!r}" for i in range(n)]
+    lines += [f"{i}\t{r!r}" for i, r in enumerate(e, 1)]
     paths.append(_write(out_dir / f"{prefix}_resid_vs_index.tsv", lines))
 
     lines = ["fitted\tresidual"]
-    lines += [f"{float(model.fitted[i])!r}\t{float(e[i])!r}" for i in range(n)]
+    lines += [f"{f!r}\t{r!r}" for f, r in zip(model.fitted.tolist(), e)]
     paths.append(_write(out_dir / f"{prefix}_resid_vs_fitted.tsv", lines))
 
     t = studentized(model, "external")
-    order = np.argsort(t)
     probs = (np.arange(1, n + 1) - 0.5) / n
-    theo = stats.norm.ppf(probs)
+    theo = special.ndtri(probs)
     lines = ["theoretical_quantile\tstudentized_residual"]
-    lines += [f"{float(q)!r}\t{float(t[order[i]])!r}" for i, q in enumerate(theo)]
+    lines += [f"{q!r}\t{v!r}" for q, v in zip(theo.tolist(), t[np.argsort(t)].tolist())]
     paths.append(_write(out_dir / f"{prefix}_qq.tsv", lines))
 
-    counts, edges = np.histogram(t, bins="sturges")
-    lines = ["bin_left\tbin_right\tcount"]
-    lines += [f"{float(edges[i])!r}\t{float(edges[i + 1])!r}\t{int(c)}"
-              for i, c in enumerate(counts)]
-    paths.append(_write(out_dir / f"{prefix}_studentized_hist.tsv", lines))
+    paths.append(_write(out_dir / f"{prefix}_studentized_hist.tsv", _histogram_lines(t)))
     return paths
 
 
@@ -98,7 +87,7 @@ def write_added_variable_data(model: FittedModel, out_dir, prefix: str = "av") -
             continue
         av = added_variable_data(model, term.name)
         lines = [f"# slope\t{av.slope!r}", "x_partial\ty_partial"]
-        lines += [f"{float(x)!r}\t{float(y)!r}" for x, y in zip(av.x_partial, av.y_partial)]
+        lines += [f"{x!r}\t{y!r}" for x, y in zip(av.x_partial.tolist(), av.y_partial.tolist())]
         paths.append(_write(out_dir / f"{prefix}_{term.name}.tsv", lines))
     return paths
 
@@ -113,14 +102,17 @@ def write_vif_values(values: dict, path) -> Path:
 def write_vif_histogram(values: dict, path) -> Path:
     """Histogram binning of the finite VIFs, bin edges included."""
     finite = np.array([v for v in values.values() if math.isfinite(v)])
-    path = Path(path)
     if finite.size == 0:
-        return _write(path, ["bin_left\tbin_right\tcount"])
-    counts, edges = np.histogram(finite, bins="sturges")
-    lines = ["bin_left\tbin_right\tcount"]
-    lines += [f"{float(edges[i])!r}\t{float(edges[i + 1])!r}\t{int(c)}"
-              for i, c in enumerate(counts)]
-    return _write(path, lines)
+        return _write(Path(path), ["bin_left\tbin_right\tcount"])
+    return _write(Path(path), _histogram_lines(finite))
+
+
+def _histogram_lines(values) -> list:
+    """Sturges-bin histogram rows (left edge, right edge, count) under a header."""
+    counts, edges = np.histogram(values, bins="sturges")
+    e = edges.tolist()
+    return ["bin_left\tbin_right\tcount"] + [
+        f"{e[i]!r}\t{e[i + 1]!r}\t{c}" for i, c in enumerate(counts.tolist())]
 
 
 def _write(path: Path, lines) -> Path:

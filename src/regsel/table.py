@@ -345,17 +345,14 @@ def write_table(table: RawTable, path, delimiter: str = ",") -> Path:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(table.names)
-        for i in range(table.n_rows):
-            row = []
-            for col, role in zip(table.columns, table.roles):
-                v = col[i]
-                if role in (ColumnRole.NUMERIC, ColumnRole.RESPONSE):
-                    row.append("NA" if math.isnan(v) else repr(float(v)))
-                elif v is None:
-                    row.append("NA")
-                else:
-                    row.append(str(v))
-            writer.writerow(row)
+        cells = []
+        for col, role in zip(table.columns, table.roles):
+            if role in (ColumnRole.NUMERIC, ColumnRole.RESPONSE):
+                values = np.asarray(col, dtype=np.float64).tolist()
+                cells.append(["NA" if math.isnan(v) else repr(v) for v in values])
+            else:
+                cells.append(["NA" if v is None else str(v) for v in col.tolist()])
+        writer.writerows(zip(*cells))
     return path
 
 

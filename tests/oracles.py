@@ -79,13 +79,14 @@ def aux_regression_vif(design: DesignMatrix) -> dict:
 def prune_by_auxiliary_regression(design: DesignMatrix, vstar: float):
     """VIF pruning with every pass recomputed by :func:`aux_regression_vif`.
 
-    Returns (trail, final values); the earliest variable wins VIF ties.
+    Returns (trail, final values); the earliest variable wins VIF ties.  Two
+    survivors always tie (both VIFs are 1/(1 - r²)), so of two the earlier goes.
     """
     survivors = [t.name for t in design.terms if t.kind == "numeric"]
     trail = []
     while True:
         values = aux_regression_vif(design.subset_terms(survivors))
-        worst = max(survivors, key=values.get)
+        worst = survivors[0] if len(survivors) == 2 else max(survivors, key=values.get)
         if values[worst] <= vstar:
             return trail, values
         trail.append((worst, values[worst]))

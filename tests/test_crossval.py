@@ -11,6 +11,7 @@ from regsel import (
     write_mspe_dump,
     write_mspe_summary,
 )
+from regsel.crossval import _replication_splits
 from regsel.table import RawTable, encode_design
 
 from oracles import random_design, refit_cv_mspe
@@ -49,6 +50,16 @@ def test_train_size_uses_round_half_to_even():
     res = mc_cross_validate(d, config_for(d, reps=3, train_fraction=0.5))
     train, test = replication_split(res.config.seed, 0, 15, 8)
     assert len(train) == 8 and len(test) == 7
+
+
+def test_rekeyed_splits_equal_replication_split():
+    for seed in (0, 20883271):
+        for n, n_train in ((1300, 1040), (37, 30)):
+            splits = _replication_splits(seed, 2000, n, n_train)
+            for i, (train, test) in enumerate(splits):
+                want_train, want_test = replication_split(seed, i, n, n_train)
+                assert np.array_equal(train, want_train) and np.array_equal(test, want_test)
+            assert i == 1999
 
 
 def test_split_independent_of_other_replications():

@@ -394,6 +394,21 @@ def test_vif_prune_at_the_threshold():
     assert report.trail == ()
 
 
+@pytest.mark.parametrize("seed", [1, 2, 7, 9, 10])
+def test_vif_prune_two_survivors_remove_the_earlier(seed):
+    # two centered columns share one VIF, 1/(1 - r²); the earliest-column
+    # tie rule, not rounding, must pick which goes
+    rng = np.random.default_rng(seed)
+    x1 = rng.standard_normal(200)
+    x2 = x1 + 1e-3 * rng.standard_normal(200)
+    d = DesignMatrix.from_arrays(np.column_stack([x1, x2]), rng.standard_normal(200))
+    values = vif(d).values
+    assert values["x1"] == values["x2"] > 1e5
+    report = assert_prune_matches_oracles(d, vstar=10.0)
+    assert [name for name, _ in report.trail] == ["x1"]
+    assert list(report.values) == ["x2"]
+
+
 def test_vif_prune_would_remove_everything():
     d = DesignMatrix.from_arrays(np.full(10, 3.0), np.arange(10.0), names=["const"])
     with pytest.raises(ValueError, match="every numeric predictor"):

@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from regsel import (
     DesignMatrix,
@@ -15,6 +19,7 @@ from regsel import (
     predict,
     refit_log_response,
 )
+from regsel.ols import _format_p
 from oracles import random_design
 
 
@@ -296,3 +301,55 @@ def test_format_summary_layout():
     assert "Residual standard error:" in text
     assert "Adjusted R-squared:" in text
     assert "F-statistic:" in text
+
+
+# ---------------------------------------------------------------------------
+# p-values from scipy.special, equal to scipy.stats
+# ---------------------------------------------------------------------------
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, regsel, regsel.cli; print('scipy.stats' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("n, p, scale", [(8, 2, 1.0), (50, 3, 0.2), (400, 5, 0.02), (30, 4, 5.0)])
+def test_coefficient_p_values_equal_scipy_stats(n, p, scale):
+    rng = np.random.default_rng(n + p)
+    X = rng.standard_normal((n, p))
+    y = X @ rng.uniform(-1.0, 1.0, p) + scale * rng.standard_normal(n)
+    m = fit_ols(DesignMatrix.from_arrays(X, y))
+    for _, _, _, t, pval in coefficient_table(m):
+        assert pval == 2.0 * float(stats.t.sf(abs(t), m.n - m.rank))
+
+
+def _f_line(m):
+    r = m.rank
+    tss = float(np.sum((m.design.y - m.design.y.mean()) ** 2))
+    f_val = ((tss - m.rss) / (r - 1)) / m.sigma2
+    want = _format_p(float(stats.f.sf(f_val, r - 1, m.n - r)))
+    return f"F-statistic: {f_val:.4g} on {r - 1} and {m.n - r} DF, p-value: {want}"
+
+
+@pytest.mark.parametrize("n, p, scale", [(9, 2, 3.0), (60, 3, 1.0), (500, 4, 0.1)])
+def test_format_summary_f_p_value_equals_scipy_stats(n, p, scale):
+    rng = np.random.default_rng(n * p)
+    X = rng.standard_normal((n, p))
+    y = 0.3 * X.sum(axis=1) + scale * rng.standard_normal(n)
+    m = fit_ols(DesignMatrix.from_arrays(X, y))
+    assert _f_line(m) in format_summary(m).splitlines()
+
+
+def test_format_summary_f_p_value_when_tss_minus_rss_rounds_negative():
+    # x orthogonal to the centered response: tss - rss is zero and rounds
+    # to -1.8e-15 here, where the F survival function is still 1
+    rng = np.random.default_rng(3)
+    y, x = rng.standard_normal(8), rng.standard_normal(8)
+    yc, xc = y - y.mean(), x - x.mean()
+    m = fit_ols(DesignMatrix.from_arrays(xc - (xc @ yc) / (yc @ yc) * yc, y))
+    assert float(np.sum((y - y.mean()) ** 2)) - m.rss < 0.0
+    line = _f_line(m)
+    assert line.endswith("p-value: 1") and line in format_summary(m).splitlines()

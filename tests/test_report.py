@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from regsel import DesignMatrix, fit_ols, influence_flags
@@ -70,6 +71,17 @@ def test_qq_symmetry_for_symmetric_residuals(tmp_path):
     np.testing.assert_allclose(theo, -theo[::-1], atol=1e-12)     # (i-0.5)/n points
     observed = np.array([float(r[1]) for r in rows])
     assert abs(np.median(observed)) < 0.2
+
+
+@pytest.mark.parametrize("n", [5, 400, 1301])
+def test_qq_quantiles_equal_scipy_stats(tmp_path, n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    m = fit_ols(DesignMatrix.from_arrays(x, 1.0 + x + rng.standard_normal(n), names=["x"]))
+    qq = next(p for p in residual_diagnostics(m, tmp_path) if p.name.endswith("qq.tsv"))
+    _, rows = _read_tsv(qq)
+    theo = np.array([float(r[0]) for r in rows])
+    assert np.array_equal(theo, stats.norm.ppf((np.arange(1, n + 1) - 0.5) / n))
 
 
 def test_qq_matches_normal_at_kolmogorov_bound(tmp_path):

@@ -172,6 +172,17 @@ def test_write_table_round_trip(tmp_path):
     assert tables_equal(t, back)
 
 
+def test_write_table_cells(tmp_path):
+    t = make_table(
+        ["id", "x", "f", "y"],
+        ["id", "numeric", "factor", "response"],
+        [[7, 8, 9], [0.1 + 0.2, math.nan, -2.0], ["a", None, "b c"], [1e-300, 2.5, math.nan]],
+    )
+    path = write_table(t, tmp_path / "t.csv")
+    assert path.read_bytes() == (b"id,x,f,y\r\n7,0.30000000000000004,a,1e-300\r\n"
+                                 b"8,NA,NA,2.5\r\n9,-2.0,b c,NA\r\n")
+
+
 # ---------------------------------------------------------------------------
 # drop_sparse_columns
 # ---------------------------------------------------------------------------
