@@ -2,21 +2,23 @@
 
 Each replication draws one random train/test split that every candidate
 model shares and scores the mean squared prediction error on the held-out
-rows.  No training split is refit: each distinct candidate is factored once
-on the full data, and its held-out errors follow from the multi-row
-deletion identity e_(T) = e_T + Q_T (I - Q_TᵀQ_T)⁻¹ Q_Tᵀ e_T (see
-:class:`_Candidate`).  A candidate whose full-data QR is rank deficient, or
-whose training Gram is near singular in a replication, takes the exact
-pivoted refit on the training rows instead; those replications are counted
-in the result's ``exact_refits``.
+rows.  No training split is refit: nested candidates C₁ ⊂ … ⊂ C_m form a
+chain that is factored once on the full data, and each member's held-out
+errors follow from the multi-row deletion identity
+e_(T) = e_T + Q_T (I - Q_TᵀQ_T)⁻¹ Q_Tᵀ e_T, with one Gram and one Cholesky
+factor per chain and replication (see :class:`_Chain`).  A training split
+that holds out every row of a factor level leaves that level's dummy all
+zero; the member is then solved with the dummy dropped, and the held-out
+rows of the level predict at the reference level.  Those replications are
+counted in the result's ``reduced_solves`` and the rows in its
+``unseen_level_rows``.  Only a candidate whose full-data QR is rank
+deficient, or whose reduced training Gram is still near singular, takes the
+exact pivoted refit; those replications are counted in ``exact_refits``.
 
 Reproducibility is the design driver: replication i's split comes from a
 counter-based Philox stream keyed by (seed, i), so the MSPE vectors are a
 pure function of (data, config): bitwise identical across runs and
-replication-count extensions.  Training splits that alias a factor dummy
-column (a level unseen in training) fall back to the reference-level
-encoding for the affected held-out rows; those rows are counted in the
-result's audit.
+replication-count extensions.
 """
 
 from __future__ import annotations
@@ -128,7 +130,9 @@ class CVResult:
     fell back to the reference level because a factor level was absent from
     the training split.  ``exact_refits`` counts, per model, the
     replications that took the exact pivoted refit instead of the deletion
-    identity (empty when not recorded).
+    identity, and ``reduced_solves`` those solved by the deletion identity
+    with the dummies of training-absent levels dropped (both empty when not
+    recorded).
     """
 
     labels: tuple
@@ -136,6 +140,7 @@ class CVResult:
     config: CVConfig
     unseen_level_rows: tuple
     exact_refits: tuple = ()
+    reduced_solves: tuple = ()
 
     @property
     def rmspe(self) -> np.ndarray:
@@ -169,69 +174,144 @@ def five_number_summary(v) -> FiveNumberSummary:
 # ---------------------------------------------------------------------------
 
 
-class _Candidate:
-    """One distinct column block: its full-data QR and its exact fallback.
+class _Chain:
+    """Nested candidates C₁ ⊂ … ⊂ C_m that share one full-data QR.
 
-    With the full-data factorization X = QR (Q is n x p with orthonormal
-    columns) and full-data residuals e, deleting the test rows T from the
-    fit gives the held-out errors
+    The chain's columns are ordered member by member (C₁'s columns, then
+    C₂'s new ones, and so on) and factored once, unpivoted: X = QR with Q
+    n x p and orthonormal columns.  Member j owns the leading k_j columns of
+    Q and its own full-data residuals e_j = y - Q_{:k_j}Q_{:k_j}ᵀy.  Deleting
+    the test rows T from its fit gives the held-out errors
 
         e_(T) = e_T + Q_T (I - Q_TᵀQ_T)⁻¹ Q_Tᵀ e_T,
 
-    the multi-row form of the PRESS identity (Cook & Weisberg 1982).
-    I - Q_TᵀQ_T is the training rows' Gram Q_trainᵀQ_train, so a replication
-    costs a gather of the test rows of Q, one p x p Gram and a Cholesky
-    factor-and-solve; no training split is refit.
+    the multi-row form of the PRESS identity (Cook & Weisberg 1982), with Q
+    cut to member j's columns.  I - Q_TᵀQ_T is the training rows' Gram, and
+    the Cholesky factor of its leading k_j x k_j block is the leading block
+    of its Cholesky factor, so a replication costs one gather of the test
+    rows of Q, one p x p Gram and one ``potrf`` for the whole chain, plus a
+    pair of triangular solves; no training split is refit.
 
-    The exact path refits the training rows with the pivoted rank-revealing
-    solver, so aliased columns (an all-zero dummy from a factor level unseen
-    in training, or exact collinearity) predict at the reference level.  A
-    candidate takes it in every replication when its full-data QR is rank
-    deficient (|R_kk| < RANK_TRIGGER * |R_00|), and in a replication whose
-    training Gram is not positive definite or has a squared Cholesky pivot
-    below PIVOT_FLOOR (the Gram's diagonal is at most 1).
+    Member j is usable in a replication when ``potrf`` got past its k_j
+    leading pivots (info is 0 or greater than k_j) and none of their squares
+    is below PIVOT_FLOOR (the Gram's diagonal is at most 1).  Usability is
+    monotone in k_j, so the usable members are a leading run of the chain.
+
+    A member that is not usable takes :meth:`fallback`.  Its usual cause is
+    a factor dummy that is all zero on the training rows (every row of a
+    level is held out): the member is then solved on a one-member chain of
+    its columns minus those dummies, built on first use and cached, and the
+    held-out rows carrying a dropped dummy predict at the reference level.
+    Only when that reduced Gram fails the floor too, or no dummy is absent,
+    is the member refit exactly by the pivoted solver.  Column sets whose
+    full-data pivoted QR is rank deficient (|R_kk| < RANK_TRIGGER * |R_00|)
+    join no chain and are refit in every replication.
     """
 
     RANK_TRIGGER = 1e-8
     PIVOT_FLOOR = 1e-6
 
-    def __init__(self, design: DesignMatrix):
-        self.X = np.ascontiguousarray(design.X)
-        self.y = design.y
-        self.factor_cols = np.asarray(
-            [c for t in design.terms if t.kind == "factor" for c in t.columns],
-            dtype=np.intp)
-        qr = qr_block(self.X, self.RANK_TRIGGER)
-        self.q = None
-        if qr.rank == self.X.shape[1]:
-            self.q = np.ascontiguousarray(qr.q)
-            self.e = self.y - self.q @ (self.q.T @ self.y)
-            self._potrf, self._potrs = linalg.get_lapack_funcs(("potrf", "potrs"), (self.q,))
+    def __init__(self, X, y, members, dummies):
+        order = list(dict.fromkeys(c for cols in members for c in cols))    # member by member
+        self.X, self.y = X, y           # the whole design; members are tuples of its columns
+        self.members = members
+        self.dummies = dummies
+        self.sizes = np.array([len(cols) for cols in members])
+        q = linalg.qr(X[:, order], mode="economic", overwrite_a=True)[0]
+        self.q = q = np.ascontiguousarray(q)
+        self.e = np.column_stack([_residuals(q[:, :k], y) for k in self.sizes])
+        self.keep = (np.arange(q.shape[1])[:, None] < self.sizes).astype(np.float64)
+        self.eye = np.eye(q.shape[1])
+        self._syrk = linalg.get_blas_funcs("syrk", (q,))
+        self._potrf, self._trtrs = linalg.get_lapack_funcs(("potrf", "trtrs"), (q,))
+        self._reduced = {}              # reduced column tuple -> its one-member chain
 
-    def _deletion_errors(self, test):
-        """Held-out errors by the deletion identity, or None if the Gram is near singular."""
-        qt, et = self.q[test], self.e[test]
-        gram = qt.T @ qt
-        gram *= -1.0
-        gram.flat[:: gram.shape[0] + 1] += 1.0
+    @classmethod
+    def build(cls, X, y, column_sets, dummies):
+        """(chains, rank-deficient column sets) from distinct column sets.
+
+        Full-rank sets join chains greedily by size: each joins the first
+        chain whose largest member it contains, or starts a new one.
+        """
+        deficient, groups = [], []
+        for cols in sorted(column_sets, key=len):
+            if qr_block(X[:, cols], cls.RANK_TRIGGER).rank < len(cols):
+                deficient.append(cols)
+                continue
+            for group in groups:
+                if set(group[-1]) <= set(cols):
+                    group.append(cols)
+                    break
+            else:
+                groups.append([cols])
+        return [cls(X, y, group, dummies) for group in groups], deficient
+
+    def mspe(self, test):
+        """MSPEs of the chain's leading usable members on one split (maybe none)."""
+        qt = np.take(self.q, test, axis=0)
+        et = np.take(self.e, test, axis=0)
+        gram = self._syrk(-1.0, qt.T, beta=1.0, c=self.eye)     # upper triangle of I - Q_TᵀQ_T
         chol, info = self._potrf(gram, overwrite_a=True, clean=False)
-        if info != 0 or np.diag(chol).min() ** 2 < self.PIVOT_FLOOR:
-            return None
-        z, _ = self._potrs(chol, qt.T @ et)
-        return et + qt @ z
+        pivots = np.diag(chol)
+        used = self.sizes.size
+        if info or pivots.min() ** 2 < self.PIVOT_FLOOR:        # not every member is usable
+            ok = np.minimum.accumulate(pivots ** 2) >= self.PIVOT_FLOOR
+            if info:
+                ok[info - 1:] = False   # potrf stopped at pivot `info`
+            used = np.count_nonzero(ok[self.sizes - 1])
+            if not used:
+                return np.empty(0)
+        k = self.sizes[used - 1]
+        u = chol[:, :k]                 # its leading k x k triangle, read in place
+        et = et[:, :used]
+        w, _ = self._trtrs(u, qt[:, :k].T @ et, trans=1)
+        if used > 1:
+            w *= self.keep[:k, :used]   # member j's solve keeps its k_j leading rows
+        z, _ = self._trtrs(u, w)
+        err = et + qt[:, :k] @ z
+        return (err.T @ err).diagonal() / test.size
 
-    def mspe(self, train, test):
-        """(MSPE, unseen-level held-out rows, whether the exact path ran)."""
-        err = None if self.q is None else self._deletion_errors(test)
-        if err is not None:
-            return float(err @ err) / err.size, 0, False
-        coef, aliased = pivoted_effective_coef(self.X[train], self.y[train])
-        err = self.y[test] - self.X[test] @ coef
-        unseen = 0
-        hit = self.factor_cols[aliased[self.factor_cols]]
-        if hit.size:
-            unseen = int(np.count_nonzero(self.X[np.ix_(test, hit)].any(axis=1)))
-        return float(err @ err) / err.size, unseen, True
+    def fallback(self, j, train, test):
+        """(MSPE, unseen-level held-out rows, reduced?) of member j on one split."""
+        cols = np.asarray(self.members[j])
+        dummies = cols[np.isin(cols, self.dummies)]
+        absent = dummies[~self.X[np.ix_(train, dummies)].any(axis=0)]
+        if absent.size:
+            key = tuple(cols[~np.isin(cols, absent)])
+            reduced = self._reduced.get(key)
+            if reduced is None:
+                reduced = self._reduced[key] = _Chain(self.X, self.y, [key], self.dummies)
+            got = reduced.mspe(test)
+            if got.size:
+                unseen = np.count_nonzero(self.X[np.ix_(test, absent)].any(axis=1))
+                return float(got[0]), int(unseen), True
+        return (*_pivoted_refit(self.X, self.y, cols, self.dummies, train, test), False)
+
+
+def _columns(design: DesignMatrix, terms) -> tuple:
+    """The design columns of the intercept and ``terms``, in design order."""
+    return tuple(sorted({0, *(c for name in terms for c in design.term(name).columns)}))
+
+
+def _residuals(q, y):
+    """y - QQᵀy, projected twice: its rounding error scales with the residuals, not with y."""
+    e = y - q @ (q.T @ y)
+    return e - q @ (q.T @ e)
+
+
+def _pivoted_refit(X, y, cols, dummies, train, test):
+    """(MSPE, unseen-level held-out rows) of the exact pivoted refit on the training rows.
+
+    Aliased columns (an all-zero dummy of a level unseen in training, or an
+    exact collinearity) get coefficient zero, so rows carrying an aliased
+    dummy predict at the reference level.
+    """
+    cols = np.asarray(cols, dtype=np.intp)
+    coef, aliased = pivoted_effective_coef(X[np.ix_(train, cols)], y[train])
+    err = y[test] - X[np.ix_(test, cols)] @ coef
+    hit = cols[aliased & np.isin(cols, dummies)]
+    unseen = np.count_nonzero(X[np.ix_(test, hit)].any(axis=1)) if hit.size else 0
+    return float(err @ err) / err.size, int(unseen)
 
 
 def mc_cross_validate(design: DesignMatrix, config: CVConfig) -> CVResult:
@@ -240,7 +320,8 @@ def mc_cross_validate(design: DesignMatrix, config: CVConfig) -> CVResult:
     Every replication uses one shared train/test split across candidates;
     the training size is round-half-to-even(train_fraction * n).  Candidates
     with the same column set are solved once per replication and get
-    bit-identical MSPE columns.  The result is a pure function of
+    bit-identical MSPE columns; nested candidates share one factorization
+    per chain (see :class:`_Chain`).  The result is a pure function of
     (design, config).
     """
     if config.replications < 1:
@@ -255,31 +336,45 @@ def mc_cross_validate(design: DesignMatrix, config: CVConfig) -> CVResult:
         raise ValueError(f"training size {n_train} leaves no held-out rows (n={n})")
 
     labels = tuple(lab for lab, _ in config.models)
-    subdesigns = [design.subset_terms(terms) for _, terms in config.models]
-    max_cols = max(c.n_cols for c in subdesigns)
+    keys = [_columns(design, terms) for _, terms in config.models]
+    max_cols = max(len(cols) for cols in keys)
     if n_train < max_cols + 1:
         raise ValueError(
             f"training size {n_train} is too small for the largest candidate "
             f"({max_cols} columns); need at least {max_cols + 1}")
-    slots = {}                  # column names -> the first candidate with them
-    for sub in subdesigns:
-        slots.setdefault(sub.column_names, sub)
-    keys = list(slots)
-    candidates = [_Candidate(slots[key]) for key in keys]
-    slot_of = [keys.index(sub.column_names) for sub in subdesigns]
+    X, y = design.X, design.y
+    dummies = np.asarray([c for t in design.terms if t.kind == "factor" for c in t.columns],
+                         dtype=np.intp)
+    chains, deficient = _Chain.build(X, y, list(dict.fromkeys(keys)), dummies)
+    # internal columns: each chain's members in order, then the rank-deficient sets
+    starts = np.cumsum([0] + [chain.sizes.size for chain in chains]).tolist()
+    column = {cols: k for k, cols in enumerate(
+        [cols for chain in chains for cols in chain.members] + deficient)}
 
     reps = config.replications
-    mspe = np.empty((reps, len(candidates)))
-    unseen = np.zeros(len(candidates), dtype=np.int64)
-    exact = np.zeros(len(candidates), dtype=np.int64)
+    mspe = np.empty((reps, len(column)))
+    unseen = np.zeros(len(column), dtype=np.int64)
+    exact = np.zeros(len(column), dtype=np.int64)
+    reduced = np.zeros(len(column), dtype=np.int64)
     for i, (train, test) in enumerate(_replication_splits(config.seed, reps, n, n_train)):
-        for j, cand in enumerate(candidates):
-            mspe[i, j], u, x = cand.mspe(train, test)
-            unseen[j] += u
-            exact[j] += x
+        row = mspe[i]
+        for chain, start in zip(chains, starts):
+            got = chain.mspe(test)
+            row[start:start + got.size] = got
+            for j in range(got.size, chain.sizes.size):
+                row[start + j], u, r = chain.fallback(j, train, test)
+                unseen[start + j] += u
+                reduced[start + j] += r
+                exact[start + j] += not r
+        for k, cols in enumerate(deficient, start=starts[-1]):
+            row[k], u = _pivoted_refit(X, y, cols, dummies, train, test)
+            unseen[k] += u
+            exact[k] += 1
+    slot_of = [column[cols] for cols in keys]
     return CVResult(labels=labels, mspe=mspe[:, slot_of], config=config,
                     unseen_level_rows=tuple(int(unseen[j]) for j in slot_of),
-                    exact_refits=tuple(int(exact[j]) for j in slot_of))
+                    exact_refits=tuple(int(exact[j]) for j in slot_of),
+                    reduced_solves=tuple(int(reduced[j]) for j in slot_of))
 
 
 # ---------------------------------------------------------------------------

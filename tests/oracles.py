@@ -216,6 +216,20 @@ def refit_cv_mspe(design: DesignMatrix, config) -> np.ndarray:
     return out
 
 
+def unseen_level_rows(labels, config) -> np.ndarray:
+    """Per replication, the held-out rows whose factor level no training row carries."""
+    labels = np.asarray(labels)
+    n = labels.size
+    n_train = round(config.train_fraction * n)
+    out = np.zeros(config.replications, dtype=np.int64)
+    for i in range(config.replications):
+        in_train = np.zeros(n, dtype=bool)
+        in_train[replication_split(config.seed, i, n, n_train)[0]] = True
+        out[i] = sum(np.count_nonzero(labels == level) for level in np.unique(labels)
+                     if not in_train[labels == level].any())
+    return out
+
+
 def random_design(rng, n, p, names=None) -> DesignMatrix:
     X = rng.standard_normal((n, p))
     beta = rng.standard_normal(p)

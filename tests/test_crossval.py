@@ -11,10 +11,10 @@ from regsel import (
     write_mspe_dump,
     write_mspe_summary,
 )
-from regsel.crossval import _replication_splits
+from regsel.crossval import _Chain, _columns, _replication_splits
 from regsel.table import RawTable, encode_design
 
-from oracles import random_design, refit_cv_mspe
+from oracles import random_design, refit_cv_mspe, unseen_level_rows
 
 
 def noisy_design(rng, n=60, p=4, sigma=1.0):
@@ -22,6 +22,24 @@ def noisy_design(rng, n=60, p=4, sigma=1.0):
     beta = np.arange(1, p + 1, dtype=float)
     y = 2.0 + X @ beta + sigma * rng.standard_normal(n)
     return DesignMatrix.from_arrays(X, y)
+
+
+def factor_design(rng, labels, p=3):
+    """Numeric terms x1..xp and a factor f carrying ``labels`` (reference level "a")."""
+    labels = np.asarray(labels, dtype=object)
+    n = labels.size
+    x = rng.standard_normal((n, p))
+    y = 1.0 + x @ rng.standard_normal(p) + 2.0 * (labels != "a") + rng.standard_normal(n)
+    names = ["id", *(f"x{j + 1}" for j in range(p)), "f", "y"]
+    roles = ["id", *["numeric"] * p, "factor", "response"]
+    return encode_design(RawTable.build(names, roles, [np.arange(n), *x.T, labels, y]))
+
+
+def chain_members(design, config):
+    """The design columns of each chain's members and of the rank-deficient sets."""
+    keys = list(dict.fromkeys(_columns(design, terms) for _, terms in config.models))
+    chains, deficient = _Chain.build(design.X, design.y, keys, np.empty(0, dtype=np.intp))
+    return [chain.members for chain in chains], deficient
 
 
 def config_for(design, reps=40, terms=None, **kwargs):
@@ -167,7 +185,7 @@ def test_deletion_identity_matches_refits_on_nested_candidates():
         assert np.array_equal(res.column("full"), res.column("same"))
 
 
-def test_two_row_factor_level_is_refit_exactly_when_both_rows_are_held_out():
+def test_two_row_factor_level_takes_a_reduced_solve_when_both_rows_are_held_out():
     rng = np.random.default_rng(94)
     n, reps, seed = 60, 200, 3
     labels = np.array(["a", "b"] * 29 + ["rare"] * 2, dtype=object)
@@ -185,8 +203,96 @@ def test_two_row_factor_level_is_refit_exactly_when_both_rows_are_held_out():
     unseen_reps = sum(not np.isin(rare, replication_split(seed, i, n, round(0.8 * n))[0]).any()
                       for i in range(reps))
     assert unseen_reps > 0
-    assert res.exact_refits == (0, unseen_reps)
+    assert res.exact_refits == (0, 0)
+    assert res.reduced_solves == (0, unseen_reps)
     assert res.unseen_level_rows == (0, 2 * unseen_reps)
+
+
+def test_nested_member_that_is_not_a_design_prefix_shares_the_chain():
+    rng = np.random.default_rng(96)
+    d = random_design(rng, 50, 4)
+    cfg = CVConfig.for_models({"outer": ("x1", "x2", "x3", "x4"), "inner": ("x3", "x1")},
+                              replications=40, seed=5)
+    assert chain_members(d, cfg) == ([[(0, 1, 3), (0, 1, 2, 3, 4)]], [])
+    res = mc_cross_validate(d, cfg)
+    np.testing.assert_allclose(res.mspe, refit_cv_mspe(d, cfg), rtol=1e-10, atol=0)
+    assert res.exact_refits == (0, 0) and res.reduced_solves == (0, 0)
+
+
+def test_incomparable_candidates_form_separate_chains():
+    rng = np.random.default_rng(97)
+    d = random_design(rng, 45, 4)
+    cfg = CVConfig.for_models({"a": ("x1",), "ab": ("x1", "x2"), "c": ("x3",), "cd": ("x3", "x4")},
+                              replications=40, seed=6)
+    assert chain_members(d, cfg) == ([[(0, 1), (0, 1, 2)], [(0, 3), (0, 3, 4)]], [])
+    res = mc_cross_validate(d, cfg)
+    np.testing.assert_allclose(res.mspe, refit_cv_mspe(d, cfg), rtol=1e-10, atol=0)
+    assert res.exact_refits == (0, 0, 0, 0) and res.reduced_solves == (0, 0, 0, 0)
+
+
+def test_rank_deficient_largest_member_leaves_the_chain_to_the_smaller_ones():
+    rng = np.random.default_rng(98)
+    X = rng.standard_normal((50, 3))
+    X = np.column_stack([X, X[:, 1]])       # x4 duplicates x2
+    y = 1.0 + X[:, :3] @ np.array([1.0, 2.0, -1.0]) + rng.standard_normal(50)
+    d = DesignMatrix.from_arrays(X, y)
+    cfg = CVConfig.for_models({"small": ("x1",), "mid": ("x1", "x2"), "dup": d.term_names},
+                              replications=30, seed=7)
+    assert chain_members(d, cfg) == ([[(0, 1), (0, 1, 2)]], [(0, 1, 2, 3, 4)])
+    res = mc_cross_validate(d, cfg)
+    np.testing.assert_allclose(res.mspe, refit_cv_mspe(d, cfg), rtol=1e-10, atol=0)
+    assert res.exact_refits == (0, 0, 30)
+    assert res.reduced_solves == (0, 0, 0)
+
+
+def test_rare_level_in_the_smallest_member_takes_reduced_solves_along_the_chain():
+    rng = np.random.default_rng(99)
+    labels = np.array(["a", "b"] * 24 + ["rare"] * 2)
+    rng.shuffle(labels)
+    d = factor_design(rng, labels)
+    cfg = CVConfig.for_models({"small": ("f",), "mid": ("f", "x1"), "full": ("f", "x1", "x2", "x3")},
+                              replications=200, seed=8)
+    res = mc_cross_validate(d, cfg)
+    np.testing.assert_allclose(res.mspe, refit_cv_mspe(d, cfg), rtol=1e-10, atol=0)
+    unseen = unseen_level_rows(labels, cfg)
+    reps = int(np.count_nonzero(unseen))
+    assert reps > 0
+    assert res.exact_refits == (0, 0, 0)
+    assert res.reduced_solves == (reps, reps, reps)
+    assert res.unseen_level_rows == (int(unseen.sum()),) * 3
+
+
+def test_two_rare_levels_held_out_together_are_both_dropped():
+    rng = np.random.default_rng(100)
+    labels = np.array(["a", "b"] * 17 + ["r1", "r1", "r2"])
+    rng.shuffle(labels)
+    d = factor_design(rng, labels, p=2)
+    cfg = CVConfig.for_models({"numeric": ("x1", "x2"), "factor": ("x1", "x2", "f")},
+                              replications=400, seed=9)
+    res = mc_cross_validate(d, cfg)
+    np.testing.assert_allclose(res.mspe, refit_cv_mspe(d, cfg), rtol=1e-10, atol=0)
+    unseen = unseen_level_rows(labels, cfg)
+    assert (unseen == 3).any()               # both rare levels held out in one replication
+    assert res.exact_refits == (0, 0)
+    assert res.reduced_solves == (0, int(np.count_nonzero(unseen)))
+    assert res.unseen_level_rows == (0, int(unseen.sum()))
+
+
+def test_numeric_column_zero_on_the_training_rows_is_refit_exactly():
+    rng = np.random.default_rng(101)
+    n, reps = 40, 300
+    X = rng.standard_normal((n, 3))
+    X[2:, 2] = 0.0                          # x3 is nonzero on two rows only, and is no dummy
+    y = 1.0 + X @ np.array([1.0, -1.0, 3.0]) + rng.standard_normal(n)
+    d = DesignMatrix.from_arrays(X, y)
+    cfg = CVConfig.for_models({"small": ("x1",), "full": d.term_names}, replications=reps, seed=4)
+    res = mc_cross_validate(d, cfg)
+    np.testing.assert_allclose(res.mspe, refit_cv_mspe(d, cfg), rtol=1e-10, atol=0)
+    both_held_out = sum(not np.isin([0, 1], replication_split(4, i, n, 32)[0]).any()
+                        for i in range(reps))
+    assert both_held_out > 0
+    assert res.exact_refits == (0, both_held_out)
+    assert res.reduced_solves == (0, 0) and res.unseen_level_rows == (0, 0)
 
 
 def test_rank_deficient_candidate_is_refit_exactly_every_replication():

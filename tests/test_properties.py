@@ -1,4 +1,4 @@
-"""Property tests of the checkpoint format, the OLS core and VIF pruning.
+"""Property tests of the checkpoint format, the OLS core, VIF pruning and CV.
 
 Random tables check that the pipeline's checkpoint format (``write_table``
 and ``write_schema``, read back by ``read_schema`` and ``load_table``)
@@ -6,7 +6,8 @@ reproduces every cell.  For the OLS core each example draws a design shape
 and a seed for its values.  Designs with one exactly duplicated column and
 factors check the rank/leverage identity and the PRESS = leave-one-out
 identity; designs with near-collinear columns check VIFs and the prune
-trail against auxiliary regressions.
+trail against auxiliary regressions.  Nested candidate sets over a factor
+with rare levels check Monte Carlo CV against literal refits.
 """
 
 import math
@@ -17,9 +18,11 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from regsel import (DesignMatrix, RawTable, encode_design, fit_ols, load_table, press_residuals,
-                    read_schema, vif_prune, write_schema, write_table)
-from oracles import loo_predictions, prune_by_auxiliary_regression
+from regsel import (CVConfig, DesignMatrix, RawTable, encode_design, fit_ols, load_table,
+                    mc_cross_validate, press_residuals, read_schema, vif_prune, write_schema,
+                    write_table)
+from oracles import (loo_predictions, prune_by_auxiliary_regression, refit_cv_mspe,
+                     unseen_level_rows)
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
@@ -168,3 +171,42 @@ def test_vif_prune_matches_auxiliary_regression(design):
     assert report.values.keys() == values.keys()
     for name, want in values.items():
         assert_vifs_agree(report.values[name], want)
+
+
+@st.composite
+def nested_cv_problems(draw):
+    """A design whose factor f has common levels a and b and one to three
+    rare levels of one or two rows, and candidates that are nested prefixes
+    of a random term order."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(30, 60))
+    rare = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    rng = np.random.default_rng(seed)
+    common = n - sum(rare)
+    labels = np.array(["a", "b"] * (common // 2) + ["a"] * (common % 2)
+                      + [f"r{k}" for k, rows in enumerate(rare) for _ in range(rows)])
+    labels = labels[rng.permutation(n)]
+    X = rng.standard_normal((n, p))
+    y = 1.0 + X @ rng.standard_normal(p) + (labels != "a") + rng.standard_normal(n)
+    names = ["id", *(f"x{j + 1}" for j in range(p)), "f", "y"]
+    roles = ["id", *["numeric"] * p, "factor", "response"]
+    design = encode_design(RawTable.build(names, roles, [np.arange(n), *X.T, labels, y]))
+    order = draw(st.permutations(design.term_names))
+    sizes = sorted(draw(st.sets(st.integers(1, len(order)), min_size=1)))
+    models = {f"m{k}": tuple(order[:k]) for k in sizes}
+    config = CVConfig.for_models(models, replications=30, seed=draw(st.integers(0, 1000)))
+    return design, labels, config
+
+
+@PROPERTY_SETTINGS
+@given(nested_cv_problems())
+def test_nested_cv_matches_refits_with_rare_levels(problem):
+    design, labels, config = problem
+    res = mc_cross_validate(design, config)
+    np.testing.assert_allclose(res.mspe, refit_cv_mspe(design, config), rtol=1e-10, atol=0)
+    unseen = unseen_level_rows(labels, config)
+    has_f = ["f" in terms for _, terms in config.models]
+    assert res.exact_refits == (0,) * len(has_f)
+    assert res.reduced_solves == tuple(int(np.count_nonzero(unseen)) * f for f in has_f)
+    assert res.unseen_level_rows == tuple(int(unseen.sum()) * f for f in has_f)
