@@ -2,18 +2,20 @@
 
 Each replication draws one random train/test split that every candidate
 model shares and scores the mean squared prediction error on the held-out
-rows.  No training split is refit: nested candidates C₁ ⊂ … ⊂ C_m form a
-chain that is factored once on the full data, and each member's held-out
-errors follow from the multi-row deletion identity
+rows.  Each candidate is fit on the columns that both the full data and the
+training rows can estimate.  No training split is refit: candidates are cut
+to the columns :func:`~regsel.ols.fit_ols` keeps on the full data, nested
+ones C₁ ⊂ … ⊂ C_m form a chain that is factored once, and each member's
+held-out errors follow from the multi-row deletion identity
 e_(T) = e_T + Q_T (I - Q_TᵀQ_T)⁻¹ Q_Tᵀ e_T, with one Gram and one Cholesky
-factor per chain and replication (see :class:`_Chain`).  A training split
-that holds out every row of a factor level leaves that level's dummy all
-zero; the member is then solved with the dummy dropped, and the held-out
-rows of the level predict at the reference level.  Those replications are
-counted in the result's ``reduced_solves`` and the rows in its
-``unseen_level_rows``.  Only a candidate whose full-data QR is rank
-deficient, or whose reduced training Gram is still near singular, takes the
-exact pivoted refit; those replications are counted in ``exact_refits``.
+factor per chain and replication (see :class:`_Chain`).  A split whose
+training rows leave a column all zero (the dummy of a held-out level) or
+lack the reference level is solved as encoding the training rows alone
+would: with that column dropped, and the first level with a training row as
+the reference.  Held-out rows of an absent level predict at the reference
+level.  Those replications are counted in ``reduced_solves`` and those rows
+in ``unseen_level_rows``; only a reduced Gram that is still near singular
+takes the exact pivoted refit, counted in ``exact_refits``.
 
 Reproducibility is the design driver: replication i's split comes from a
 counter-based Philox stream keyed by (seed, i), so the MSPE vectors are a
@@ -30,7 +32,7 @@ import numpy as np
 from scipy import linalg
 
 from .influence import interpolated_quantile
-from .ols import pivoted_effective_coef, qr_block
+from .ols import pivoted_effective_coef, qr_block, residualize
 from .table import DesignMatrix
 
 __all__ = [
@@ -131,8 +133,8 @@ class CVResult:
     the training split.  ``exact_refits`` counts, per model, the
     replications that took the exact pivoted refit instead of the deletion
     identity, and ``reduced_solves`` those solved by the deletion identity
-    with the dummies of training-absent levels dropped (both empty when not
-    recorded).
+    with the columns the training rows cannot estimate dropped (both empty
+    when not recorded).
     """
 
     labels: tuple
@@ -177,11 +179,12 @@ def five_number_summary(v) -> FiveNumberSummary:
 class _Chain:
     """Nested candidates C₁ ⊂ … ⊂ C_m that share one full-data QR.
 
-    The chain's columns are ordered member by member (C₁'s columns, then
-    C₂'s new ones, and so on) and factored once, unpivoted: X = QR with Q
-    n x p and orthonormal columns.  Member j owns the leading k_j columns of
-    Q and its own full-data residuals e_j = y - Q_{:k_j}Q_{:k_j}ᵀy.  Deleting
-    the test rows T from its fit gives the held-out errors
+    Members are column sets of full rank (see :func:`_columns`).  The
+    chain's columns are ordered member by member (C₁'s columns, then C₂'s
+    new ones, and so on) and factored once, unpivoted: X = QR with Q n x p
+    and orthonormal columns.  Member j owns the leading k_j columns of Q and
+    its own full-data residuals e_j = y - Q_{:k_j}Q_{:k_j}ᵀy.  Deleting the
+    test rows T from its fit gives the held-out errors
 
         e_(T) = e_T + Q_T (I - Q_TᵀQ_T)⁻¹ Q_Tᵀ e_T,
 
@@ -197,29 +200,22 @@ class _Chain:
     is below PIVOT_FLOOR (the Gram's diagonal is at most 1).  Usability is
     monotone in k_j, so the usable members are a leading run of the chain.
 
-    A member that is not usable takes :meth:`fallback`.  Its usual cause is
-    a factor dummy that is all zero on the training rows (every row of a
-    level is held out): the member is then solved on a one-member chain of
-    its columns minus those dummies, built on first use and cached, and the
-    held-out rows carrying a dropped dummy predict at the reference level.
-    Only when that reduced Gram fails the floor too, or no dummy is absent,
-    is the member refit exactly by the pivoted solver.  Column sets whose
-    full-data pivoted QR is rank deficient (|R_kk| < RANK_TRIGGER * |R_00|)
-    join no chain and are refit in every replication.
+    A member that is not usable takes :meth:`fallback`: it is solved on the
+    columns the training rows can estimate (see :func:`_training_columns`),
+    on a one-member chain built on first use and cached.  Only when that
+    reduced Gram fails the floor too is it refit exactly on those columns.
     """
 
-    RANK_TRIGGER = 1e-8
     PIVOT_FLOOR = 1e-6
 
-    def __init__(self, X, y, members, dummies):
+    def __init__(self, X, y, members):
         order = list(dict.fromkeys(c for cols in members for c in cols))    # member by member
         self.X, self.y = X, y           # the whole design; members are tuples of its columns
         self.members = members
-        self.dummies = dummies
         self.sizes = np.array([len(cols) for cols in members])
         q = linalg.qr(X[:, order], mode="economic", overwrite_a=True)[0]
         self.q = q = np.ascontiguousarray(q)
-        self.e = np.column_stack([_residuals(q[:, :k], y) for k in self.sizes])
+        self.e = np.column_stack([residualize(q[:, :k], y) for k in self.sizes])
         self.keep = (np.arange(q.shape[1])[:, None] < self.sizes).astype(np.float64)
         self.eye = np.eye(q.shape[1])
         self._syrk = linalg.get_blas_funcs("syrk", (q,))
@@ -227,24 +223,19 @@ class _Chain:
         self._reduced = {}              # reduced column tuple -> its one-member chain
 
     @classmethod
-    def build(cls, X, y, column_sets, dummies):
-        """(chains, rank-deficient column sets) from distinct column sets.
-
-        Full-rank sets join chains greedily by size: each joins the first
-        chain whose largest member it contains, or starts a new one.
-        """
-        deficient, groups = [], []
+    def build(cls, X, y, column_sets):
+        """Chains of the distinct column sets, formed greedily by size: each
+        set joins the first chain whose largest member it contains, or
+        starts a new one."""
+        groups = []
         for cols in sorted(column_sets, key=len):
-            if qr_block(X[:, cols], cls.RANK_TRIGGER).rank < len(cols):
-                deficient.append(cols)
-                continue
             for group in groups:
                 if set(group[-1]) <= set(cols):
                     group.append(cols)
                     break
             else:
                 groups.append([cols])
-        return [cls(X, y, group, dummies) for group in groups], deficient
+        return [cls(X, y, group) for group in groups]
 
     def mspe(self, test):
         """MSPEs of the chain's leading usable members on one split (maybe none)."""
@@ -271,47 +262,69 @@ class _Chain:
         err = et + qt[:, :k] @ z
         return (err.T @ err).diagonal() / test.size
 
-    def fallback(self, j, train, test):
+    def fallback(self, j, train, test, sparse, factors):
         """(MSPE, unseen-level held-out rows, reduced?) of member j on one split."""
-        cols = np.asarray(self.members[j])
-        dummies = cols[np.isin(cols, self.dummies)]
-        absent = dummies[~self.X[np.ix_(train, dummies)].any(axis=0)]
-        if absent.size:
-            key = tuple(cols[~np.isin(cols, absent)])
-            reduced = self._reduced.get(key)
+        cols, unseen = _training_columns(self.X, self.members[j], train, test, sparse, factors)
+        if len(cols) < self.sizes[j]:
+            reduced = self._reduced.get(cols)
             if reduced is None:
-                reduced = self._reduced[key] = _Chain(self.X, self.y, [key], self.dummies)
+                reduced = self._reduced[cols] = _Chain(self.X, self.y, [cols])
             got = reduced.mspe(test)
             if got.size:
-                unseen = np.count_nonzero(self.X[np.ix_(test, absent)].any(axis=1))
-                return float(got[0]), int(unseen), True
-        return (*_pivoted_refit(self.X, self.y, cols, self.dummies, train, test), False)
+                return float(got[0]), unseen, True
+        return _pivoted_refit(self.X, self.y, cols, train, test), unseen, False
 
 
 def _columns(design: DesignMatrix, terms) -> tuple:
-    """The design columns of the intercept and ``terms``, in design order."""
-    return tuple(sorted({0, *(c for name in terms for c in design.term(name).columns)}))
+    """The design columns of the intercept and ``terms`` that :func:`fit_ols`
+    keeps on the full data (``pivot[:rank]`` of their QR), in design order."""
+    cols = np.array(sorted({0, *(c for name in terms for c in design.term(name).columns)}))
+    qr = qr_block(design.X[:, cols])
+    return tuple(cols[np.sort(qr.pivot[:qr.rank])].tolist())
 
 
-def _residuals(q, y):
-    """y - QQᵀy, projected twice: its rounding error scales with the residuals, not with y."""
-    e = y - q @ (q.T @ y)
-    return e - q @ (q.T @ e)
+def _factor_levels(design: DesignMatrix) -> list:
+    """(dummy columns, level code per row, rows per level) of each factor; 0 is the reference."""
+    out = []
+    for t in design.terms:
+        if t.kind == "factor":
+            dummies = np.asarray(t.columns)
+            codes = (design.X[:, dummies] @ np.arange(1.0, dummies.size + 1)).astype(np.intp)
+            out.append((dummies, codes, np.bincount(codes, minlength=dummies.size + 1)))
+    return out
 
 
-def _pivoted_refit(X, y, cols, dummies, train, test):
-    """(MSPE, unseen-level held-out rows) of the exact pivoted refit on the training rows.
+def _training_columns(X, cols, train, test, sparse, factors):
+    """(columns, unseen-level held-out rows) of ``cols`` as the training rows
+    alone would encode them.
 
-    Aliased columns (an all-zero dummy of a level unseen in training, or an
-    exact collinearity) get coefficient zero, so rows carrying an aliased
-    dummy predict at the reference level.
+    Drops every column that is zero on all training rows (only ``sparse``
+    ones, with at most n - n_train nonzeros, can be) and, for a factor whose
+    reference rows (those no dummy in ``cols`` marks) have no training row,
+    the dummy of its first level with one, which becomes the reference.
+    Held-out rows of a level with no training row predict at the reference.
     """
-    cols = np.asarray(cols, dtype=np.intp)
-    coef, aliased = pivoted_effective_coef(X[np.ix_(train, cols)], y[train])
+    cols = np.asarray(cols)
+    maybe = cols[np.isin(cols, sparse)]
+    drop = maybe[~X[np.ix_(train, maybe)].any(axis=0)].tolist()
+    unseen = 0
+    for dummies, codes, counts in factors:
+        mine = np.isin(dummies, cols)
+        if mine.any():
+            held = np.bincount(codes[test], minlength=counts.size)
+            trained = held < counts     # levels with a training row
+            unseen += int(held[~trained].sum())
+            if not (trained & np.r_[True, ~mine]).any():
+                drop.append(dummies[np.argmax(trained[1:] & mine)])
+    return tuple(cols[~np.isin(cols, drop)].tolist()), unseen
+
+
+def _pivoted_refit(X, y, cols, train, test) -> float:
+    """MSPE of the exact pivoted refit of ``cols`` on the training rows; an
+    aliased column gets coefficient zero."""
+    coef, _ = pivoted_effective_coef(X[np.ix_(train, cols)], y[train])
     err = y[test] - X[np.ix_(test, cols)] @ coef
-    hit = cols[aliased & np.isin(cols, dummies)]
-    unseen = np.count_nonzero(X[np.ix_(test, hit)].any(axis=1)) if hit.size else 0
-    return float(err @ err) / err.size, int(unseen)
+    return float(err @ err) / err.size
 
 
 def mc_cross_validate(design: DesignMatrix, config: CVConfig) -> CVResult:
@@ -319,7 +332,7 @@ def mc_cross_validate(design: DesignMatrix, config: CVConfig) -> CVResult:
 
     Every replication uses one shared train/test split across candidates;
     the training size is round-half-to-even(train_fraction * n).  Candidates
-    with the same column set are solved once per replication and get
+    with the same estimable columns are solved once per replication and get
     bit-identical MSPE columns; nested candidates share one factorization
     per chain (see :class:`_Chain`).  The result is a pure function of
     (design, config).
@@ -343,38 +356,27 @@ def mc_cross_validate(design: DesignMatrix, config: CVConfig) -> CVResult:
             f"training size {n_train} is too small for the largest candidate "
             f"({max_cols} columns); need at least {max_cols + 1}")
     X, y = design.X, design.y
-    dummies = np.asarray([c for t in design.terms if t.kind == "factor" for c in t.columns],
-                         dtype=np.intp)
-    chains, deficient = _Chain.build(X, y, list(dict.fromkeys(keys)), dummies)
-    # internal columns: each chain's members in order, then the rank-deficient sets
+    sparse = np.flatnonzero(np.count_nonzero(X, axis=0) <= n - n_train)
+    factors = _factor_levels(design)
+    chains = _Chain.build(X, y, list(dict.fromkeys(keys)))
     starts = np.cumsum([0] + [chain.sizes.size for chain in chains]).tolist()
-    column = {cols: k for k, cols in enumerate(
-        [cols for chain in chains for cols in chain.members] + deficient)}
+    column = {cols: k for k, cols in enumerate(cols for chain in chains for cols in chain.members)}
 
     reps = config.replications
     mspe = np.empty((reps, len(column)))
-    unseen = np.zeros(len(column), dtype=np.int64)
-    exact = np.zeros(len(column), dtype=np.int64)
-    reduced = np.zeros(len(column), dtype=np.int64)
+    tally = np.zeros((3, len(column)), dtype=np.int64)     # unseen rows, reduced, exact
     for i, (train, test) in enumerate(_replication_splits(config.seed, reps, n, n_train)):
         row = mspe[i]
         for chain, start in zip(chains, starts):
             got = chain.mspe(test)
             row[start:start + got.size] = got
             for j in range(got.size, chain.sizes.size):
-                row[start + j], u, r = chain.fallback(j, train, test)
-                unseen[start + j] += u
-                reduced[start + j] += r
-                exact[start + j] += not r
-        for k, cols in enumerate(deficient, start=starts[-1]):
-            row[k], u = _pivoted_refit(X, y, cols, dummies, train, test)
-            unseen[k] += u
-            exact[k] += 1
+                row[start + j], unseen, reduced = chain.fallback(j, train, test, sparse, factors)
+                tally[:, start + j] += (unseen, reduced, not reduced)
     slot_of = [column[cols] for cols in keys]
-    return CVResult(labels=labels, mspe=mspe[:, slot_of], config=config,
-                    unseen_level_rows=tuple(int(unseen[j]) for j in slot_of),
-                    exact_refits=tuple(int(exact[j]) for j in slot_of),
-                    reduced_solves=tuple(int(reduced[j]) for j in slot_of))
+    unseen, reduced, exact = (tuple(counts[slot_of].tolist()) for counts in tally)
+    return CVResult(labels=labels, mspe=mspe[:, slot_of], config=config, unseen_level_rows=unseen,
+                    exact_refits=exact, reduced_solves=reduced)
 
 
 # ---------------------------------------------------------------------------

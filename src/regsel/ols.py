@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from scipy import linalg, special
 
-from .table import DesignMatrix
+from .table import DesignMatrix, model_formula
 
 __all__ = [
     "FittedModel",
@@ -137,6 +137,12 @@ def qr_block(X: np.ndarray, rank_tol: float = RANK_TOL) -> BlockQR:
         raise ValueError("design matrix is identically zero")
     rank = int(np.sum(diag >= rank_tol * diag[0]))
     return BlockQR(q=Q[:, :rank], r=R[:rank, :rank], pivot=piv, rank=rank)
+
+
+def residualize(q: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """a - QQᵀa, projected twice: its rounding error scales with the result, not with a."""
+    e = a - q @ (q.T @ a)
+    return e - q @ (q.T @ e)
 
 
 def _solve(qr: BlockQR, y: np.ndarray):
@@ -330,8 +336,6 @@ def format_summary(model: FittedModel, k: float = 2.0) -> str:
     response = model.design.response_name
     if model.transform == "log":
         response = f"log({response})"
-    from .table import model_formula
-
     name_w = max(len(r_[0]) for r_ in rows)
     lines = [f"Formula: {model_formula(model.design.term_names, response)}", "", "Coefficients:"]
     header = f"{'':{name_w}}  {'Estimate':>12}  {'Std. Error':>12}  {'t value':>8}  {'Pr(>|t|)':>10}"

@@ -96,26 +96,22 @@ class RunConfig:
         return Scope(k=self.k_penalty)
 
 
-_BOOL_FIELDS = {"factor_auto", "log_refit", "emit_svg"}
-_INT_FIELDS = {"max_factor_levels", "cv_replications", "cv_seed", "cv_workers",
-               "top_m_full", "top_m_selected"}
-_FLOAT_FIELDS = {"na_ratio", "vstar", "k_penalty", "cv_train_fraction"}
-_TUPLE_FIELDS = {"factor_columns", "modes", "exclude_rows"}
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def _parse_value(name: str, raw: str):
+    """Parse a config value as the type of the field's default (text when None)."""
     raw = raw.split("#", 1)[0].strip()    # allow trailing comments
-    if name in _BOOL_FIELDS:
+    kind = type(_DEFAULTS[name])
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"config key '{name}' expects true/false, got {raw!r}")
-    if name in _INT_FIELDS:
-        return int(raw)
-    if name in _FLOAT_FIELDS:
-        return float(raw)
-    if name in _TUPLE_FIELDS:
+    if kind in (int, float):
+        return kind(raw)
+    if kind is tuple:
         items = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
         if name == "exclude_rows":
             return tuple(int(tok) for tok in items)
@@ -134,7 +130,6 @@ def read_config(path, overrides: dict | None = None) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    known = {f.name for f in fields(RunConfig)}
     values: dict = {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
@@ -144,7 +139,7 @@ def read_config(path, overrides: dict | None = None) -> RunConfig:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in _DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
         values[key] = _parse_value(key, val)
     if overrides:

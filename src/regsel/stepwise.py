@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .influence import dffits, press_residuals
-from .ols import FittedModel, aic_selection_value, fit_ols, fit_statistics
+from .ols import FittedModel, aic_selection_value, fit_ols, fit_statistics, residualize
 from .table import DesignMatrix, model_formula
 
 __all__ = [
@@ -225,8 +225,7 @@ def _score_moves(design: DesignMatrix, model: FittedModel, legal, k: float, tss:
     added = [design.term(t).columns for d, t in legal if d == "add"]
     if added:
         G = design.X[:, [c for cols in added for c in cols]]
-        Z = G - qr.q @ (qr.q.T @ G)
-        Z -= qr.q @ (qr.q.T @ Z)        # second pass restores orthogonality
+        Z = residualize(qr.q, G)
         g_norm = np.sqrt(np.einsum("ij,ij->j", G, G))
         z_norm = np.sqrt(np.einsum("ij,ij->j", Z, Z))
         z_r = Z.T @ model.residuals

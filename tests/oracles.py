@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from regsel import DesignMatrix, fit_ols, fit_statistics, predict, replication_split
+from regsel import (DesignMatrix, RawTable, encode_design, fit_ols, fit_statistics, predict,
+                    replication_split)
 from regsel.influence import VIF_COLLINEAR
 from regsel.ols import aic_selection_value
 
@@ -212,6 +213,39 @@ def refit_cv_mspe(design: DesignMatrix, config) -> np.ndarray:
         for j, X in enumerate(mats):
             coef = np.linalg.lstsq(X[train], design.y[train], rcond=None)[0]
             err = design.y[test] - X[test] @ coef
+            out[i, j] = float(err @ err) / err.size
+    return out
+
+
+def reencoded_cv_mspe(table: RawTable, config) -> np.ndarray:
+    """Monte Carlo CV that encodes each training split on its own: replications x models MSPE.
+
+    Each replication's training rows are rebuilt as a ``RawTable`` and
+    encoded by ``encode_design``, so a factor keeps only the levels with a
+    training row and its reference is the first of them.  Every candidate
+    is fit on those columns with ``numpy.linalg.lstsq``.  A held-out row is
+    encoded against the training levels: one of a level no training row
+    carries gets zero in every dummy and predicts at the reference level.
+    """
+    y = table.column(table.response_name)
+    n = y.size
+    n_train = round(config.train_fraction * n)
+    out = np.empty((config.replications, len(config.models)))
+    for i in range(config.replications):
+        train, test = replication_split(config.seed, i, n, n_train)
+        fit_rows = encode_design(RawTable.build(
+            table.names, table.roles, [c[train] for c in table.columns], levels=table.levels))
+        for j, (_, terms) in enumerate(config.models):
+            design = fit_rows.subset_terms(terms)
+            held = [np.ones(test.size)]
+            for term in design.terms:
+                values = table.column(term.name)[test]
+                if term.kind == "factor":
+                    held += [(values == level).astype(float) for level in term.levels[1:]]
+                else:
+                    held.append(values)
+            coef = np.linalg.lstsq(design.X, design.y, rcond=None)[0]
+            err = y[test] - np.column_stack(held) @ coef
             out[i, j] = float(err @ err) / err.size
     return out
 

@@ -5,8 +5,10 @@ from regsel import (
     CVConfig,
     DesignMatrix,
     emit_mspe_boxplot_data,
+    fit_ols,
     five_number_summary,
     mc_cross_validate,
+    predict,
     replication_split,
     write_mspe_dump,
     write_mspe_summary,
@@ -14,7 +16,7 @@ from regsel import (
 from regsel.crossval import _Chain, _columns, _replication_splits
 from regsel.table import RawTable, encode_design
 
-from oracles import random_design, refit_cv_mspe, unseen_level_rows
+from oracles import random_design, reencoded_cv_mspe, refit_cv_mspe, unseen_level_rows
 
 
 def noisy_design(rng, n=60, p=4, sigma=1.0):
@@ -24,22 +26,25 @@ def noisy_design(rng, n=60, p=4, sigma=1.0):
     return DesignMatrix.from_arrays(X, y)
 
 
-def factor_design(rng, labels, p=3):
-    """Numeric terms x1..xp and a factor f carrying ``labels`` (reference level "a")."""
+def factor_table(rng, labels, p=3):
+    """Numeric columns x1..xp and a factor f carrying ``labels`` (reference level "a")."""
     labels = np.asarray(labels, dtype=object)
     n = labels.size
     x = rng.standard_normal((n, p))
     y = 1.0 + x @ rng.standard_normal(p) + 2.0 * (labels != "a") + rng.standard_normal(n)
     names = ["id", *(f"x{j + 1}" for j in range(p)), "f", "y"]
     roles = ["id", *["numeric"] * p, "factor", "response"]
-    return encode_design(RawTable.build(names, roles, [np.arange(n), *x.T, labels, y]))
+    return RawTable.build(names, roles, [np.arange(n), *x.T, labels, y])
+
+
+def factor_design(rng, labels, p=3):
+    return encode_design(factor_table(rng, labels, p))
 
 
 def chain_members(design, config):
-    """The design columns of each chain's members and of the rank-deficient sets."""
+    """The design columns of each chain's members."""
     keys = list(dict.fromkeys(_columns(design, terms) for _, terms in config.models))
-    chains, deficient = _Chain.build(design.X, design.y, keys, np.empty(0, dtype=np.intp))
-    return [chain.members for chain in chains], deficient
+    return [chain.members for chain in _Chain.build(design.X, design.y, keys)]
 
 
 def config_for(design, reps=40, terms=None, **kwargs):
@@ -213,7 +218,7 @@ def test_nested_member_that_is_not_a_design_prefix_shares_the_chain():
     d = random_design(rng, 50, 4)
     cfg = CVConfig.for_models({"outer": ("x1", "x2", "x3", "x4"), "inner": ("x3", "x1")},
                               replications=40, seed=5)
-    assert chain_members(d, cfg) == ([[(0, 1, 3), (0, 1, 2, 3, 4)]], [])
+    assert chain_members(d, cfg) == [[(0, 1, 3), (0, 1, 2, 3, 4)]]
     res = mc_cross_validate(d, cfg)
     np.testing.assert_allclose(res.mspe, refit_cv_mspe(d, cfg), rtol=1e-10, atol=0)
     assert res.exact_refits == (0, 0) and res.reduced_solves == (0, 0)
@@ -224,13 +229,13 @@ def test_incomparable_candidates_form_separate_chains():
     d = random_design(rng, 45, 4)
     cfg = CVConfig.for_models({"a": ("x1",), "ab": ("x1", "x2"), "c": ("x3",), "cd": ("x3", "x4")},
                               replications=40, seed=6)
-    assert chain_members(d, cfg) == ([[(0, 1), (0, 1, 2)], [(0, 3), (0, 3, 4)]], [])
+    assert chain_members(d, cfg) == [[(0, 1), (0, 1, 2)], [(0, 3), (0, 3, 4)]]
     res = mc_cross_validate(d, cfg)
     np.testing.assert_allclose(res.mspe, refit_cv_mspe(d, cfg), rtol=1e-10, atol=0)
     assert res.exact_refits == (0, 0, 0, 0) and res.reduced_solves == (0, 0, 0, 0)
 
 
-def test_rank_deficient_largest_member_leaves_the_chain_to_the_smaller_ones():
+def test_rank_deficient_largest_member_joins_the_chain_on_its_estimable_columns():
     rng = np.random.default_rng(98)
     X = rng.standard_normal((50, 3))
     X = np.column_stack([X, X[:, 1]])       # x4 duplicates x2
@@ -238,10 +243,10 @@ def test_rank_deficient_largest_member_leaves_the_chain_to_the_smaller_ones():
     d = DesignMatrix.from_arrays(X, y)
     cfg = CVConfig.for_models({"small": ("x1",), "mid": ("x1", "x2"), "dup": d.term_names},
                               replications=30, seed=7)
-    assert chain_members(d, cfg) == ([[(0, 1), (0, 1, 2)]], [(0, 1, 2, 3, 4)])
+    assert chain_members(d, cfg) == [[(0, 1), (0, 1, 2), (0, 1, 2, 3)]]     # x4 is not estimable
     res = mc_cross_validate(d, cfg)
     np.testing.assert_allclose(res.mspe, refit_cv_mspe(d, cfg), rtol=1e-10, atol=0)
-    assert res.exact_refits == (0, 0, 30)
+    assert res.exact_refits == (0, 0, 0)
     assert res.reduced_solves == (0, 0, 0)
 
 
@@ -278,7 +283,7 @@ def test_two_rare_levels_held_out_together_are_both_dropped():
     assert res.unseen_level_rows == (0, int(unseen.sum()))
 
 
-def test_numeric_column_zero_on_the_training_rows_is_refit_exactly():
+def test_numeric_column_zero_on_the_training_rows_is_dropped():
     rng = np.random.default_rng(101)
     n, reps = 40, 300
     X = rng.standard_normal((n, 3))
@@ -291,11 +296,11 @@ def test_numeric_column_zero_on_the_training_rows_is_refit_exactly():
     both_held_out = sum(not np.isin([0, 1], replication_split(4, i, n, 32)[0]).any()
                         for i in range(reps))
     assert both_held_out > 0
-    assert res.exact_refits == (0, both_held_out)
-    assert res.reduced_solves == (0, 0) and res.unseen_level_rows == (0, 0)
+    assert res.exact_refits == (0, 0)
+    assert res.reduced_solves == (0, both_held_out) and res.unseen_level_rows == (0, 0)
 
 
-def test_rank_deficient_candidate_is_refit_exactly_every_replication():
+def test_rank_deficient_candidate_shares_the_solve_of_its_estimable_columns():
     rng = np.random.default_rng(95)
     X = rng.standard_normal((50, 3))
     X = np.column_stack([X, X[:, 1]])       # an exact duplicate of x2
@@ -304,7 +309,69 @@ def test_rank_deficient_candidate_is_refit_exactly_every_replication():
     cfg = CVConfig.for_models({"dup": d.term_names, "clean": d.term_names[:3]}, replications=25)
     res = mc_cross_validate(d, cfg)
     np.testing.assert_allclose(res.mspe, refit_cv_mspe(d, cfg), rtol=1e-10, atol=0)
-    assert res.exact_refits == (25, 0)
+    assert np.array_equal(res.column("dup"), res.column("clean"))
+    assert res.exact_refits == (0, 0)
+
+
+def test_columns_collinear_on_the_training_rows_take_the_exact_refit():
+    rng = np.random.default_rng(102)
+    n, reps = 40, 300
+    X = rng.standard_normal((n, 3))
+    X[:, 2] = X[:, 0] + 0.5 * X[:, 1]
+    X[:2, 2] += 1.0                         # x3 leaves the span of x1 and x2 on two rows only
+    y = 1.0 + X @ np.array([1.0, -1.0, 2.0]) + rng.standard_normal(n)
+    d = DesignMatrix.from_arrays(X, y)
+    cfg = CVConfig.for_models({"small": ("x1",), "full": d.term_names}, replications=reps, seed=4)
+    res = mc_cross_validate(d, cfg)
+    splits = [replication_split(4, i, n, 32) for i in range(reps)]
+    collinear = np.array([not np.isin([0, 1], train).any() for train, _ in splits])
+    assert collinear.any()
+    assert res.exact_refits == (0, int(np.count_nonzero(collinear)))
+    assert res.reduced_solves == (0, 0)
+    for i in np.flatnonzero(collinear):     # the pivoted refit is fit_ols on the training rows
+        train, test = splits[i]
+        err = d.y[test] - predict(fit_ols(d.take_rows(train)), d.take_rows(test))
+        assert res.column("full")[i] == pytest.approx(float(err @ err) / err.size, rel=1e-10)
+    np.testing.assert_allclose(res.mspe[~collinear], refit_cv_mspe(d, cfg)[~collinear],
+                               rtol=1e-10, atol=0)
+
+
+def test_held_out_reference_level_makes_the_first_training_level_the_reference():
+    rng = np.random.default_rng(2)
+    labels = np.array(["a"] * 2 + ["b", "c"] * 24, dtype=object)
+    rng.shuffle(labels)
+    table = factor_table(rng, labels)
+    cfg = CVConfig.for_models({"numeric": ("x1", "x2", "x3"), "factor": ("x1", "x2", "x3", "f")},
+                              replications=200, seed=3)
+    res = mc_cross_validate(encode_design(table), cfg)
+    np.testing.assert_allclose(res.mspe, reencoded_cv_mspe(table, cfg), rtol=1e-10, atol=0)
+    unseen = unseen_level_rows(labels, cfg)
+    assert np.count_nonzero(unseen) == 7     # both "a" rows held out
+    assert res.exact_refits == (0, 0)
+    assert res.reduced_solves == (0, 7)
+    assert res.unseen_level_rows == (0, int(unseen.sum()))
+
+
+def test_design_without_its_reference_rows_re_references_each_split():
+    rng = np.random.default_rng(5)
+    labels = np.array(["a"] + ["b"] * 45 + ["c"] * 2, dtype=object)
+    rng.shuffle(labels)
+    # the only "a" row is excluded: in the full data the dummies of b and c sum to the intercept
+    d = factor_design(rng, labels, p=2).drop_rows(np.flatnonzero(labels == "a"))
+    labels = labels[labels != "a"]
+    cfg = CVConfig.for_models({"numeric": ("x1", "x2"), "factor": ("x1", "x2", "f")},
+                              replications=300, seed=2)
+    res = mc_cross_validate(d, cfg)
+    unseen = unseen_level_rows(labels, cfg)
+    only_b = unseen > 0                     # both "c" rows held out: every training row is "b"
+    assert np.count_nonzero(only_b) == 8
+    assert res.exact_refits == (0, 0)
+    assert res.reduced_solves == (0, 8)
+    assert res.unseen_level_rows == (0, int(unseen.sum()))
+    # a factor with one training level adds nothing; otherwise the fit is the lstsq refit
+    np.testing.assert_allclose(res.column("factor")[only_b], res.column("numeric")[only_b],
+                               rtol=1e-10, atol=0)
+    np.testing.assert_allclose(res.mspe[~only_b], refit_cv_mspe(d, cfg)[~only_b], rtol=1e-10, atol=0)
 
 
 def test_config_validation():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,16 @@ def test_defaults_are_the_reference_protocol():
     assert cfg.cv_seed == 20883271
     assert cfg.modes == ("forward", "backward", "both")
     assert cfg.log_refit is True
+
+
+def test_every_config_field_parses_back_to_its_default():
+    for f in fields(RunConfig):
+        if f.default is None:
+            assert pipeline._parse_value(f.name, "x.csv") == "x.csv", f.name
+            continue
+        raw = ",".join(map(str, f.default)) if isinstance(f.default, tuple) else str(f.default)
+        got = pipeline._parse_value(f.name, raw)
+        assert type(got) is type(f.default) and got == f.default, f.name
 
 
 def test_read_config_resolves_and_overrides(dataset_dir):
