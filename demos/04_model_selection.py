@@ -8,7 +8,7 @@ search converge and compare what the three final models look like.
 
 import numpy as np
 
-from regsel import DesignMatrix, Scope, compare_models, fit_ols, step_select
+from regsel import DesignMatrix, Scope, compare_models, fit_ols, step_select_modes
 
 rng = np.random.default_rng(11)
 n = 200
@@ -17,10 +17,9 @@ y = 2.0 + 1.2 * X[:, 1] - 1.8 * X[:, 4] + 0.9 * X[:, 8] + rng.standard_normal(n)
 design = DesignMatrix.from_arrays(X, y, response_name="outcome")
 
 scope = Scope(k=2.0)      # intercept-only lower model, every term in the upper model
-traces = {}
-for mode in ("forward", "backward", "both"):
-    trace = step_select(design, scope, mode=mode)
-    traces[mode] = trace
+# the three searches run in lockstep and share the models they have in common
+traces = step_select_modes(design, scope, ("forward", "backward", "both"))
+for mode, trace in traces.items():
     print(f"== {mode} (start: {len(trace.start)} terms) ==")
     for mv in trace.moves:
         print(f"  {mv.direction:6s} {mv.term:4s}   AIC {mv.aic_before:9.3f} -> {mv.aic_after:9.3f}")

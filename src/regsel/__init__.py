@@ -60,6 +60,7 @@ from .stepwise import (
     compare_models,
     format_trace,
     step_select,
+    step_select_modes,
 )
 from .crossval import (
     CVConfig,

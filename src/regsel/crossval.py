@@ -388,8 +388,8 @@ def write_mspe_dump(result: CVResult, path) -> Path:
     """Raw MSPE dump: one row per replication, one column per model."""
     path = Path(path)
     lines = ["replication\t" + "\t".join(result.labels)]
-    for i in range(result.mspe.shape[0]):
-        lines.append(str(i + 1) + "\t" + "\t".join(repr(float(v)) for v in result.mspe[i]))
+    for i, row in enumerate(result.mspe.tolist(), start=1):
+        lines.append(f"{i}\t" + "\t".join(map(repr, row)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

@@ -29,7 +29,7 @@ from . import report as rpt
 from .crossval import CVConfig, emit_mspe_boxplot_data, mc_cross_validate, write_mspe_dump, write_mspe_summary
 from .influence import influence_flags, vif, vif_prune
 from .ols import fit_ols, refit_log_response, write_summary
-from .stepwise import COMPARISON_ROWS, MODES, ComparisonTable, Scope, compare_models, format_trace, step_select
+from .stepwise import COMPARISON_ROWS, MODES, ComparisonTable, Scope, compare_models, format_trace, step_select_modes
 from .table import DesignMatrix, coerce_to_factor, drop_incomplete_rows, drop_sparse_columns, encode_design, load_table, merge_by_id, read_schema, write_schema, write_table
 
 __all__ = ["RunConfig", "PipelineError", "ReportBundle", "run_pipeline", "run_stage",
@@ -353,8 +353,9 @@ def _select_into(cfg: RunConfig, design: DesignMatrix, out: Path) -> list:
     scope = cfg.scope()
     selected = {}
     paths = []
+    traces = step_select_modes(design, scope, cfg.modes)
     for mode in cfg.modes:
-        trace = step_select(design, scope, mode=mode)
+        trace = traces[mode]
         selected[mode] = list(trace.final_terms)
         trace_path = out / f"trace_{mode}.tsv"
         trace_path.write_text(format_trace(trace), encoding="utf-8")

@@ -28,6 +28,8 @@ refits beyond the best-scored move are counted in ``exact_refits``.
 Forward search starts from the scope's lower model, backward from the upper
 model.  Both-direction search also starts from the upper model by default;
 pass ``start=scope.lower`` for the textbook intercept-only start.
+:func:`step_select_modes` runs several modes in lockstep, so modes that
+stand at the same model share its scores and their candidate refits.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "Move",
     "SelectionTrace",
     "step_select",
+    "step_select_modes",
     "ComparisonTable",
     "compare_models",
     "format_trace",
@@ -149,65 +152,122 @@ def step_select(design: DesignMatrix, scope: Scope | None = None, mode: str = "f
         Ordered add/remove moves with the AIC before and after each, the
         fitted final model, and a log of any skipped candidate fits.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return step_select_modes(design, scope, (mode,), start=start)[mode]
+
+
+def step_select_modes(design: DesignMatrix, scope: Scope | None = None, modes=MODES,
+                      start=None) -> dict:
+    """Run several search modes on one design in lockstep: {mode: SelectionTrace}.
+
+    Each iteration advances every unfinished mode by one move.  Modes that
+    stand at the same term set are scored once, over the union of their
+    legal moves, and a candidate fit is shared by every mode that refits
+    it in the same iteration.  Both-direction search from the upper model
+    usually walks backward search's path move for move, so most of its
+    fits and scores come free.  Only the current iteration's fits are
+    kept, so memory does not grow with the length of the path.  Each trace
+    equals the one ``step_select`` returns for its mode alone; ``start``
+    applies to every mode.
+    """
+    for mode in modes:
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     scope = scope or Scope()
     lower, upper = scope.resolve(design)
+    lower_set, upper_set = set(lower), set(upper)
     order = {name: i for i, name in enumerate(design.term_names)}
-
-    if start is None:
-        start = lower if mode == "forward" else upper
-    start = tuple(sorted(set(start), key=order.get))
-    if not set(lower) <= set(start) <= set(upper):
-        raise ValueError("start model must lie within the scope")
-
-    current = set(start)
-    model, current_aic = _fit_terms(design, current, scope.k)
-    aic_start = current_aic
-    moves: list = []
-    skipped: list = []
-    exact_refits = 0
-
-    can_add = mode in ("forward", "both")
-    can_remove = mode in ("backward", "both")
-    upper_set, lower_set = set(upper), set(lower)
     y = design.y
     tss = float(np.sum((y - y.mean()) ** 2))
 
-    while True:
-        legal = []      # (direction, term) in design term order
-        for term in design.term_names:
-            if term in current:
-                if can_remove and term not in lower_set:
-                    legal.append(("remove", term))
-            elif can_add and term in upper_set:
-                legal.append(("add", term))
-        scores = _score_moves(design, model, legal, scope.k, tss)
-        ranked = [s for s in scores if s is not None]
-        cutoff = min(ranked) + SCORE_MARGIN if ranked else None
-        refit = [mv for mv, s in zip(legal, scores) if s is None or s <= cutoff]
-        exact_refits += len(refit) - bool(ranked)   # the best-scored move is not counted
-        best = None     # (aic, direction, term, model)
-        for direction, term in refit:
-            candidate = current - {term} if direction == "remove" else current | {term}
-            try:
-                cand_model, cand_aic = _fit_terms(design, candidate, scope.k)
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                skipped.append(f"{direction} {term}: {exc}")
-                continue
-            if best is None or cand_aic < best[0]:
-                best = (cand_aic, direction, term, cand_model)
-        if best is None or best[0] >= current_aic - TOL_AIC:
-            break
-        cand_aic, direction, term, cand_model = best
-        moves.append(Move(direction=direction, term=term,
-                          aic_before=current_aic, aic_after=cand_aic))
-        current = current - {term} if direction == "remove" else current | {term}
-        model, current_aic = cand_model, cand_aic
+    fits: dict = {}     # this iteration's fits: term set -> (model, aic) or the fit's error
 
-    return SelectionTrace(mode=mode, start=start, moves=tuple(moves), final=model,
-                          aic_start=aic_start, skipped=tuple(skipped),
-                          exact_refits=exact_refits)
+    def fit(terms: frozenset):
+        if terms not in fits:
+            try:
+                fits[terms] = _fit_terms(design, terms, scope.k)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                fits[terms] = exc
+        return fits[terms]
+
+    searches = []
+    for mode in dict.fromkeys(modes):
+        begin = start if start is not None else (lower if mode == "forward" else upper)
+        begin = tuple(sorted(set(begin), key=order.get))
+        if not lower_set <= set(begin) <= upper_set:
+            raise ValueError("start model must lie within the scope")
+        searches.append(_Search(mode, begin, fit))
+
+    active = searches
+    while active:
+        groups: dict = {}
+        for search in active:
+            groups.setdefault(search.current, []).append(search)
+        fits.clear()
+        for current, group in groups.items():
+            can_add = any(s.can_add for s in group)
+            can_remove = any(s.can_remove for s in group)
+            legal = []      # (direction, term) in design term order
+            for term in design.term_names:
+                if term in current:
+                    if can_remove and term not in lower_set:
+                        legal.append(("remove", term))
+                elif can_add and term in upper_set:
+                    legal.append(("add", term))
+            # every member's model is the same deterministic fit of this term set
+            scores = dict(zip(legal, _score_moves(design, group[0].model, legal, scope.k, tss)))
+            for search in group:
+                search.step(scores, fit)
+        active = [s for s in active if not s.done]
+    return {s.mode: s.trace() for s in searches}
+
+
+class _Search:
+    """One mode's walk: its current model and the moves, skips and refits so far."""
+
+    def __init__(self, mode: str, start: tuple, fit):
+        self.mode = mode
+        self.can_add = mode in ("forward", "both")
+        self.can_remove = mode in ("backward", "both")
+        self.start = start
+        self.current = frozenset(start)
+        fitted = fit(self.current)
+        if isinstance(fitted, Exception):
+            raise fitted
+        self.model, self.aic = fitted
+        self.aic_start = self.aic
+        self.moves: list = []
+        self.skipped: list = []
+        self.exact_refits = 0       # candidate refits beyond each iteration's best-scored move
+        self.done = False
+
+    def step(self, scores: dict, fit) -> None:
+        """Apply the best of this mode's moves in ``scores`` (move -> scored AIC,
+        None for must-refit), or stop when none beats the current model."""
+        legal = [mv for mv in scores if (self.can_add if mv[0] == "add" else self.can_remove)]
+        ranked = [scores[mv] for mv in legal if scores[mv] is not None]
+        cutoff = min(ranked) + SCORE_MARGIN if ranked else None
+        refit = [mv for mv in legal if scores[mv] is None or scores[mv] <= cutoff]
+        self.exact_refits += len(refit) - bool(ranked)  # the best-scored move is not counted
+        best = None     # (aic, move, term set, model)
+        for direction, term in refit:
+            candidate = self.current - {term} if direction == "remove" else self.current | {term}
+            fitted = fit(candidate)
+            if isinstance(fitted, Exception):
+                self.skipped.append(f"{direction} {term}: {fitted}")
+                continue
+            model, aic = fitted
+            if best is None or aic < best[0]:
+                best = (aic, Move(direction, term, self.aic, aic), candidate, model)
+        if best is None or best[0] >= self.aic - TOL_AIC:
+            self.done = True
+            return
+        self.aic, move, self.current, self.model = best
+        self.moves.append(move)
+
+    def trace(self) -> SelectionTrace:
+        return SelectionTrace(mode=self.mode, start=self.start, moves=tuple(self.moves),
+                              final=self.model, aic_start=self.aic_start,
+                              skipped=tuple(self.skipped), exact_refits=self.exact_refits)
 
 
 def _score_moves(design: DesignMatrix, model: FittedModel, legal, k: float, tss: float) -> list:
@@ -221,8 +281,12 @@ def _score_moves(design: DesignMatrix, model: FittedModel, legal, k: float, tss:
         return [None] * len(legal)
     w = qr.inverse_gram_rows()
     floor = max(NEAR_FLOOR * rss, NEAR_FLOOR ** 2 * tss)
+    own = {t.name: list(t.columns) for t in model.design.terms}
+    columns = {t.name: t.columns for t in design.terms}
+    # dropping one column j raises the RSS by β_j² / [(XᵀX)⁻¹]_jj
+    drop_one = rss + model.coef ** 2 / np.einsum("ij,ij->i", w, w)
 
-    added = [design.term(t).columns for d, t in legal if d == "add"]
+    added = [columns[t] for d, t in legal if d == "add"]
     if added:
         G = design.X[:, [c for cols in added for c in cols]]
         Z = residualize(qr.q, G)
@@ -233,13 +297,16 @@ def _score_moves(design: DesignMatrix, model: FittedModel, legal, k: float, tss:
     start = 0
     for direction, term in legal:
         if direction == "remove":
-            cols = list(model.design.term(term).columns)
-            beta = model.coef[cols]
-            block = w[cols] @ w[cols].T
-            new_rss = rss + float(beta @ np.linalg.solve(block, beta))
+            cols = own[term]
+            if len(cols) == 1:
+                new_rss = float(drop_one[cols[0]])
+            else:
+                beta = model.coef[cols]
+                block = w[cols] @ w[cols].T
+                new_rss = rss + float(beta @ np.linalg.solve(block, beta))
             new_rank = rank - len(cols)
         else:
-            m = len(design.term(term).columns)
+            m = len(columns[term])
             sl = slice(start, start + m)
             start += m
             scale = max(diag[0], g_norm[sl].max())

@@ -273,6 +273,21 @@ def _parse_numeric(token: str, name: str, row: int, lenient: bool) -> float:
     return value
 
 
+def _parse_numeric_column(raw: list, name: str, lenient: bool) -> np.ndarray:
+    """Parse a numeric column in one numpy call, which reads each token as
+    ``float()`` does.  A column with a missing, non-finite or unparsable cell
+    takes the per-cell path instead, so that cell gets its row's error."""
+    try:
+        values = np.array(raw, dtype=np.float64)
+    except ValueError:
+        pass
+    else:
+        if np.isfinite(values).all():
+            return values
+    return np.array([_parse_numeric(tok, name, i, lenient) for i, tok in enumerate(raw, start=1)],
+                    dtype=np.float64)
+
+
 def load_table(path, schema, delimiter: str = ",") -> RawTable:
     """Load a delimited text file (header row required) into a RawTable.
 
@@ -316,15 +331,13 @@ def load_table(path, schema, delimiter: str = ",") -> RawTable:
             raise ValueError(f"{path}: data row {i} has {len(row)} fields, expected {len(header)}")
 
     columns = []
-    for j, (name, role) in enumerate(zip(header, roles)):
-        raw = [rows[i][j].strip() for i in range(len(rows))]
+    for name, role, cells in zip(header, roles, zip(*rows)):
+        raw = [tok.strip() for tok in cells]
         if role in (ColumnRole.NUMERIC, ColumnRole.RESPONSE):
-            lenient = schema.is_lenient(name)
             try:
-                values = [_parse_numeric(tok, name, i + 1, lenient) for i, tok in enumerate(raw)]
+                columns.append(_parse_numeric_column(raw, name, schema.is_lenient(name)))
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
-            columns.append(np.array(values, dtype=np.float64))
         elif role is ColumnRole.ID:
             for i, tok in enumerate(raw, start=1):
                 if tok in MISSING_TOKENS:

@@ -11,7 +11,9 @@ from regsel import (
     format_trace,
     press_residuals,
     step_select,
+    step_select_modes,
 )
+from regsel.stepwise import MODES
 from oracles import best_subset_aic, exhaustive_step_check, refit_step_search
 
 
@@ -167,13 +169,18 @@ def factor_design(rng, n, p, n_factors):
     return encode_design(RawTable.build(names, roles, cols))
 
 
-def assert_matches_refit_search(d, mode, **kwargs):
-    """The scored search reproduces a search that refits every candidate, bit for bit."""
+def assert_matches_refit_search(d, mode, modes=MODES, **kwargs):
+    """The scored search reproduces a search that refits every candidate, bit for bit,
+    both alone and run in lockstep with ``modes``."""
     trace = step_select(d, mode=mode, **kwargs)
     moves, final_terms, skipped = refit_step_search(d, mode, **kwargs)
     assert [(m.direction, m.term, m.aic_before, m.aic_after) for m in trace.moves] == moves
     assert trace.final_terms == final_terms
     assert list(trace.skipped) == skipped
+    together = step_select_modes(d, modes=modes, **kwargs)[mode]
+    assert (together.start, together.aic_start, together.moves, together.final_terms) == \
+        (trace.start, trace.aic_start, trace.moves, trace.final_terms)
+    assert (together.skipped, together.exact_refits) == (trace.skipped, trace.exact_refits)
     return trace
 
 
@@ -184,6 +191,34 @@ def test_scored_search_matches_refit_oracle():
                           n_factors=int(rng.integers(0, 3)))
         for mode in ("forward", "backward", "both"):
             assert_matches_refit_search(d, mode)
+
+
+def test_lockstep_modes_share_the_fits_of_one_path(monkeypatch):
+    """Where backward and both-direction search walk one path, running them in
+    lockstep fits each model either fits alone, and shares every model both
+    fit.  (Both refits the model its last move left when undoing that move
+    scores best, alone or not: fits are kept for one iteration only.)"""
+    import regsel.stepwise as stepwise
+    rng = np.random.default_rng(78)
+    d = signal_design(rng, n=120, p=8)
+    fitted = []
+
+    def counting_fit_ols(design, *args, **kwargs):
+        fitted.append(design.term_names)
+        return fit_ols(design, *args, **kwargs)
+
+    def fits_of(search):
+        fitted.clear()
+        return search(), list(fitted)
+
+    monkeypatch.setattr(stepwise, "fit_ols", counting_fit_ols)
+    backward, backward_fits = fits_of(lambda: step_select(d, mode="backward"))
+    _, both_fits = fits_of(lambda: step_select(d, mode="both"))
+    traces, fits = fits_of(lambda: step_select_modes(d, modes=("backward", "both")))
+    assert backward.moves and traces["both"].moves == traces["backward"].moves == backward.moves
+    assert set(fits) == set(backward_fits) | set(both_fits)
+    assert len(fits) == len(both_fits) + len(set(backward_fits) - set(both_fits))
+    assert len(fits) < len(backward_fits) + len(both_fits)
 
 
 def test_well_conditioned_search_needs_no_extra_refits():
@@ -222,7 +257,7 @@ def test_candidate_without_residual_df_is_logged_as_skipped():
     X = rng.standard_normal((4, 3))
     y = 1.0 + 3.0 * X[:, 0] + 2.0 * X[:, 1] + 0.01 * rng.standard_normal(4)
     d = DesignMatrix.from_arrays(X, y)
-    trace = assert_matches_refit_search(d, "forward")
+    trace = assert_matches_refit_search(d, "forward", modes=("forward",))   # the upper model has no residual df
     assert [m.term for m in trace.moves] == ["x1", "x2"]
     assert trace.skipped == ("add x3: fit statistics undefined: no residual degrees of freedom",)
 

@@ -80,6 +80,31 @@ def test_load_rejects_non_finite_numbers(tmp_path, token, column):
                               "y": ColumnRole.RESPONSE}, lenient=frozenset({"x"})))
 
 
+@pytest.mark.parametrize("lenient", [False, True])
+def test_column_parse_matches_the_per_cell_parse(tmp_path, lenient):
+    from regsel.table import _parse_numeric
+    rng = np.random.default_rng(79)
+    doubles = rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)
+    tokens = [repr(float(v)) for v in doubles] + [
+        repr(0.1), repr(1 / 3), "-0.0", "4.9e-324", "2.5e-320", "1e308", "1_0", " nan", "inf",
+        "NA", "", "abc"]
+    schema = Schema({"ID": ColumnRole.ID, "x": ColumnRole.NUMERIC, "y": ColumnRole.RESPONSE},
+                    lenient=frozenset({"x"}) if lenient else frozenset())
+    f = tmp_path / "d.csv"
+    for column in ([*tokens[:40]], *(["0.25", tok, "-3.5"] for tok in tokens)):
+        f.write_text("ID,x,y\n" + "".join(f"{i},{c},{i}\n" for i, c in enumerate(column, start=1)))
+        try:
+            expected = np.array([_parse_numeric(c, "x", i, lenient)
+                                 for i, c in enumerate(column, start=1)])
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                load_table(f, schema)
+            assert str(info.value) == f"{f}: {exc}"
+            continue
+        got = load_table(f, schema).column("x")
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), column
+
+
 def test_design_matrix_rejects_non_finite_values():
     from regsel import DesignMatrix
     X = np.arange(12.0).reshape(6, 2)
