@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .pipeline import STAGES, PipelineError, read_config, run_stage
+from .pipeline import STAGES, PipelineError, _parse_value, read_config, run_stage
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,15 +31,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {}
-    if args.seed is not None:
-        overrides["cv_seed"] = args.seed
-    if args.exclude_rows is not None:
-        tokens = [tok.strip() for tok in args.exclude_rows.split(",") if tok.strip()]
-        overrides["exclude_rows"] = tuple(int(tok) for tok in tokens)
-    if args.out is not None:
-        overrides["out_dir"] = args.out
+    overrides = {"cv_seed": args.seed, "out_dir": args.out}
     try:
+        if args.exclude_rows is not None:
+            overrides["exclude_rows"] = _parse_value("exclude_rows", args.exclude_rows)
         cfg = read_config(args.config, overrides=overrides)
     except (OSError, ValueError) as exc:
         print(f"regsel: config error: {exc}", file=sys.stderr)

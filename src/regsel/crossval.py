@@ -97,6 +97,14 @@ class CVConfig:
     seed: int = 20883271
     workers: int = 1
 
+    def __post_init__(self):
+        if self.replications < 1:
+            raise ValueError(f"replications must be >= 1, got {self.replications}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+
     @classmethod
     def for_models(cls, models, **kwargs) -> "CVConfig":
         """Accept ``{label: terms}`` mappings or (label, terms) pairs."""
@@ -288,9 +296,8 @@ def _factor_levels(design: DesignMatrix) -> list:
     out = []
     for t in design.terms:
         if t.kind == "factor":
-            dummies = np.asarray(t.columns)
-            codes = (design.X[:, dummies] @ np.arange(1.0, dummies.size + 1)).astype(np.intp)
-            out.append((dummies, codes, np.bincount(codes, minlength=dummies.size + 1)))
+            codes = design.level_codes(t.name)
+            out.append((np.asarray(t.columns), codes, np.bincount(codes, minlength=len(t.columns) + 1)))
     return out
 
 
@@ -337,10 +344,6 @@ def mc_cross_validate(design: DesignMatrix, config: CVConfig) -> CVResult:
     per chain (see :class:`_Chain`).  The result is a pure function of
     (design, config).
     """
-    if config.replications < 1:
-        raise ValueError("replications must be >= 1")
-    if not 0.0 < config.train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {config.train_fraction}")
     if not config.models:
         raise ValueError("no candidate models configured")
     n = design.n_rows

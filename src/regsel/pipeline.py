@@ -179,6 +179,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ValueError(f"report_model '{cfg.report_model}' is not among the enabled modes")
     if any(r < 1 for r in cfg.exclude_rows):
         raise ValueError("exclude_rows are 1-based row numbers; 0 or negatives are invalid")
+    CVConfig(models=(), replications=cfg.cv_replications, train_fraction=cfg.cv_train_fraction,
+             seed=cfg.cv_seed, workers=cfg.cv_workers)
 
 
 REFERENCE_CONFIG = """\
@@ -196,6 +198,7 @@ delimiter = ,
 na_ratio = 0.01            # drop predictor columns with >= ratio * n missing
 factor_columns =           # comma-separated numeric columns to coerce to factors
 factor_auto = false        # also coerce numeric columns with values in {0,1}
+max_factor_levels = 12     # a coerced column with more distinct values is an error
 vstar = 10                 # VIF pruning threshold
 modes = forward,backward,both
 k_penalty = 2              # AIC penalty per coefficient in the search

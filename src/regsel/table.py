@@ -29,6 +29,7 @@ __all__ = [
     "Schema",
     "read_schema",
     "RawTable",
+    "level_order",
     "load_table",
     "write_table",
     "write_schema",
@@ -133,6 +134,23 @@ def read_schema(path) -> Schema:
     return Schema(roles=roles, lenient=frozenset(lenient), default=default)
 
 
+def level_order(labels) -> tuple:
+    """The distinct ``labels`` of a factor in level order, first the reference.
+
+    Levels go in order of value when every label reads as a finite number
+    (``"2" < "10"``, ``"-2" < "-1"``; ties such as ``"1"`` and ``"1.0"``
+    go by label), and in label order otherwise.
+    """
+    distinct = sorted(set(labels))
+    try:
+        values = [float(label) for label in distinct]
+    except ValueError:
+        return tuple(distinct)
+    if not all(math.isfinite(v) for v in values):
+        return tuple(distinct)
+    return tuple(label for _, label in sorted(zip(values, distinct)))
+
+
 # ---------------------------------------------------------------------------
 # RawTable
 # ---------------------------------------------------------------------------
@@ -146,7 +164,9 @@ class RawTable:
     columns are float64 with NaN for missing cells, factor and exclude
     columns are object arrays of labels with ``None`` for missing, and the
     id column is int64 (or object of strings when ids are not integral).
-    ``levels`` stores the ordered level list per factor column.
+    ``levels`` maps each factor column to its observed labels in
+    :func:`level_order`, so a table rebuilt from the same labels (a row
+    subset, a join, a reloaded checkpoint) has the same levels.
     """
 
     names: tuple
@@ -156,7 +176,7 @@ class RawTable:
     audit: tuple = ()
 
     @classmethod
-    def build(cls, names, roles, columns, levels=None, audit=()) -> "RawTable":
+    def build(cls, names, roles, columns, audit=()) -> "RawTable":
         names = tuple(names)
         roles = tuple(ColumnRole(r) for r in roles)
         columns = tuple(np.asarray(c) for c in columns)
@@ -178,16 +198,9 @@ class RawTable:
             if role in (ColumnRole.NUMERIC, ColumnRole.RESPONSE):
                 norm_cols.append(np.asarray(col, dtype=np.float64))
             elif role is ColumnRole.FACTOR:
-                col = np.asarray(col, dtype=object)
-                observed = sorted({str(v) for v in col if v is not None})
-                if levels and name in levels:
-                    kept = tuple(lv for lv in levels[name] if lv in set(observed))
-                    if set(kept) != set(observed):
-                        raise ValueError(f"level list for factor '{name}' does not cover observed labels")
-                    out_levels[name] = kept
-                else:
-                    out_levels[name] = tuple(observed)
-                norm_cols.append(np.array([None if v is None else str(v) for v in col], dtype=object))
+                col = np.array([None if v is None else str(v) for v in col], dtype=object)
+                out_levels[name] = level_order({v for v in col if v is not None})
+                norm_cols.append(col)
             elif role is ColumnRole.ID:
                 norm_cols.append(np.asarray(col))
             else:
@@ -229,26 +242,21 @@ class RawTable:
         return tuple(n for n, r in zip(self.names, self.roles)
                      if r in (ColumnRole.NUMERIC, ColumnRole.FACTOR))
 
-    def missing_count(self, name: str) -> int:
+    def missing_mask(self, name: str) -> np.ndarray:
+        """True at each missing cell of the column (id cells are never missing)."""
         col = self.column(name)
         role = self.role_of(name)
         if role in (ColumnRole.NUMERIC, ColumnRole.RESPONSE):
-            return int(np.isnan(col).sum())
+            return np.isnan(col)
         if role is ColumnRole.ID:
-            return 0
-        return int(sum(1 for v in col if v is None))
+            return np.zeros(col.shape[0], dtype=bool)
+        return np.equal(col, None)
+
+    def missing_count(self, name: str) -> int:
+        return int(self.missing_mask(name).sum())
 
     def with_audit(self, *lines) -> "RawTable":
         return replace(self, audit=self.audit + tuple(lines))
-
-    def _subset_rows(self, mask_or_idx) -> "RawTable":
-        cols = tuple(c[mask_or_idx] for c in self.columns)
-        kept_levels = {}
-        for name, lvls in self.levels.items():
-            col = cols[self.names.index(name)]
-            observed = {v for v in col if v is not None}
-            kept_levels[name] = tuple(lv for lv in lvls if lv in observed)
-        return replace(self, columns=cols, levels=kept_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +414,7 @@ def drop_sparse_columns(table: RawTable, ratio: float) -> RawTable:
     kept_roles = [table.role_of(n_) for n_ in keep]
     if not any(r in (ColumnRole.NUMERIC, ColumnRole.FACTOR) for r in kept_roles):
         raise ValueError("no predictors remain after dropping sparse columns")
-    out = RawTable.build(
-        keep, kept_roles, [table.column(n_) for n_ in keep],
-        levels={k: v for k, v in table.levels.items() if k in keep},
-        audit=table.audit)
+    out = RawTable.build(keep, kept_roles, [table.column(n_) for n_ in keep], audit=table.audit)
     return out.with_audit(*audit)
 
 
@@ -448,27 +453,24 @@ def merge_by_id(a: RawTable, b: RawTable) -> RawTable:
     roles = [a.role_of(n) for n in a.names] + [b.role_of(n) for n in b.names if n != id_name]
     cols = [a.column(n)[idx_a] for n in a.names]
     cols += [b.column(n)[idx_b] for n in b.names if n != id_name]
-    levels = dict(a.levels)
-    levels.update(b.levels)
     audit = a.audit + b.audit + (
         f"merge_by_id on '{id_name}': kept {common.size} rows, "
         f"excluded {ids_a.size - common.size} left-only and {ids_b.size - common.size} right-only ids",)
-    return RawTable.build(names, roles, cols, levels=levels, audit=audit)
+    return RawTable.build(names, roles, cols, audit=audit)
 
 
 def drop_incomplete_rows(table: RawTable) -> RawTable:
     """Remove every row with at least one missing cell (exclude-role columns ignored)."""
     n = table.n_rows
     missing = np.zeros(n, dtype=bool)
-    for name, role, col in zip(table.names, table.roles, table.columns):
-        if role in (ColumnRole.NUMERIC, ColumnRole.RESPONSE):
-            missing |= np.isnan(col)
-        elif role is ColumnRole.FACTOR:
-            missing |= np.array([v is None for v in col], dtype=bool)
+    for name, role in zip(table.names, table.roles):
+        if role is not ColumnRole.EXCLUDE:
+            missing |= table.missing_mask(name)
     removed = int(missing.sum())
     if removed == n:
         raise ValueError("empty dataset after NA omission")
-    out = table._subset_rows(~missing)
+    out = RawTable.build(table.names, table.roles, [c[~missing] for c in table.columns],
+                         audit=table.audit)
     return out.with_audit(f"drop_incomplete_rows: removed {removed} of {n} rows")
 
 
@@ -484,9 +486,9 @@ def coerce_to_factor(table: RawTable, columns: Sequence[str] = (),
 
     Explicitly named columns are always converted; with ``auto=True``,
     numeric columns whose non-missing values are a subset of {0, 1} are
-    converted as well.  Levels are the sorted distinct values rendered as
-    labels; more than ``max_levels`` distinct values is an error (a guard
-    against exploding indicator counts).
+    converted as well.  Levels are the distinct values rendered as labels,
+    which :func:`level_order` orders by value; more than ``max_levels``
+    distinct values is an error (a guard against exploding indicator counts).
     """
     targets = list(columns)
     for name in targets:
@@ -508,8 +510,6 @@ def coerce_to_factor(table: RawTable, columns: Sequence[str] = (),
     names = list(table.names)
     roles = list(table.roles)
     cols = list(table.columns)
-    levels = dict(table.levels)
-    audit = []
     for name in targets:
         j = names.index(name)
         col = cols[j]
@@ -518,13 +518,11 @@ def coerce_to_factor(table: RawTable, columns: Sequence[str] = (),
             raise ValueError(
                 f"column '{name}' has {distinct.size} distinct values; "
                 f"refusing to coerce (max_levels={max_levels})")
-        labels = [_format_level(v) for v in distinct]
         cols[j] = np.array([None if math.isnan(v) else _format_level(v) for v in col], dtype=object)
         roles[j] = ColumnRole.FACTOR
-        levels[name] = tuple(labels)
-        audit.append(f"coerce_to_factor: '{name}' -> factor with levels ({', '.join(labels)})")
-    out = RawTable.build(names, roles, cols, levels=levels, audit=table.audit)
-    return out.with_audit(*audit)
+    out = RawTable.build(names, roles, cols, audit=table.audit)
+    return out.with_audit(*(f"coerce_to_factor: '{name}' -> factor with levels "
+                            f"({', '.join(out.levels[name])})" for name in targets))
 
 
 # ---------------------------------------------------------------------------
@@ -671,22 +669,22 @@ class DesignMatrix:
 
     # -- decoding -------------------------------------------------------------
 
-    def decode_factor(self, term_name: str) -> np.ndarray:
-        """Recover the original labels of a factor term from its dummy block."""
+    def level_codes(self, term_name: str) -> np.ndarray:
+        """Each row's level index in a factor term's ``levels``, read from its
+        dummy block: 0 for an all-zero row, k for a 1 in the k-th column only."""
         t = self.term(term_name)
         if t.kind != "factor":
             raise ValueError(f"term '{term_name}' is not a factor")
         block = self.X[:, list(t.columns)]
-        out = np.empty(self.n_rows, dtype=object)
-        for i in range(self.n_rows):
-            hot = np.flatnonzero(block[i] == 1.0)
-            if hot.size == 0 and np.all(block[i] == 0.0):
-                out[i] = t.levels[0]
-            elif hot.size == 1 and np.all(np.delete(block[i], hot[0]) == 0.0):
-                out[i] = t.levels[1 + hot[0]]
-            else:
-                raise ValueError(f"row {i + 1}: dummy block of '{term_name}' is not a valid encoding")
-        return out
+        hot = block == 1.0
+        bad = np.flatnonzero((hot.sum(axis=1) > 1) | ~(hot | (block == 0.0)).all(axis=1))
+        if bad.size:
+            raise ValueError(f"row {bad[0] + 1}: dummy block of '{term_name}' is not a valid encoding")
+        return hot @ np.arange(1, block.shape[1] + 1, dtype=np.intp)
+
+    def decode_factor(self, term_name: str) -> np.ndarray:
+        """Recover the original labels of a factor term from its dummy block."""
+        return np.array(self.term(term_name).levels, dtype=object)[self.level_codes(term_name)]
 
 
 def encode_design(table: RawTable) -> DesignMatrix:
@@ -708,31 +706,30 @@ def encode_design(table: RawTable) -> DesignMatrix:
             raise ValueError(f"column '{name}' still contains missing cells; drop or fill them before encoding")
 
     n = table.n_rows
-    cols = [np.ones(n)]
+    blocks = [np.ones((n, 1))]
     names = ["(Intercept)"]
     terms = []
     for name in table.predictor_names:
-        role = table.role_of(name)
-        if role is ColumnRole.NUMERIC:
-            terms.append(Term(name=name, kind="numeric", columns=(len(cols),)))
-            cols.append(table.column(name).astype(np.float64))
+        if table.role_of(name) is ColumnRole.NUMERIC:
+            terms.append(Term(name=name, kind="numeric", columns=(len(names),)))
+            blocks.append(table.column(name).astype(np.float64)[:, None])
             names.append(name)
         else:
-            levels = table.levels.get(name, ())
+            levels = table.levels[name]
             if len(levels) < 2:
                 raise ValueError(f"factor '{name}' has fewer than two observed levels")
-            col = table.column(name)
-            idx = tuple(range(len(cols), len(cols) + len(levels) - 1))
-            for lv in levels[1:]:
-                cols.append(np.array([1.0 if v == lv else 0.0 for v in col]))
-                names.append(f"{name}{lv}")
-            terms.append(Term(name=name, kind="factor", columns=idx, levels=tuple(levels)))
+            idx = tuple(range(len(names), len(names) + len(levels) - 1))
+            code = {label: k for k, label in enumerate(levels)}
+            codes = np.array([code[v] for v in table.column(name)], dtype=np.intp)
+            blocks.append((codes[:, None] == np.arange(1, len(levels))).astype(np.float64))
+            names.extend(f"{name}{lv}" for lv in levels[1:])
+            terms.append(Term(name=name, kind="factor", columns=idx, levels=levels))
     y = table.column(table.response_name)
     if table.id_name is not None:
         row_ids = table.column(table.id_name)
     else:
         row_ids = np.arange(1, n + 1)
-    return DesignMatrix(X=np.column_stack(cols), y=y, column_names=tuple(names),
+    return DesignMatrix(X=np.hstack(blocks), y=y, column_names=tuple(names),
                         terms=tuple(terms), row_ids=row_ids,
                         response_name=table.response_name)
 

@@ -234,7 +234,7 @@ def reencoded_cv_mspe(table: RawTable, config) -> np.ndarray:
     for i in range(config.replications):
         train, test = replication_split(config.seed, i, n, n_train)
         fit_rows = encode_design(RawTable.build(
-            table.names, table.roles, [c[train] for c in table.columns], levels=table.levels))
+            table.names, table.roles, [c[train] for c in table.columns]))
         for j, (_, terms) in enumerate(config.models):
             design = fit_rows.subset_terms(terms)
             held = [np.ones(test.size)]

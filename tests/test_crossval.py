@@ -387,6 +387,16 @@ def test_config_validation():
         mc_cross_validate(d, CVConfig(models=()))
 
 
+@pytest.mark.parametrize("setting, match", [
+    ({"replications": 0}, "replications"), ({"train_fraction": 0.0}, "train_fraction"),
+    ({"train_fraction": 1.0}, "train_fraction"), ({"seed": -1}, "seed"), ({"seed": 2 ** 64}, "seed"),
+])
+def test_cv_config_rejects_bad_settings(setting, match):
+    with pytest.raises(ValueError, match=match):
+        CVConfig(models=(("m", ("x1",)),), **setting)
+    CVConfig(models=(("m", ("x1",)),), seed=2 ** 64 - 1)
+
+
 # ---------------------------------------------------------------------------
 # five-number summaries
 # ---------------------------------------------------------------------------

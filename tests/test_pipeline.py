@@ -5,6 +5,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from regsel import PipelineError, RunConfig, pipeline, run_pipeline, run_stage
@@ -108,7 +109,25 @@ def test_reference_config_parses(tmp_path, dataset_dir):
         for ext in (".csv", ".schema"):
             (tmp_path / f"{stem}{ext}").write_bytes((dataset_dir / f"{stem}{ext}").read_bytes())
     cfg = read_config(path)
-    assert cfg.cv_replications == 8000
+    keys = {line.partition("=")[0].strip() for line in pipeline.REFERENCE_CONFIG.splitlines()
+            if line.strip() and not line.startswith("#")}
+    inputs = {"table_a", "schema_a", "table_b", "schema_b", "response_table", "response_schema",
+              "merged_table", "merged_schema", "out_dir"}
+    for f in fields(RunConfig):
+        if f.name not in inputs:
+            assert f.name in keys, f.name
+            assert getattr(cfg, f.name) == f.default, f.name
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("cv_replications", "0"), ("cv_train_fraction", "0"), ("cv_train_fraction", "1.0"),
+    ("cv_seed", "-1"), ("cv_seed", str(2 ** 64)),
+])
+def test_read_config_rejects_bad_cv_settings(tmp_path, key, raw):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"merged_table = m.csv\nmerged_schema = m.schema\n{key} = {raw}\n")
+    with pytest.raises(ValueError, match=key.removeprefix("cv_")):
+        read_config(path)
 
 
 def test_env_var_overrides_out_dir(dataset_dir, tmp_path, monkeypatch):
@@ -290,6 +309,26 @@ def test_stage_subprocesses_match_one_in_process_all(dataset_dir):
     assert tree_bytes(dataset_dir / "out_proc_steps") == tree_bytes(cfg_all.out)
 
 
+def test_coerced_factor_keeps_numeric_level_order(tmp_path, capsys):
+    rng = np.random.default_rng(12)
+    n = 60
+    parity = rng.choice([2, 10, 11], size=n)
+    x = rng.standard_normal(n)
+    y = 20.0 + x + 0.8 * (parity == 10) - 0.8 * (parity == 11) + rng.standard_normal(n)
+    rows = "".join(f"{i + 1},{x[i]},{parity[i]},{y[i]}\n" for i in range(n))
+    (tmp_path / "d.csv").write_text("id,x,parity,y\n" + rows)
+    (tmp_path / "d.schema").write_text("id\tid\nx\tnumeric\nparity\tnumeric\ny\tresponse\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("merged_table = d.csv\nmerged_schema = d.schema\nfactor_columns = parity\n"
+                   "modes = forward\nreport_model = full\ncv_replications = 5\nout_dir = out\n")
+    assert cli_main(["all", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert "'parity' -> factor with levels (2, 10, 11)" in (out / "audit.txt").read_text()
+    report = (out / "model_report.tsv").read_text().splitlines()
+    assert [line.split("\t")[0] for line in report[1:]] == ["(Intercept)", "x", "parity10", "parity11"]
+
+
 def test_svg_emission(dataset_dir):
     path = write_config(dataset_dir, "out_svg", emit_svg="true", exclude_rows="",
                         cv_replications="10")
@@ -334,6 +373,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert cli_main(["all", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    assert cli_main(["prep", "--config", str(tmp_path / "missing.cfg"), "--exclude-rows", "abc"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'abc'" in err
+    bad.write_text("merged_table = ghost.csv\nmerged_schema = ghost.schema\ncv_seed = -1\n")
+    assert cli_main(["all", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed" in err
 
 
 def test_cli_stage_error_exit_code(tmp_path, capsys):

@@ -17,12 +17,12 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from regsel import (CVConfig, DesignMatrix, RawTable, encode_design, fit_ols, load_table,
-                    mc_cross_validate, press_residuals, read_schema, vif_prune, write_schema,
-                    write_table)
+from regsel import (CVConfig, DesignMatrix, RawTable, coerce_to_factor, encode_design, fit_ols,
+                    load_table, mc_cross_validate, press_residuals, read_schema, vif_prune,
+                    write_schema, write_table)
 from oracles import (loo_predictions, prune_by_auxiliary_regression, reencoded_cv_mspe,
                      refit_cv_mspe, unseen_level_rows)
 
@@ -46,7 +46,8 @@ LABELS = st.one_of(
 @st.composite
 def checkpoint_tables(draw):
     """A table with an integer or string id, numeric and factor columns
-    (missing cells allowed) and a response."""
+    (missing cells allowed) and a response; the first numeric column may be
+    coerced to a factor."""
     n = draw(st.integers(1, 12))
     column = lambda cells: draw(st.lists(cells, min_size=n, max_size=n))
     if draw(st.booleans()):
@@ -58,11 +59,16 @@ def checkpoint_tables(draw):
     roles = ["id", *["numeric"] * n_num, *["factor"] * n_fac, "response"]
     columns = [ids, *(column(NUMBERS) for _ in range(n_num)),
                *(column(st.none() | LABELS) for _ in range(n_fac)), column(NUMBERS)]
-    return RawTable.build(names, roles, columns)
+    table = RawTable.build(names, roles, columns)
+    if n_num and draw(st.booleans()):
+        table = coerce_to_factor(table, ["x0"])     # n <= 12 values, within max_levels
+    return table
 
 
 @PROPERTY_SETTINGS
 @given(checkpoint_tables())
+@example(coerce_to_factor(RawTable.build(["id", "x0", "y"], ["id", "numeric", "response"],
+                                         [[1, 2, 3], [10.0, -1.0, 2.0], [0.0, 0.0, 0.0]]), ["x0"]))
 def test_checkpoint_round_trip_is_exact(table):
     with tempfile.TemporaryDirectory() as tmp:
         back = load_table(write_table(table, Path(tmp) / "prep.csv"),

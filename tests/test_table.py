@@ -5,6 +5,7 @@ import pytest
 
 from regsel import (
     ColumnRole,
+    DesignMatrix,
     RawTable,
     Schema,
     coerce_to_factor,
@@ -56,6 +57,17 @@ def test_load_factor_levels(tmp_path):
     f.write_text("ID,flag,y\n1,0,2\n2,1,3\n3,0,4\n")
     t = load_table(f, {"ID": "id", "flag": "factor", "y": "response"})
     assert t.levels["flag"] == ("0", "1")
+
+
+@pytest.mark.parametrize("labels, levels", [
+    (["10", "2", "-1", "2"], ("-1", "2", "10")),      # every label a number: by value
+    (["a", "2", "10"], ("10", "2", "a")),             # one label is not: by label
+    (["1.0", "1", "0.5"], ("0.5", "1", "1.0")),       # equal values go by label
+    (["2", "nan", "10"], ("10", "2", "nan")),         # not finite: by label
+])
+def test_factor_levels_follow_one_order_rule(labels, levels):
+    t = make_table(["f", "y"], ["factor", "response"], [labels, np.ones(len(labels))])
+    assert t.levels["f"] == levels
 
 
 def test_load_strict_numeric_parse_error(tmp_path):
@@ -460,6 +472,19 @@ def test_encode_decode_round_trip():
                    [np.arange(40), labels, rng.standard_normal(40), np.ones(40)])
     d = encode_design(t)
     np.testing.assert_array_equal(d.decode_factor("f"), labels.astype(object))
+    np.testing.assert_array_equal(d.level_codes("f"), [("hi", "lo", "mid").index(v) for v in labels])
+
+
+@pytest.mark.parametrize("bad_row", [[1.0, 1.0], [0.5, 0.0], [0.0, -1.0]])
+def test_level_codes_rejects_an_invalid_dummy_row(bad_row):
+    t = make_table(["f", "y"], ["factor", "response"], [["a", "b", "c", "a"], np.ones(4)])
+    d = encode_design(t)
+    X = d.X.copy()
+    X[2, 1:] = bad_row
+    d = DesignMatrix(X=X, y=d.y, column_names=d.column_names, terms=d.terms, row_ids=d.row_ids)
+    for read in (d.level_codes, d.decode_factor):
+        with pytest.raises(ValueError, match="row 3: dummy block of 'f' is not a valid encoding"):
+            read("f")
 
 
 def test_subset_terms_and_take_rows():
