@@ -34,7 +34,8 @@ def main(argv=None) -> int:
     overrides = {"cv_seed": args.seed, "out_dir": args.out}
     try:
         if args.exclude_rows is not None:
-            overrides["exclude_rows"] = _parse_value("exclude_rows", args.exclude_rows)
+            overrides["exclude_rows"] = _parse_value("exclude_rows", args.exclude_rows,
+                                                     source="option --exclude-rows")
         cfg = read_config(args.config, overrides=overrides)
     except (OSError, ValueError) as exc:
         print(f"regsel: config error: {exc}", file=sys.stderr)

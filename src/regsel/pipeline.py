@@ -6,8 +6,10 @@ stage-by-stage run is byte-identical to a single-shot :func:`run_pipeline`.
 Outputs carry no timestamps; identical inputs and config give identical
 bundles.  Checkpoints are written to a temp file and moved into place, so a
 failed write leaves the previous one whole.  The prepared design is parsed
-once per process and shared by the stages while the bytes of ``prep.csv``
-and ``prep.schema`` and the output directory stay the same.
+at most once per process and shared by the stages while the bytes of
+``prep.csv`` and ``prep.schema`` and the output directory stay the same; the
+prep stage hands the table it wrote to the later stages, so a single
+:func:`run_pipeline` never parses them.
 
 Row exclusions (the outlier protocol) are 1-based row numbers into the
 prepared dataset (the same numbers the influence files report).  Excluded
@@ -16,7 +18,6 @@ artifacts mirror the primary ones inside an ``excluded/`` subdirectory.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
@@ -99,8 +100,13 @@ class RunConfig:
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
-def _parse_value(name: str, raw: str):
-    """Parse a config value as the type of the field's default (text when None)."""
+def _parse_value(name: str, raw: str, source: str | None = None):
+    """Parse a config value as the type of the field's default (text when None).
+
+    A value of the wrong type raises ValueError("<source> expects <type>, got
+    '<raw>'"); ``source`` defaults to "config key '<name>'".
+    """
+    source = source or f"config key '{name}'"
     raw = raw.split("#", 1)[0].strip()    # allow trailing comments
     kind = type(_DEFAULTS[name])
     if kind is bool:
@@ -108,14 +114,16 @@ def _parse_value(name: str, raw: str):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ValueError(f"config key '{name}' expects true/false, got {raw!r}")
-    if kind in (int, float):
-        return kind(raw)
-    if kind is tuple:
-        items = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-        if name == "exclude_rows":
-            return tuple(int(tok) for tok in items)
-        return items
+        raise ValueError(f"{source} expects true/false, got {raw!r}")
+    try:
+        if kind in (int, float):
+            return kind(raw)
+        if kind is tuple:
+            items = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+            return tuple(int(tok) for tok in items) if name == "exclude_rows" else items
+    except ValueError:
+        expected = {int: "an integer", float: "a number"}.get(kind, "comma-separated integers")
+        raise ValueError(f"{source} expects {expected}, got {raw!r}") from None
     return raw
 
 
@@ -141,7 +149,10 @@ def read_config(path, overrides: dict | None = None) -> RunConfig:
         key = key.strip()
         if key not in _DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
-        values[key] = _parse_value(key, val)
+        try:
+            values[key] = _parse_value(key, val)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     if overrides:
         for key, val in overrides.items():
             if val is not None:
@@ -248,21 +259,37 @@ def _checkpoint(stage: str, path: Path, producer: str) -> bytes:
                             hint=f"run the '{producer}' stage first") from None
 
 
-def _prepared(stage: str, out: Path) -> DesignMatrix:
-    """The encoded prepared design, parsed once per process while the bytes
-    of ``prep.csv`` and ``prep.schema`` and the directory stay the same."""
+# The encoded prepared design of one output directory, keyed by the directory
+# and the SHA-256 of the ``prep.csv`` and ``prep.schema`` bytes it came from.
+# The prep stage hands over the table it wrote; another stage parses the files.
+_PREPARED: dict = {}
+
+
+def _prepared_key(stage: str, out: Path) -> tuple:
     digests = [hashlib.sha256(_checkpoint(stage, out / name, "prep")).hexdigest()
                for name in ("prep.csv", "prep.schema")]
-    return _parse_prepared(out.resolve(), *digests)
+    return (out.resolve(), *digests)
 
 
-@functools.lru_cache(maxsize=1)
-def _parse_prepared(directory: Path, csv_digest: str, schema_digest: str) -> DesignMatrix:
-    # the digests only key the cache; X and y are shared by every stage, so read-only
-    design = encode_design(load_table(directory / "prep.csv", read_schema(directory / "prep.schema")))
-    design.X.flags.writeable = False
-    design.y.flags.writeable = False
-    return design
+def _prepared(stage: str, out: Path) -> DesignMatrix:
+    """The encoded prepared design, parsed at most once per process while the
+    bytes of ``prep.csv`` and ``prep.schema`` and the directory stay the same."""
+    key = _prepared_key(stage, out)
+    entry = _PREPARED.get(key)
+    if not isinstance(entry, DesignMatrix):
+        table = entry if entry is not None else load_table(out / "prep.csv",
+                                                           read_schema(out / "prep.schema"))
+        entry = encode_design(table)
+        # X and y are shared by every stage, so read-only
+        entry.X.flags.writeable = False
+        entry.y.flags.writeable = False
+        _hold_prepared(key, entry)
+    return entry
+
+
+def _hold_prepared(key: tuple, entry) -> None:
+    _PREPARED.clear()
+    _PREPARED[key] = entry
 
 
 def _runs(cfg: RunConfig, stage: str) -> list:
@@ -325,6 +352,8 @@ def _stage_prep(cfg: RunConfig) -> list:
         _replace(out / "prep.csv", lambda tmp: write_table(table, tmp)),
         _replace(out / "prep.schema", lambda tmp: write_schema(table, tmp)),
     ]
+    # the files read back as this table, so later stages in this process skip parsing them
+    _hold_prepared(_prepared_key("prep", out), table)
     audit = out / "audit.txt"
     audit.write_text("\n".join(table.audit) + "\n", encoding="utf-8")
     paths.append(audit)

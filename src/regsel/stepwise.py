@@ -3,33 +3,40 @@
 Moves operate on whole terms: a factor's indicator columns enter and leave
 together.  At every iteration all legal single-term moves are scored, and
 the minimum-AIC move is applied if it beats the current model by more than
-``TOL_AIC`` (1e-9, so floating-point ties cannot loop).  Ties
-between candidate moves go to the term earliest in the design's term order.
+``TOL_AIC`` (1e-9, so floating-point ties cannot loop).  Moves whose AIC
+lies within ``TIE_MARGIN`` of the best are ties, and the one whose term
+comes earliest in the design's term order wins.
 
-Scoring reads the QR the current model was solved from (``FittedModel.qr``)
-instead of refitting each candidate (the add/drop-one identities behind R's
+Each search carries one QR factorization of its current model, started from
+the :func:`fit_ols` fit of its start model and updated by
+``scipy.linalg.qr_insert``/``qr_delete`` at every applied move (Golub & Van
+Loan §6.5), so no move refits the model it enters.  Moves are scored from
+that factorization (the add/drop-one identities behind R's
 ``add1``/``drop1``):
 
-* dropping term G raises the RSS by β_Gᵀ([(XᵀX)⁻¹]_GG)⁻¹β_G;
+* dropping term G raises the RSS by β_Gᵀ([(XᵀX)⁻¹]_GG)⁻¹β_G, read from R⁻¹;
 * adding term G lowers it by the squared norm of the residuals projected
-  onto G's columns after those are residualized against the current Q.
+  onto G's columns after those are residualized against the current Q.  A
+  single column is residualized through the Gram identity
+  ‖z‖² = ‖g‖² − ‖Qᵀg‖² unless that cancels below ``CANCELLATION`` times
+  ‖g‖²; such columns and factor blocks take the exact double projection.
 
-Scored values only choose which candidates to refit.  The best-scored move,
-and every candidate scored within ``SCORE_MARGIN`` of it, is refit exactly
-with :func:`fit_ols`, so the trace's AIC values, tie-breaks, stop test and
-final model are those of a search that refits every candidate.  A candidate
-is refit instead of scored when the current model is rank-deficient or
-near-aliased, when its own column block is near-aliased against the
-current model, when it would leave at most one residual degree of freedom,
-or when its RSS would fall near the floor where the AIC is undefined; such
-refits are logged in ``skipped`` when they fail, exactly as before, and all
-refits beyond the best-scored move are counted in ``exact_refits``.
+The trace's RSS and AIC after a move are read from the updated
+factorization, so they agree with a refit to rounding, not bit for bit.  A
+move is refit with :func:`fit_ols` instead of scored when the current model
+is rank-deficient or near-aliased, when its own column block is
+near-aliased against the current model, when it would leave at most one
+residual degree of freedom, or when its RSS would fall near the floor where
+the AIC is undefined.  Such fallback refits are counted in
+``fallback_refits`` and logged in ``skipped`` when they fail; applying one
+restarts the factorization from the refit.  The final model of each search
+is fit once with :func:`fit_ols`.
 
 Forward search starts from the scope's lower model, backward from the upper
 model.  Both-direction search also starts from the upper model by default;
 pass ``start=scope.lower`` for the textbook intercept-only start.
 :func:`step_select_modes` runs several modes in lockstep, so modes that
-stand at the same model share its scores and their candidate refits.
+walk one path share its factorizations, scores and refits.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 
 from .influence import dffits, press_residuals
 from .ols import FittedModel, aic_selection_value, fit_ols, fit_statistics, residualize
@@ -56,9 +64,9 @@ __all__ = [
 TOL_AIC = 1e-9
 MODES = ("forward", "backward", "both")
 
-# Candidates scored within SCORE_MARGIN (AIC units) of the best are refit
-# exactly; scoring errors are orders of magnitude smaller.
-SCORE_MARGIN = 1e-6
+# Moves within TIE_MARGIN (AIC units) of the best are ties; the rounding
+# error of a scored or updated AIC is orders of magnitude smaller.
+TIE_MARGIN = 1e-6
 # A column block is near-aliased when a diagonal of its QR falls below
 # ALIAS_GUARD times the largest column norm, 1e4 above the rank tolerance.
 ALIAS_GUARD = 1e-6
@@ -66,6 +74,9 @@ ALIAS_GUARD = 1e-6
 # below NEAR_FLOOR**2 times the total sum of squares (the AIC floor is
 # 1e-12 of it), is refit exactly.
 NEAR_FLOOR = 1e-3
+# The Gram identity for an added column loses about -log10(CANCELLATION)
+# digits at this bound; below it the column is projected exactly.
+CANCELLATION = 1e-4
 
 
 @dataclass(frozen=True)
@@ -111,7 +122,7 @@ class SelectionTrace:
     final: FittedModel
     aic_start: float
     skipped: tuple = ()
-    exact_refits: int = 0     # candidate refits beyond each iteration's best-scored move
+    fallback_refits: int = 0    # candidate moves refit with fit_ols instead of scored
 
     @property
     def final_terms(self) -> tuple:
@@ -123,11 +134,6 @@ class SelectionTrace:
 
     def formula(self) -> str:
         return model_formula(self.final_terms, self.final.design.response_name)
-
-
-def _fit_terms(design: DesignMatrix, terms, k: float):
-    model = fit_ols(design.subset_terms(terms))
-    return model, fit_statistics(model, k=k).aic_selection
 
 
 def step_select(design: DesignMatrix, scope: Scope | None = None, mode: str = "forward",
@@ -160,14 +166,15 @@ def step_select_modes(design: DesignMatrix, scope: Scope | None = None, modes=MO
     """Run several search modes on one design in lockstep: {mode: SelectionTrace}.
 
     Each iteration advances every unfinished mode by one move.  Modes that
-    stand at the same term set are scored once, over the union of their
-    legal moves, and a candidate fit is shared by every mode that refits
-    it in the same iteration.  Both-direction search from the upper model
-    usually walks backward search's path move for move, so most of its
-    fits and scores come free.  Only the current iteration's fits are
-    kept, so memory does not grow with the length of the path.  Each trace
-    equals the one ``step_select`` returns for its mode alone; ``start``
-    applies to every mode.
+    stand at the same factorization are scored once, over the union of
+    their legal moves; a move they both apply is applied once, and a
+    fallback refit is shared by every mode that needs it in the same
+    iteration.  Modes share a factorization only while they walk one path,
+    so each trace equals the one ``step_select`` returns for its mode alone.
+    Both-direction search from the upper model usually walks backward
+    search's path move for move, so most of its work comes free.  Only the
+    current iteration's updates and refits are kept, so memory does not
+    grow with the length of the path.  ``start`` applies to every mode.
     """
     for mode in modes:
         if mode not in MODES:
@@ -176,18 +183,24 @@ def step_select_modes(design: DesignMatrix, scope: Scope | None = None, modes=MO
     lower, upper = scope.resolve(design)
     lower_set, upper_set = set(lower), set(upper)
     order = {name: i for i, name in enumerate(design.term_names)}
-    y = design.y
-    tss = float(np.sum((y - y.mean()) ** 2))
+    space = _ModelSpace(design, scope.k)
 
-    fits: dict = {}     # this iteration's fits: term set -> (model, aic) or the fit's error
+    fits: dict = {}     # this iteration's refits: term set -> _State or the fit's error
+    moved: dict = {}    # this iteration's updates: (state, direction, term) -> _State
 
     def fit(terms: frozenset):
         if terms not in fits:
             try:
-                fits[terms] = _fit_terms(design, terms, scope.k)
+                fits[terms] = space.fit(terms)
             except (ValueError, np.linalg.LinAlgError) as exc:
                 fits[terms] = exc
         return fits[terms]
+
+    def move(state, direction: str, term: str):
+        key = (state, direction, term)
+        if key not in moved:
+            moved[key] = space.move(state, direction, term)
+        return moved[key]
 
     searches = []
     for mode in dict.fromkeys(modes):
@@ -195,138 +208,219 @@ def step_select_modes(design: DesignMatrix, scope: Scope | None = None, modes=MO
         begin = tuple(sorted(set(begin), key=order.get))
         if not lower_set <= set(begin) <= upper_set:
             raise ValueError("start model must lie within the scope")
-        searches.append(_Search(mode, begin, fit))
+        state = fit(frozenset(begin))
+        if isinstance(state, Exception):
+            raise state
+        searches.append(_Search(mode, begin, state))
 
     active = searches
     while active:
         groups: dict = {}
         for search in active:
-            groups.setdefault(search.current, []).append(search)
+            groups.setdefault(search.state, []).append(search)
         fits.clear()
-        for current, group in groups.items():
+        moved.clear()
+        for state, group in groups.items():
             can_add = any(s.can_add for s in group)
             can_remove = any(s.can_remove for s in group)
             legal = []      # (direction, term) in design term order
             for term in design.term_names:
-                if term in current:
+                if term in state.terms:
                     if can_remove and term not in lower_set:
                         legal.append(("remove", term))
                 elif can_add and term in upper_set:
                     legal.append(("add", term))
-            # every member's model is the same deterministic fit of this term set
-            scores = dict(zip(legal, _score_moves(design, group[0].model, legal, scope.k, tss)))
+            scores = dict(zip(legal, space.score(state, legal)))
             for search in group:
-                search.step(scores, fit)
+                search.step(scores, fit, move)
         active = [s for s in active if not s.done]
-    return {s.mode: s.trace() for s in searches}
+
+    def final_model(state) -> FittedModel:
+        if state.model is None:
+            fitted = fit(state.terms)
+            if isinstance(fitted, Exception):
+                raise fitted
+            state = fitted
+        return state.model
+
+    return {s.mode: s.trace(final_model(s.state)) for s in searches}
+
+
+@dataclass(frozen=True, eq=False)
+class _State:
+    """One model on a search path and the QR factorization it is scored from.
+
+    ``q @ r`` factors the searched design's columns ``cols`` (intercept
+    included, in factorization order).  ``model`` is the :func:`fit_ols`
+    fit a state started from a refit carries.  A state that is
+    rank-deficient or near-aliased is not ``scorable``: each of its moves is
+    refit.  States compare by identity, so modes share one only while they
+    walk one path.
+    """
+
+    terms: frozenset
+    cols: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+    residuals: np.ndarray
+    rss: float
+    aic: float
+    scorable: bool
+    model: FittedModel | None = None
+
+
+class _ModelSpace:
+    """The models of one design under one AIC penalty: refits, QR updates and move scores."""
+
+    def __init__(self, design: DesignMatrix, k: float):
+        self.design = design
+        self.k = k
+        self.columns = {t.name: t.columns for t in design.terms}
+        self.norms = np.sqrt(np.einsum("ij,ij->j", design.X, design.X))
+        y = design.y
+        self.tss = float(np.sum((y - y.mean()) ** 2))
+
+    def _state(self, terms, cols, q, r, residuals, rss, aic, full_rank=True, model=None) -> _State:
+        diag = np.abs(np.diag(r))
+        scorable = full_rank and diag.min() >= ALIAS_GUARD * self.norms[cols].max()
+        return _State(terms, cols, q, r, residuals, rss, aic, bool(scorable), model)
+
+    def fit(self, terms: frozenset) -> _State:
+        """Refit ``terms`` with :func:`fit_ols` and start a factorization from its QR."""
+        model = fit_ols(self.design.subset_terms(terms))
+        aic = fit_statistics(model, k=self.k).aic_selection
+        qr = model.qr
+        own = np.array([0, *(c for t in model.design.term_names for c in self.columns[t])])
+        return self._state(terms, own[qr.pivot[:qr.rank]], qr.q, qr.r, model.residuals,
+                           model.rss, aic, full_rank=qr.rank == model.p, model=model)
+
+    def move(self, state: _State, direction: str, term: str) -> _State:
+        """The state after a scored move: ``state``'s QR updated by the term's columns."""
+        cols = self.columns[term]
+        # a DesignMatrix holds finite values only, so scipy's finite checks are skipped
+        if direction == "add":
+            q, r = linalg.qr_insert(state.q, state.r, self.design.X[:, cols], state.cols.size,
+                                    which="col", check_finite=False)
+            kept, terms = np.concatenate([state.cols, cols]), state.terms | {term}
+        else:
+            q, r = state.q, state.r
+            leaving = np.isin(state.cols, cols)
+            for k in np.flatnonzero(leaving)[::-1]:
+                q, r = linalg.qr_delete(q, r, k, which="col", check_finite=False)
+            kept, terms = state.cols[~leaving], state.terms - {term}
+        residuals = residualize(q, self.design.y)
+        rss = float(residuals @ residuals)
+        aic = aic_selection_value(rss, self.design.n_rows, kept.size, self.k)
+        return self._state(terms, kept, q, r, residuals, rss, aic)
+
+    def score(self, state: _State, legal) -> list:
+        """Selection AIC of each legal move from ``state``; None marks a move that must be refit."""
+        if not state.scorable:
+            return [None] * len(legal)
+        X, y, n, rss = self.design.X, self.design.y, self.design.n_rows, state.rss
+        q, res, rank = state.q, state.residuals, state.cols.size
+        w = linalg.solve_triangular(state.r, np.eye(rank))    # (XᵀX)⁻¹ = WWᵀ; row i is cols[i]
+        coef = linalg.solve_triangular(state.r, q.T @ y)
+        floor = max(NEAR_FLOOR * rss, NEAR_FLOOR ** 2 * self.tss)
+        position = {c: i for i, c in enumerate(state.cols.tolist())}
+        model_scale = self.norms[state.cols].max()
+        # dropping one column j raises the RSS by β_j² / [(XᵀX)⁻¹]_jj
+        drop_one = rss + coef ** 2 / np.einsum("ij,ij->i", w, w)
+
+        added = [c for d, t in legal if d == "add" for c in self.columns[t]]
+        if added:
+            G = X[:, added]
+            C = q.T @ G
+            g2 = np.einsum("ij,ij->j", G, G)
+            z2 = g2 - np.einsum("ij,ij->j", C, C)
+            z_r = G.T @ res - C.T @ (q.T @ res)     # zᵀr = gᵀ(I − QQᵀ)r
+        scores = []
+        start = 0
+        for direction, term in legal:
+            cols = self.columns[term]
+            if direction == "remove":
+                at = [position[c] for c in cols]
+                if len(at) == 1:
+                    new_rss = float(drop_one[at[0]])
+                else:
+                    beta = coef[at]
+                    new_rss = rss + float(beta @ np.linalg.solve(w[at] @ w[at].T, beta))
+                new_rank = rank - len(cols)
+            else:
+                m = len(cols)
+                j, sl = start, slice(start, start + m)
+                start += m
+                scale = max(model_scale, np.sqrt(g2[sl].max()))
+                if m == 1 and z2[j] >= CANCELLATION * g2[j]:
+                    zn = np.sqrt(z2[j])
+                    drop = z_r[j] ** 2 / z2[j]
+                else:
+                    qz, rz = np.linalg.qr(residualize(q, G[:, sl]))
+                    zn = np.abs(np.diag(rz)).min()
+                    drop = float(np.sum((qz.T @ res) ** 2))
+                if zn < ALIAS_GUARD * scale:
+                    scores.append(None)
+                    continue
+                new_rss = rss - drop
+                new_rank = rank + m
+            if n - new_rank <= 1 or new_rss <= floor:
+                scores.append(None)
+            else:
+                scores.append(aic_selection_value(new_rss, n, new_rank, self.k))
+        return scores
 
 
 class _Search:
-    """One mode's walk: its current model and the moves, skips and refits so far."""
+    """One mode's walk: its current state and the moves, skips and refits so far."""
 
-    def __init__(self, mode: str, start: tuple, fit):
+    def __init__(self, mode: str, start: tuple, state: _State):
         self.mode = mode
         self.can_add = mode in ("forward", "both")
         self.can_remove = mode in ("backward", "both")
         self.start = start
-        self.current = frozenset(start)
-        fitted = fit(self.current)
-        if isinstance(fitted, Exception):
-            raise fitted
-        self.model, self.aic = fitted
-        self.aic_start = self.aic
+        self.state = state
+        self.aic_start = state.aic
         self.moves: list = []
         self.skipped: list = []
-        self.exact_refits = 0       # candidate refits beyond each iteration's best-scored move
+        self.fallback_refits = 0
         self.done = False
 
-    def step(self, scores: dict, fit) -> None:
+    def step(self, scores: dict, fit, move) -> None:
         """Apply the best of this mode's moves in ``scores`` (move -> scored AIC,
-        None for must-refit), or stop when none beats the current model."""
-        legal = [mv for mv in scores if (self.can_add if mv[0] == "add" else self.can_remove)]
-        ranked = [scores[mv] for mv in legal if scores[mv] is not None]
-        cutoff = min(ranked) + SCORE_MARGIN if ranked else None
-        refit = [mv for mv in legal if scores[mv] is None or scores[mv] <= cutoff]
-        self.exact_refits += len(refit) - bool(ranked)  # the best-scored move is not counted
-        best = None     # (aic, move, term set, model)
-        for direction, term in refit:
-            candidate = self.current - {term} if direction == "remove" else self.current | {term}
-            fitted = fit(candidate)
-            if isinstance(fitted, Exception):
-                self.skipped.append(f"{direction} {term}: {fitted}")
+        None for a move refit by ``fit``), or stop when none beats the current
+        model.  ``move`` applies a scored move to the current state."""
+        current = self.state
+        values = {}     # move -> (AIC, refit state or None), in design term order
+        for (direction, term), score in scores.items():
+            if not (self.can_add if direction == "add" else self.can_remove):
                 continue
-            model, aic = fitted
-            if best is None or aic < best[0]:
-                best = (aic, Move(direction, term, self.aic, aic), candidate, model)
-        if best is None or best[0] >= self.aic - TOL_AIC:
+            if score is not None:
+                values[direction, term] = (score, None)
+                continue
+            self.fallback_refits += 1
+            refit = fit(current.terms - {term} if direction == "remove" else current.terms | {term})
+            if isinstance(refit, Exception):
+                self.skipped.append(f"{direction} {term}: {refit}")
+                continue
+            values[direction, term] = (refit.aic, refit)
+        if not values:
             self.done = True
             return
-        self.aic, move, self.current, self.model = best
-        self.moves.append(move)
+        best = min(aic for aic, _ in values.values())
+        (direction, term), (_, new) = next(
+            item for item in values.items() if item[1][0] <= best + TIE_MARGIN)
+        if new is None:
+            new = move(current, direction, term)
+        if new.aic >= current.aic - TOL_AIC:
+            self.done = True
+            return
+        self.moves.append(Move(direction, term, current.aic, new.aic))
+        self.state = new
 
-    def trace(self) -> SelectionTrace:
+    def trace(self, final: FittedModel) -> SelectionTrace:
         return SelectionTrace(mode=self.mode, start=self.start, moves=tuple(self.moves),
-                              final=self.model, aic_start=self.aic_start,
-                              skipped=tuple(self.skipped), exact_refits=self.exact_refits)
-
-
-def _score_moves(design: DesignMatrix, model: FittedModel, legal, k: float, tss: float) -> list:
-    """Selection AIC of each legal move, scored from the current model's own
-    QR; None marks a move that must be refit exactly."""
-    n, rank, rss, qr = model.n, model.rank, model.rss, model.qr
-    if rank < model.p:
-        return [None] * len(legal)
-    diag = np.abs(np.diag(qr.r))
-    if diag.min() < ALIAS_GUARD * diag[0]:
-        return [None] * len(legal)
-    w = qr.inverse_gram_rows()
-    floor = max(NEAR_FLOOR * rss, NEAR_FLOOR ** 2 * tss)
-    own = {t.name: list(t.columns) for t in model.design.terms}
-    columns = {t.name: t.columns for t in design.terms}
-    # dropping one column j raises the RSS by β_j² / [(XᵀX)⁻¹]_jj
-    drop_one = rss + model.coef ** 2 / np.einsum("ij,ij->i", w, w)
-
-    added = [columns[t] for d, t in legal if d == "add"]
-    if added:
-        G = design.X[:, [c for cols in added for c in cols]]
-        Z = residualize(qr.q, G)
-        g_norm = np.sqrt(np.einsum("ij,ij->j", G, G))
-        z_norm = np.sqrt(np.einsum("ij,ij->j", Z, Z))
-        z_r = Z.T @ model.residuals
-    scores = []
-    start = 0
-    for direction, term in legal:
-        if direction == "remove":
-            cols = own[term]
-            if len(cols) == 1:
-                new_rss = float(drop_one[cols[0]])
-            else:
-                beta = model.coef[cols]
-                block = w[cols] @ w[cols].T
-                new_rss = rss + float(beta @ np.linalg.solve(block, beta))
-            new_rank = rank - len(cols)
-        else:
-            m = len(columns[term])
-            sl = slice(start, start + m)
-            start += m
-            scale = max(diag[0], g_norm[sl].max())
-            if m == 1:
-                zn = z_norm[sl][0]
-                drop = (z_r[sl][0] / zn) ** 2 if zn > 0.0 else 0.0
-            else:
-                qz, rz = np.linalg.qr(Z[:, sl])
-                zn = np.abs(np.diag(rz)).min()
-                drop = float(np.sum((qz.T @ model.residuals) ** 2))
-            if zn < ALIAS_GUARD * scale:
-                scores.append(None)
-                continue
-            new_rss = rss - drop
-            new_rank = rank + m
-        if n - new_rank <= 1 or new_rss <= floor:
-            scores.append(None)
-        else:
-            scores.append(aic_selection_value(new_rss, n, new_rank, k))
-    return scores
+                              final=final, aic_start=self.aic_start,
+                              skipped=tuple(self.skipped), fallback_refits=self.fallback_refits)
 
 
 def format_trace(trace: SelectionTrace) -> str:

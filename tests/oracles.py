@@ -11,12 +11,14 @@ from __future__ import annotations
 import itertools
 import math
 
+import mpmath
 import numpy as np
 
 from regsel import (DesignMatrix, RawTable, encode_design, fit_ols, fit_statistics, predict,
                     replication_split)
 from regsel.influence import VIF_COLLINEAR
 from regsel.ols import aic_selection_value
+from regsel.stepwise import TIE_MARGIN
 
 
 def loo_predictions(design: DesignMatrix) -> np.ndarray:
@@ -119,12 +121,14 @@ def candidate_moves(design: DesignMatrix, current: set, lower: set, upper: set, 
 
 
 def refit_step_search(design: DesignMatrix, mode: str, lower=(), upper=None, start=None,
-                      k: float = 2.0, tol: float = 1e-9):
+                      k: float = 2.0, tol: float = 1e-9, margin: float = TIE_MARGIN):
     """Greedy search that refits every candidate move, literally.
 
-    Returns (moves, final_terms, skipped) shaped like a SelectionTrace:
-    moves are (direction, term, aic_before, aic_after); a candidate whose
-    fit or AIC fails is logged as ``"<direction> <term>: <error>"``.
+    Candidates within ``margin`` of the lowest AIC tie, and the earliest in
+    design term order wins.  Returns (moves, final_terms, skipped) shaped
+    like a SelectionTrace: moves are (direction, term, aic_before,
+    aic_after); a candidate whose fit or AIC fails is logged as
+    ``"<direction> <term>: <error>"``.
     """
     upper = set(design.term_names if upper is None else upper)
     lower = set(lower)
@@ -138,22 +142,59 @@ def refit_step_search(design: DesignMatrix, mode: str, lower=(), upper=None, sta
     current_aic = aic_of(current)
     moves, skipped = [], []
     while True:
-        best = None
+        fitted = []
         for direction, term, cand in candidate_moves(design, current, lower, upper, mode):
             try:
-                aic = aic_of(cand)
+                fitted.append((aic_of(cand), direction, term, cand))
             except (ValueError, np.linalg.LinAlgError) as exc:
                 skipped.append(f"{direction} {term}: {exc}")
-                continue
-            if best is None or aic < best[0]:
-                best = (aic, direction, term, cand)
-        if best is None or best[0] >= current_aic - tol:
+        if not fitted:
             break
-        aic, direction, term, current = best
+        best = min(aic for aic, *_ in fitted)
+        aic, direction, term, cand = next(f for f in fitted if f[0] <= best + margin)
+        if aic >= current_aic - tol:
+            break
         moves.append((direction, term, current_aic, aic))
-        current_aic = aic
+        current, current_aic = cand, aic
     order = {name: i for i, name in enumerate(design.term_names)}
     return moves, tuple(sorted(current, key=order.get)), skipped
+
+
+# c of the c·u·κ·n bound below.  A selection AIC is n·ln(RSS/n) + k·rank, so
+# a relative RSS error e moves it by about n·e, and a backward-stable QR
+# solve, or one updated by Givens rotations, gets the RSS to within a small
+# multiple of u·κ (times ‖y‖/‖r‖, about 1 for the designs it is used on).
+AIC_ERROR_C = 16.0
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def aic_error_bound(design: DesignMatrix, terms) -> float:
+    """c·u·κ·n: how far a float64 selection AIC of the model on ``terms`` may
+    lie from its exact value; κ is the 2-norm condition number of the
+    columns :func:`fit_ols` keeps."""
+    model = fit_ols(design.subset_terms(terms))
+    return AIC_ERROR_C * UNIT_ROUNDOFF * np.linalg.cond(model.design.X[:, ~model.aliased]) * model.n
+
+
+def reference_aic(design: DesignMatrix, terms, k: float = 2.0) -> float:
+    """Selection AIC of the model on ``terms``, computed with mpmath at 80
+    significant digits and rounded once to float64.
+
+    The normal equations are solved directly: at 80 digits they keep more
+    than 40 correct digits for any κ below 1e18.  Every column counts toward
+    the rank, so compare only models :func:`fit_ols` finds of full rank.
+    Limited to n <= 40 rows and six predictor columns, which keeps it fast.
+    """
+    sub = design.subset_terms(terms)
+    n, p = sub.X.shape
+    if n > 40 or p > 7:
+        raise ValueError(f"reference_aic is limited to n <= 40 and 6 predictors, got {n} x {p - 1}")
+    with mpmath.workdps(80):
+        X = mpmath.matrix(sub.X.tolist())
+        y = mpmath.matrix(sub.y.tolist())
+        beta = mpmath.lu_solve(X.T * X, X.T * y)
+        rss = mpmath.fsum(e ** 2 for e in y - X * beta)
+        return float(n * mpmath.log(rss / n) + k * p)
 
 
 def exhaustive_step_check(design: DesignMatrix, trace, lower=(), upper=None, k=2.0,
@@ -262,6 +303,16 @@ def unseen_level_rows(labels, config) -> np.ndarray:
         out[i] = sum(np.count_nonzero(labels == level) for level in np.unique(labels)
                      if not in_train[labels == level].any())
     return out
+
+
+def assert_same_design(got: DesignMatrix, want: DesignMatrix) -> None:
+    """Bit for bit: X, y, column names, terms with their levels, and row ids."""
+    assert got.X.shape == want.X.shape
+    assert np.array_equal(got.X.view(np.int64), want.X.view(np.int64))
+    assert np.array_equal(got.y.view(np.int64), want.y.view(np.int64))
+    assert (got.column_names, got.terms, got.response_name) == \
+        (want.column_names, want.terms, want.response_name)
+    assert got.row_ids.dtype == want.row_ids.dtype and got.row_ids.tolist() == want.row_ids.tolist()
 
 
 def random_design(rng, n, p, names=None) -> DesignMatrix:

@@ -12,6 +12,7 @@ from regsel import PipelineError, RunConfig, pipeline, run_pipeline, run_stage
 from regsel.cli import main as cli_main
 from regsel.pipeline import read_config, write_reference_config
 from regsel.synth import write_dataset
+from oracles import assert_same_design
 
 CONFIG_TEMPLATE = """\
 table_a = covariates.csv
@@ -278,6 +279,40 @@ def test_cached_design_is_read_only(bundle_and_out):
         design.X[0, 1] = 0.0
 
 
+def parity_table(directory: Path, n: int = 60) -> None:
+    """``d.csv``/``d.schema``: a numeric x, a numeric column parity with values
+    2, 10 and 11 for coercion to a factor, and a response."""
+    rng = np.random.default_rng(12)
+    parity = rng.choice([2, 10, 11], size=n)
+    x = rng.standard_normal(n)
+    y = 20.0 + x + 0.8 * (parity == 10) - 0.8 * (parity == 11) + rng.standard_normal(n)
+    rows = "".join(f"{i + 1},{x[i]},{parity[i]},{y[i]}\n" for i in range(n))
+    (directory / "d.csv").write_text("id,x,parity,y\n" + rows)
+    (directory / "d.schema").write_text("id\tid\nx\tnumeric\nparity\tnumeric\ny\tresponse\n")
+
+
+@pytest.mark.parametrize("route", ["study", "merged"])
+def test_prep_hands_over_the_design_a_parse_gives(route, dataset_dir, tmp_path, monkeypatch):
+    if route == "study":
+        cfg = read_config(write_config(dataset_dir, "out_handoff"))
+    else:
+        parity_table(tmp_path)
+        (tmp_path / "c.cfg").write_text("merged_table = d.csv\nmerged_schema = d.schema\n"
+                                        "factor_columns = parity\nout_dir = out\n")
+        cfg = read_config(tmp_path / "c.cfg")
+    run_stage("prep", cfg)
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("the prepared table was parsed, not handed over")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "load_table", no_parse)
+        handed = pipeline._prepared("prune", cfg.out)
+    pipeline._PREPARED.clear()
+    assert_same_design(handed, pipeline._prepared("prune", cfg.out))
+    assert any(t.kind == "factor" for t in handed.terms)
+
+
 def test_stage_rereads_changed_prep_in_the_same_process(dataset_dir):
     cfg = read_config(write_config(dataset_dir, "out_reprep"))
     for stage in ("prep", "prune", "select", "diagnose"):
@@ -310,14 +345,7 @@ def test_stage_subprocesses_match_one_in_process_all(dataset_dir):
 
 
 def test_coerced_factor_keeps_numeric_level_order(tmp_path, capsys):
-    rng = np.random.default_rng(12)
-    n = 60
-    parity = rng.choice([2, 10, 11], size=n)
-    x = rng.standard_normal(n)
-    y = 20.0 + x + 0.8 * (parity == 10) - 0.8 * (parity == 11) + rng.standard_normal(n)
-    rows = "".join(f"{i + 1},{x[i]},{parity[i]},{y[i]}\n" for i in range(n))
-    (tmp_path / "d.csv").write_text("id,x,parity,y\n" + rows)
-    (tmp_path / "d.schema").write_text("id\tid\nx\tnumeric\nparity\tnumeric\ny\tresponse\n")
+    parity_table(tmp_path)
     cfg = tmp_path / "c.cfg"
     cfg.write_text("merged_table = d.csv\nmerged_schema = d.schema\nfactor_columns = parity\n"
                    "modes = forward\nreport_model = full\ncv_replications = 5\nout_dir = out\n")
@@ -375,7 +403,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in err
     assert cli_main(["prep", "--config", str(tmp_path / "missing.cfg"), "--exclude-rows", "abc"]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "'abc'" in err
+    assert "config error: option --exclude-rows expects comma-separated integers, got 'abc'" in err
+    for line, message in (("cv_seed = 1.5", "config key 'cv_seed' expects an integer, got '1.5'"),
+                          ("cv_replications = ten  # replications",
+                           "config key 'cv_replications' expects an integer, got 'ten'")):
+        bad.write_text(f"merged_table = ghost.csv\n{line}\n")
+        assert cli_main(["all", "--config", str(bad)]) == 2
+        assert f"config error: {bad}:2: {message}\n" in capsys.readouterr().err
     bad.write_text("merged_table = ghost.csv\nmerged_schema = ghost.schema\ncv_seed = -1\n")
     assert cli_main(["all", "--config", str(bad)]) == 2
     err = capsys.readouterr().err

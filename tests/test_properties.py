@@ -2,11 +2,13 @@
 
 Random tables check that the pipeline's checkpoint format (``write_table``
 and ``write_schema``, read back by ``read_schema`` and ``load_table``)
-reproduces every cell.  For the OLS core each example draws a design shape
-and a seed for its values.  Designs with one exactly duplicated column and
-factors check the rank/leverage identity and the PRESS = leave-one-out
-identity; designs with near-collinear columns check VIFs and the prune
-trail against auxiliary regressions.  Nested candidate sets over a factor
+reproduces every cell, and that encoding the table the prep stage hands over
+gives the design parsing its files gives.  For the OLS core each example
+draws a design shape and a seed for its values.  Designs with one exactly
+duplicated column and factors check the rank/leverage identity and the
+PRESS = leave-one-out identity; designs with near-collinear columns check
+VIFs and the prune trail against auxiliary regressions, and on small ones
+the AIC of fits and of stepwise traces against an 80-digit reference.  Nested candidate sets over a factor
 with rare levels check Monte Carlo CV against literal refits, and against
 refits of each training split encoded on its own when the rare levels
 include the reference level.
@@ -20,11 +22,13 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from regsel import (CVConfig, DesignMatrix, RawTable, coerce_to_factor, encode_design, fit_ols,
-                    load_table, mc_cross_validate, press_residuals, read_schema, vif_prune,
-                    write_schema, write_table)
-from oracles import (loo_predictions, prune_by_auxiliary_regression, reencoded_cv_mspe,
-                     refit_cv_mspe, unseen_level_rows)
+from regsel import (CVConfig, DesignMatrix, RawTable, coerce_to_factor, drop_incomplete_rows,
+                    encode_design, fit_ols, fit_statistics, load_table, mc_cross_validate,
+                    press_residuals, read_schema, step_select_modes, vif_prune, write_schema,
+                    write_table)
+from oracles import (aic_error_bound, assert_same_design, loo_predictions,
+                     prune_by_auxiliary_regression, reencoded_cv_mspe, reference_aic, refit_cv_mspe,
+                     unseen_level_rows)
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
@@ -84,6 +88,32 @@ def test_checkpoint_round_trip_is_exact(table):
             assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
 
 
+@PROPERTY_SETTINGS
+@given(checkpoint_tables())
+def test_handed_over_design_equals_a_parse(table):
+    """The prep stage hands the table it wrote to the later stages in place of
+    ``prep.csv``; encoding it must give what parsing the files gives, or the
+    same error."""
+    try:
+        table = drop_incomplete_rows(table)
+    except ValueError:
+        return      # every row has a missing cell: prep stops before writing
+    with tempfile.TemporaryDirectory() as tmp:
+        parsed = load_table(write_table(table, Path(tmp) / "prep.csv"),
+                            read_schema(write_schema(table, Path(tmp) / "prep.schema")))
+    encoded = []
+    for t in (table, parsed):
+        try:
+            encoded.append(encode_design(t))
+        except ValueError as exc:
+            encoded.append(str(exc))
+    handed, fresh = encoded
+    if isinstance(handed, str) or isinstance(fresh, str):
+        assert handed == fresh
+    else:
+        assert_same_design(handed, fresh)
+
+
 @st.composite
 def aliased_designs(draw):
     """An encoded design whose last numeric column copies another numeric
@@ -141,13 +171,13 @@ def test_press_equals_leave_one_out(design):
 
 
 @st.composite
-def near_collinear_designs(draw):
-    """Four to eight numeric columns, one to three of which are rewritten as
-    another column, or a combination of two, plus noise of scale 1e-9 to
-    1e-2; every column is then rescaled and shifted."""
+def near_collinear_designs(draw, max_n=80, max_p=8):
+    """Four to ``max_p`` numeric columns, one to three of which are rewritten
+    as another column, or a combination of two, plus noise of scale 1e-9 to
+    1e-2; every column is then rescaled and shifted.  30 to ``max_n`` rows."""
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    p = draw(st.integers(4, 8))
-    n = draw(st.integers(30, 80))
+    p = draw(st.integers(4, max_p))
+    n = draw(st.integers(30, max_n))
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p))
     for _ in range(draw(st.integers(1, 3))):
@@ -179,6 +209,27 @@ def test_vif_prune_matches_auxiliary_regression(design):
     assert report.values.keys() == values.keys()
     for name, want in values.items():
         assert_vifs_agree(report.values[name], want)
+
+
+@PROPERTY_SETTINGS
+@given(near_collinear_designs(max_n=40, max_p=6))
+def test_search_aic_is_within_its_bound_of_the_extended_precision_reference(design):
+    """fit_ols's AIC and the AIC of every model on each mode's trace, read
+    from the updated factorization, lie within c·u·κ·n of an 80-digit
+    reference.  A model fit_ols finds rank-deficient is fitted on fewer
+    columns than the reference counts, so it is left out."""
+    def check(terms, aic):
+        model = fit_ols(design.subset_terms(terms))
+        if model.rank == model.p:
+            assert abs(aic - reference_aic(design, terms)) <= aic_error_bound(design, terms)
+
+    check(design.term_names, fit_statistics(fit_ols(design)).aic_selection)
+    for trace in step_select_modes(design).values():
+        current = set(trace.start)
+        check(current, trace.aic_start)
+        for move in trace.moves:
+            current = current - {move.term} if move.direction == "remove" else current | {move.term}
+            check(current, move.aic_after)
 
 
 @st.composite
