@@ -28,7 +28,6 @@ response_schema = outcome.schema
 factor_columns = flag_a,flag_b,flag_c
 exclude_rows = 42            # rerun selection/diagnostics/CV without this row
 cv_replications = 300        # demo size; the reference protocol uses 8000
-cv_workers = 2
 out_dir = out
 """)
 

@@ -85,17 +85,13 @@ class CVConfig:
     """Cross-validation parameters.
 
     ``models`` is an ordered tuple of (label, term-name tuple) pairs; every
-    candidate is scored on the same split within a replication.  ``workers``
-    is accepted and has no effect: the loop runs in the calling thread,
-    because threads contend on the interpreter lock and on BLAS and made
-    the loop slower, not faster.
+    candidate is scored on the same split within a replication.
     """
 
     models: tuple
     replications: int = 8000
     train_fraction: float = 0.8
     seed: int = 20883271
-    workers: int = 1
 
     def __post_init__(self):
         if self.replications < 1:
@@ -107,12 +103,8 @@ class CVConfig:
 
     @classmethod
     def for_models(cls, models, **kwargs) -> "CVConfig":
-        """Accept ``{label: terms}`` mappings or (label, terms) pairs."""
-        if hasattr(models, "items"):
-            pairs = tuple((str(k), tuple(v)) for k, v in models.items())
-        else:
-            pairs = tuple((str(k), tuple(v)) for k, v in models)
-        return cls(models=pairs, **kwargs)
+        """Build from a ``{label: terms}`` mapping."""
+        return cls(models=tuple((str(k), tuple(v)) for k, v in models.items()), **kwargs)
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,6 @@ __all__ = ["RunConfig", "PipelineError", "ReportBundle", "run_pipeline", "run_st
 
 STAGES = ("prep", "prune", "select", "diagnose", "cv", "report")
 
-OUT_DIR_ENV = "REGSEL_OUT"
-
 
 class PipelineError(Exception):
     """Stage-tagged failure with a remediation hint."""
@@ -81,7 +79,6 @@ class RunConfig:
     cv_replications: int = 8000
     cv_train_fraction: float = 0.8
     cv_seed: int = 20883271
-    cv_workers: int = 1                 # accepted; has no effect
     log_refit: bool = True
     report_model: str = "forward"
     top_m_full: int = 10
@@ -98,6 +95,8 @@ class RunConfig:
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+# keys that no longer set anything; config files that still carry them parse
+_RETIRED_KEYS = ("cv_workers",)
 
 
 def _parse_value(name: str, raw: str, source: str | None = None):
@@ -130,10 +129,11 @@ def _parse_value(name: str, raw: str, source: str | None = None):
 def read_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse a ``key = value`` config file (``#`` comments, blank lines ok).
 
-    Relative input paths are resolved against the config file's directory;
-    ``overrides`` (CLI flags) win over file values.  Unknown keys are
-    rejected.  The ``REGSEL_OUT`` environment variable, when set, overrides
-    the output directory.
+    Relative paths in the file are resolved against the file's directory.
+    ``overrides`` (CLI flags; None values are skipped) are applied after
+    that and win over file values; a path among them is used as given, so a
+    relative one is relative to the working directory.  Unknown keys are
+    rejected; a retired key is accepted and ignored.
     """
     path = Path(path)
     if not path.exists():
@@ -147,25 +147,19 @@ def read_config(path, overrides: dict | None = None) -> RunConfig:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
+        if key in _RETIRED_KEYS:
+            continue
         if key not in _DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
         try:
             values[key] = _parse_value(key, val)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if overrides:
-        for key, val in overrides.items():
-            if val is not None:
-                values[key] = val
-    env_out = os.environ.get(OUT_DIR_ENV)
-    if env_out:
-        values["out_dir"] = env_out
-
-    base = path.parent
     for key in ("table_a", "schema_a", "table_b", "schema_b", "response_table",
                 "response_schema", "merged_table", "merged_schema", "out_dir"):
-        if values.get(key) is not None and not Path(values[key]).is_absolute():
-            values[key] = str(base / values[key])
+        if key in values and not Path(values[key]).is_absolute():
+            values[key] = str(path.parent / values[key])
+    values.update((key, val) for key, val in (overrides or {}).items() if val is not None)
     cfg = RunConfig(**values)
     _validate_config(cfg)
     return cfg
@@ -190,8 +184,17 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ValueError(f"report_model '{cfg.report_model}' is not among the enabled modes")
     if any(r < 1 for r in cfg.exclude_rows):
         raise ValueError("exclude_rows are 1-based row numbers; 0 or negatives are invalid")
+    if not 0.0 <= cfg.na_ratio <= 1.0:
+        raise ValueError(f"na_ratio must be in [0, 1], got {cfg.na_ratio}")
+    if not cfg.vstar > 1.0:
+        raise ValueError(f"vstar must exceed 1, got {cfg.vstar}")
+    for key in ("top_m_full", "top_m_selected"):
+        if getattr(cfg, key) < 1:
+            raise ValueError(f"{key} must be >= 1, got {getattr(cfg, key)}")
+    # the library's own checks of the search penalty and the CV settings
+    cfg.scope()
     CVConfig(models=(), replications=cfg.cv_replications, train_fraction=cfg.cv_train_fraction,
-             seed=cfg.cv_seed, workers=cfg.cv_workers)
+             seed=cfg.cv_seed)
 
 
 REFERENCE_CONFIG = """\
@@ -217,7 +220,6 @@ exclude_rows =             # 1-based rows for the outlier-exclusion rerun, e.g. 
 cv_replications = 8000
 cv_train_fraction = 0.8
 cv_seed = 20883271
-cv_workers = 1             # accepted; has no effect (cross-validation runs in one thread)
 log_refit = true           # also emit diagnostics for the log-response refit
 report_model = forward     # which selected model the report stage describes
 top_m_full = 10            # top-influence flags on the full model
@@ -453,7 +455,7 @@ def _cv_into(cfg: RunConfig, design: DesignMatrix, out: Path) -> list:
     config = CVConfig.for_models({mode: selected[mode] for mode in cfg.modes},
                                  replications=cfg.cv_replications,
                                  train_fraction=cfg.cv_train_fraction,
-                                 seed=cfg.cv_seed, workers=cfg.cv_workers)
+                                 seed=cfg.cv_seed)
     result = mc_cross_validate(design, config)
     paths = [
         write_mspe_dump(result, out / "cv_mspe.tsv"),

@@ -91,6 +91,10 @@ class Scope:
     upper: tuple | None = None
     k: float = 2.0
 
+    def __post_init__(self):
+        if not self.k > 0:
+            raise ValueError(f"penalty k must be positive, got {self.k}")
+
     def resolve(self, design: DesignMatrix):
         all_terms = design.term_names
         upper = all_terms if self.upper is None else tuple(self.upper)
@@ -100,8 +104,6 @@ class Scope:
             raise KeyError(f"scope names unknown terms: {', '.join(sorted(unknown))}")
         if not set(lower) <= set(upper):
             raise ValueError("scope lower model must be a subset of the upper model")
-        if self.k <= 0:
-            raise ValueError(f"penalty k must be positive, got {self.k}")
         order = {name: i for i, name in enumerate(all_terms)}
         return (tuple(sorted(lower, key=order.get)), tuple(sorted(upper, key=order.get)))
 

@@ -117,15 +117,6 @@ def test_same_seed_is_bitwise_identical():
     assert not np.array_equal(r1.mspe, r3.mspe)
 
 
-def test_worker_count_does_not_change_results():
-    rng = np.random.default_rng(83)
-    d = noisy_design(rng)
-    base = mc_cross_validate(d, config_for(d, reps=30, workers=1))
-    for workers in (3, 7):
-        parallel = mc_cross_validate(d, config_for(d, reps=30, workers=workers))
-        assert np.array_equal(base.mspe, parallel.mspe)
-
-
 def test_candidates_share_the_split():
     rng = np.random.default_rng(84)
     d = noisy_design(rng)

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the source tree."""
+"""Each demo script, and the README's quick start, runs to completion against
+the source tree."""
 
 import os
 import subprocess
@@ -11,11 +12,21 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo, tmp_path):
+def run_python(args, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
                TMPDIR=str(tmp_path))
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    run_python([str(demo)], tmp_path)
     assert not list(tmp_path.glob("regsel_demo_*")), "the demo left its temp directory behind"
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    run_python(["-c", quick_start], tmp_path)

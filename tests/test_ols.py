@@ -19,7 +19,7 @@ from regsel import (
     predict,
     refit_log_response,
 )
-from regsel.ols import _format_p
+from regsel.ols import _format_p, write_summary
 from oracles import random_design
 
 
@@ -301,6 +301,21 @@ def test_format_summary_layout():
     assert "Residual standard error:" in text
     assert "Adjusted R-squared:" in text
     assert "F-statistic:" in text
+
+
+def test_summaries_of_an_aliased_log_refit(tmp_path):
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((12, 2))
+    X = np.column_stack([X, X[:, 0] + X[:, 1]])
+    y = np.exp(0.5 + 0.3 * X[:, 0] + 0.1 * rng.standard_normal(12))
+    m = refit_log_response(fit_ols(DesignMatrix.from_arrays(X, y)))
+    assert m.aliased.tolist() == [False, False, True, False]
+    lines = format_summary(m).splitlines()
+    assert lines[0] == "Formula: log(y) ~ x1 + x2 + x3"
+    assert lines[6] == "x2                     NA            NA        NA          NA  (aliased)"
+    write_summary(m, tmp_path / "m.txt", tmp_path / "m.tsv")
+    assert (tmp_path / "m.txt").read_text().splitlines() == lines
+    assert (tmp_path / "m.tsv").read_text().splitlines()[3] == "x2\tNA\tNA\tNA\tNA\t1"
 
 
 # ---------------------------------------------------------------------------

@@ -131,11 +131,38 @@ def test_read_config_rejects_bad_cv_settings(tmp_path, key, raw):
         read_config(path)
 
 
-def test_env_var_overrides_out_dir(dataset_dir, tmp_path, monkeypatch):
-    path = write_config(dataset_dir, "outEnv")
-    monkeypatch.setenv("REGSEL_OUT", str(tmp_path / "env_out"))
-    cfg = read_config(path)
-    assert cfg.out == tmp_path / "env_out"
+def test_out_override_is_used_as_given(dataset_dir, tmp_path, monkeypatch):
+    path = write_config(dataset_dir, "outRel")
+    monkeypatch.chdir(tmp_path)
+    assert read_config(path, overrides={"out_dir": "here"}).out == Path("here")
+    assert read_config(path).out == dataset_dir / "outRel"
+
+
+def test_retired_key_is_accepted_and_ignored(tmp_path):
+    text = "merged_table = m.csv\nmerged_schema = m.schema\n"
+    (tmp_path / "plain.cfg").write_text(text)
+    (tmp_path / "retired.cfg").write_text(text + "cv_workers = 4\n")
+    assert read_config(tmp_path / "retired.cfg") == read_config(tmp_path / "plain.cfg")
+    assert "cv_workers" not in {f.name for f in fields(RunConfig)}
+
+
+@pytest.mark.parametrize("key, raw, message", [
+    ("k_penalty", "0", "penalty k must be positive, got 0.0"),
+    ("vstar", "1", "vstar must exceed 1, got 1.0"),
+    ("top_m_full", "0", "top_m_full must be >= 1, got 0"),
+    ("top_m_selected", "0", "top_m_selected must be >= 1, got 0"),
+    ("na_ratio", "1.5", "na_ratio must be in [0, 1], got 1.5"),
+])
+def test_bad_settings_fail_before_any_stage_runs(dataset_dir, tmp_path, capsys, key, raw, message):
+    out = tmp_path / "out"
+    path = dataset_dir / f"bad_{key}.cfg"
+    path.write_text(CONFIG_TEMPLATE.format(out=out) + f"{key} = {raw}\n")
+    with pytest.raises(ValueError) as excinfo:
+        read_config(path)
+    assert str(excinfo.value) == message
+    assert cli_main(["all", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"regsel: config error: {message}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +363,6 @@ def test_stage_subprocesses_match_one_in_process_all(dataset_dir):
     cfg_steps = write_config(dataset_dir, "out_proc_steps")
     env = dict(os.environ, PYTHONPATH=str(Path(pipeline.__file__).parents[1]),
                OPENBLAS_NUM_THREADS="1")
-    env.pop("REGSEL_OUT", None)
     for stage in pipeline.STAGES:
         done = subprocess.run([sys.executable, "-m", "regsel.cli", stage, "--config", str(cfg_steps)],
                               env=env, capture_output=True, text=True, timeout=300)
@@ -393,6 +419,19 @@ def test_cli_option_overrides(dataset_dir, tmp_path, capsys):
                      "--exclude-rows", "3,4", "--seed", "11"]) == 0
     capsys.readouterr()
     assert (out / "prep.csv").exists()
+
+
+def test_cli_out_is_relative_to_the_working_directory(dataset_dir, bundle_and_out, tmp_path,
+                                                      monkeypatch, capsys):
+    cfg = write_config(dataset_dir, "out_cli_cwd")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REGSEL_OUT", "env_out")
+    assert cli_main(["all", "--config", os.path.relpath(cfg), "--out", "results"]) == 0
+    capsys.readouterr()
+    assert tree_bytes(tmp_path / "results") == tree_bytes(bundle_and_out[1].out)
+    for name in ("results", "env_out", "out_cli_cwd"):
+        assert not (dataset_dir / name).exists(), name
+    assert not (tmp_path / "env_out").exists()
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

@@ -135,6 +135,21 @@ def test_vif_emission(tmp_path):
     assert sum(int(r[2]) for r in rows) == 2          # infinite value excluded
 
 
+def test_vif_histogram_without_finite_values_is_a_header(tmp_path):
+    hist = write_vif_histogram({"a": math.inf, "b": math.inf}, tmp_path / "hist.tsv")
+    assert hist.read_text() == "bin_left\tbin_right\tcount\n"
+
+
+def test_svg_boxplot_draws_one_circle_per_outlier(tmp_path):
+    # quartiles 2.5 and 7.5, so the fences are -5 and 15
+    values = [-80.0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 100.0]
+    text = svg_boxplot({"m": values}, tmp_path / "b.svg").read_text()
+    assert [line for line in text.splitlines() if line.startswith("<circle")] == [
+        '<circle cx="320.0" cy="430.0" r="2" fill="black"/>',
+        '<circle cx="320.0" cy="50.0" r="2" fill="black"/>',
+    ]
+
+
 def test_svg_outputs_are_wellformed(tmp_path):
     rng = np.random.default_rng(104)
     x, y = rng.standard_normal(50), rng.standard_normal(50)
