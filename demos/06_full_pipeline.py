@@ -31,10 +31,11 @@ cv_replications = 300        # demo size; the reference protocol uses 8000
 out_dir = out
 """)
 
-    bundle = run_pipeline(read_config(config_path))
+    cfg = read_config(config_path)
+    bundle = run_pipeline(cfg)
 
-    print(f"pipeline finished; outputs under {bundle.out_dir}\n")
-    for stage, files in bundle.files.items():
+    print(f"pipeline finished; outputs under {cfg.out}\n")
+    for stage, files in bundle.items():
         print(f"{stage:9s} {len(files)} file(s)")
         for path in files[:4]:
             print(f"          {path.name}")
@@ -42,5 +43,5 @@ out_dir = out
             print(f"          ... and {len(files) - 4} more")
 
     print("\nfinal model report (head):")
-    report = (bundle.out_dir / "model_report.txt").read_text().splitlines()
+    report = (cfg.out / "model_report.txt").read_text().splitlines()
     print("\n".join(report[:12]))

@@ -76,7 +76,6 @@ from .crossval import (
 )
 from .pipeline import (
     PipelineError,
-    ReportBundle,
     RunConfig,
     run_pipeline,
     run_stage,

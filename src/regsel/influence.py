@@ -5,6 +5,8 @@ diagnostics are closed-form functions of the stored fit (residuals,
 leverage, RSS, rank): PRESS residuals equal the leave-one-out prediction
 errors, Cook's distance and DFFITS match their delete-one definitions, and
 the studentized residuals come in internal and external flavours.
+:func:`influence_flags` reports only what the bundle writes: leverage,
+Cook's distance and their flags.
 
 The rest reads the rows W of ``BlockQR.inverse_gram_rows()``, with
 W Wᵀ = (XᵀX)⁻¹ on the non-aliased columns.  Added-variable residuals come
@@ -125,7 +127,6 @@ class VifReport:
     values: dict
     infinite: tuple = ()
     trail: tuple = ()
-    threshold: float | None = None
 
 
 def _block_vifs(block: np.ndarray) -> np.ndarray:
@@ -211,7 +212,7 @@ def vif_prune(design: DesignMatrix, vstar: float = 10.0):
             raise ValueError(
                 f"VIF pruning at vstar={vstar} would remove every numeric predictor")
     kept = [t.name for t in design.terms if t.kind == "factor" or t.name in survivors]
-    return design.subset_terms(kept), _report(survivors, vifs, trail=tuple(trail), threshold=vstar)
+    return design.subset_terms(kept), _report(survivors, vifs, trail=tuple(trail))
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +248,10 @@ class InfluenceReport:
     cooks_d: np.ndarray
     cook_threshold: float
     top_influence: np.ndarray
-    press: np.ndarray
-    dffits: np.ndarray
-    studentized_internal: np.ndarray
-    studentized_external: np.ndarray
 
 
 def influence_flags(model: FittedModel, top_m: int) -> InfluenceReport:
-    """Compute the full influence report, flagging high-leverage and top-m influential rows.
-
-    DFFITS and external studentized residuals need one residual degree of
-    freedom more than the rest; when that is missing they come back as NaN
-    vectors rather than failing the whole report.
-    """
+    """Leverage and Cook's distance, flagging high-leverage and top-m influential rows."""
     n = model.n
     if not 1 <= top_m <= n:
         raise ValueError(f"top_m must be in [1, {n}], got {top_m}")
@@ -269,12 +261,6 @@ def influence_flags(model: FittedModel, top_m: int) -> InfluenceReport:
     threshold = interpolated_quantile(cooks, (n - top_m) / n)
     # ties at the threshold are all included; tolerate last-ulp float noise
     top = (cooks >= threshold) | np.isclose(cooks, threshold, rtol=1e-12, atol=0.0)
-    if n - model.rank - 1 >= 1:
-        dff = dffits(model)
-        external = studentized(model, "external")
-    else:
-        dff = np.full(n, math.nan)
-        external = np.full(n, math.nan)
     return InfluenceReport(
         leverage=h,
         mean_leverage=hbar,
@@ -282,10 +268,6 @@ def influence_flags(model: FittedModel, top_m: int) -> InfluenceReport:
         cooks_d=cooks,
         cook_threshold=threshold,
         top_influence=top,
-        press=press_residuals(model),
-        dffits=dff,
-        studentized_internal=studentized(model, "internal"),
-        studentized_external=external,
     )
 
 

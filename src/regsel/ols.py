@@ -126,16 +126,16 @@ class BlockQR:
         return w
 
 
-def qr_block(X: np.ndarray, rank_tol: float = RANK_TOL) -> BlockQR:
+def qr_block(X: np.ndarray) -> BlockQR:
     """Rank-revealing QR of a column block.
 
-    Column k (in pivot order) is aliased when |R[k, k]| < rank_tol * |R[0, 0]|.
+    Column k (in pivot order) is aliased when |R[k, k]| < RANK_TOL * |R[0, 0]|.
     """
     Q, R, piv = linalg.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     if diag[0] == 0.0:
         raise ValueError("design matrix is identically zero")
-    rank = int(np.sum(diag >= rank_tol * diag[0]))
+    rank = int(np.sum(diag >= RANK_TOL * diag[0]))
     return BlockQR(q=Q[:, :rank], r=R[:rank, :rank], pivot=piv, rank=rank)
 
 
@@ -177,15 +177,14 @@ def _fit(design: DesignMatrix, qr: BlockQR) -> FittedModel:
                        residuals=residuals, rss=rss, rank=qr.rank, leverage=leverage, qr=qr)
 
 
-def fit_ols(design: DesignMatrix, strict: bool = False) -> FittedModel:
+def fit_ols(design: DesignMatrix) -> FittedModel:
     """Fit least squares by pivoted QR.
 
     Parameters
     ----------
     design : DesignMatrix
-    strict : bool
-        When True, an all-zero design column is an error instead of being
-        silently aliased.
+        A column that the others span, an all-zero one included, is aliased:
+        its coefficient is NaN and it contributes nothing to the fit.
 
     Returns
     -------
@@ -193,14 +192,9 @@ def fit_ols(design: DesignMatrix, strict: bool = False) -> FittedModel:
         With fitted values computed as ``X @ coef`` (aliased coefficients
         contribute zero), so in-sample prediction reproduces them exactly.
     """
-    X = design.X
     if design.n_rows < 1:
         raise ValueError("cannot fit on an empty design")
-    if strict:
-        zero = np.flatnonzero(~X.any(axis=0))
-        if zero.size:
-            raise ValueError(f"all-zero design column '{design.column_names[zero[0]]}' (strict mode)")
-    return _fit(design, qr_block(X))
+    return _fit(design, qr_block(design.X))
 
 
 def _check_alignment(model: FittedModel, new_design: DesignMatrix) -> None:

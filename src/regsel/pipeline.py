@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +33,8 @@ from .ols import fit_ols, refit_log_response, write_summary
 from .stepwise import COMPARISON_ROWS, MODES, ComparisonTable, Scope, compare_models, format_trace, step_select_modes
 from .table import DesignMatrix, coerce_to_factor, drop_incomplete_rows, drop_sparse_columns, encode_design, load_table, merge_by_id, read_schema, write_schema, write_table
 
-__all__ = ["RunConfig", "PipelineError", "ReportBundle", "run_pipeline", "run_stage",
-           "STAGES", "write_reference_config"]
+__all__ = ["RunConfig", "PipelineError", "run_pipeline", "run_stage", "STAGES",
+           "write_reference_config"]
 
 STAGES = ("prep", "prune", "select", "diagnose", "cv", "report")
 
@@ -55,7 +55,11 @@ class PipelineError(Exception):
 class RunConfig:
     """Pipeline parameters; the numeric defaults are the reference protocol:
     sparse-column ratio 0.01, VIF threshold 10, AIC penalty 2, 8000
-    cross-validation replications at an 80% training fraction."""
+    cross-validation replications at an 80% training fraction.
+
+    A config is checked when it is built, however it is built: one input
+    route must be set and every setting must be in range, or ValueError.
+    """
 
     # inputs: either the two predictor tables + response table, or one merged table
     table_a: str | None = None
@@ -85,6 +89,9 @@ class RunConfig:
     top_m_selected: int = 15
     emit_svg: bool = False
     out_dir: str = "out"
+
+    def __post_init__(self):
+        _validate_config(self)
 
     @property
     def out(self) -> Path:
@@ -160,9 +167,7 @@ def read_config(path, overrides: dict | None = None) -> RunConfig:
         if key in values and not Path(values[key]).is_absolute():
             values[key] = str(path.parent / values[key])
     values.update((key, val) for key, val in (overrides or {}).items() if val is not None)
-    cfg = RunConfig(**values)
-    _validate_config(cfg)
-    return cfg
+    return RunConfig(**values)
 
 
 def _validate_config(cfg: RunConfig) -> None:
@@ -238,18 +243,6 @@ def write_reference_config(path) -> Path:
 # ---------------------------------------------------------------------------
 # Stage plumbing
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ReportBundle:
-    """Paths emitted per stage."""
-
-    out_dir: Path
-    files: dict = field(default_factory=dict)
-
-    def add(self, stage: str, paths) -> None:
-        self.files.setdefault(stage, [])
-        self.files[stage].extend(Path(p) for p in paths)
 
 
 def _checkpoint(stage: str, path: Path, producer: str) -> bytes:
@@ -494,7 +487,7 @@ def _stage_report(cfg: RunConfig) -> list:
         log_model = refit_log_response(model)
         paths += rpt.residual_diagnostics(log_model, out, prefix="log")
         av_model = log_model
-    paths += rpt.write_added_variable_data(av_model, out, prefix="av")
+    paths += rpt.write_added_variable_data(av_model, out)
     return paths
 
 
@@ -529,9 +522,6 @@ def run_stage(stage: str, cfg: RunConfig) -> list:
         raise PipelineError(stage, str(exc), hint=_STAGE_HINTS.get(stage)) from exc
 
 
-def run_pipeline(cfg: RunConfig) -> ReportBundle:
-    """Run every stage in order and return the emitted file inventory."""
-    bundle = ReportBundle(out_dir=cfg.out)
-    for stage in STAGES:
-        bundle.add(stage, run_stage(stage, cfg))
-    return bundle
+def run_pipeline(cfg: RunConfig) -> dict:
+    """Run every stage in order; returns {stage: [Path, ...]} of the files each wrote."""
+    return {stage: run_stage(stage, cfg) for stage in STAGES}

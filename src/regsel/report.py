@@ -77,8 +77,8 @@ def residual_diagnostics(model: FittedModel, out_dir, prefix: str = "model") -> 
     return paths
 
 
-def write_added_variable_data(model: FittedModel, out_dir, prefix: str = "av") -> list:
-    """Added-variable data for every single-column, non-aliased term of the model."""
+def write_added_variable_data(model: FittedModel, out_dir) -> list:
+    """Added-variable data, ``av_<term>.tsv``, for every single-column, non-aliased term."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -88,7 +88,7 @@ def write_added_variable_data(model: FittedModel, out_dir, prefix: str = "av") -
         av = added_variable_data(model, term.name)
         lines = [f"# slope\t{av.slope!r}", "x_partial\ty_partial"]
         lines += [f"{x!r}\t{y!r}" for x, y in zip(av.x_partial.tolist(), av.y_partial.tolist())]
-        paths.append(_write(out_dir / f"{prefix}_{term.name}.tsv", lines))
+        paths.append(_write(out_dir / f"av_{term.name}.tsv", lines))
     return paths
 
 

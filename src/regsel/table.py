@@ -349,7 +349,7 @@ def load_table(path, schema, delimiter: str = ",") -> RawTable:
         elif role is ColumnRole.ID:
             for i, tok in enumerate(raw, start=1):
                 if tok in MISSING_TOKENS:
-                    raise ValueError(f"column '{name}', data row {i}: id value is missing")
+                    raise ValueError(f"{path}: column '{name}', data row {i}: id value is missing")
             try:
                 columns.append(np.array([int(tok) for tok in raw], dtype=np.int64))
             except ValueError:
@@ -360,11 +360,11 @@ def load_table(path, schema, delimiter: str = ",") -> RawTable:
     return RawTable.build(header, roles, columns)
 
 
-def write_table(table: RawTable, path, delimiter: str = ",") -> Path:
-    """Write a RawTable back to delimited text (missing cells become ``NA``)."""
+def write_table(table: RawTable, path) -> Path:
+    """Write a RawTable as comma-separated text (missing cells become ``NA``)."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
+        writer = csv.writer(fh)
         writer.writerow(table.names)
         cells = []
         for col, role in zip(table.columns, table.roles):
@@ -582,11 +582,12 @@ class DesignMatrix:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_arrays(cls, X, y, names=None, row_ids=None, response_name="y") -> "DesignMatrix":
+    def from_arrays(cls, X, y, names=None, response_name="y") -> "DesignMatrix":
         """Build a design from a plain numeric predictor matrix (no intercept column).
 
         Each predictor column becomes its own numeric term; the intercept is
-        prepended.  Handy for tests and array-based workflows.
+        prepended and rows are numbered 1..n.  Handy for tests and
+        array-based workflows.
         """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[0] == 1 and np.asarray(y).shape[0] != 1:
@@ -597,13 +598,11 @@ class DesignMatrix:
         names = list(names)
         if len(names) != p:
             raise ValueError("names length must match the number of predictor columns")
-        if row_ids is None:
-            row_ids = np.arange(1, n + 1)
         full = np.column_stack([np.ones(n), X])
         terms = tuple(Term(name=nm, kind="numeric", columns=(j + 1,)) for j, nm in enumerate(names))
         return cls(X=full, y=np.asarray(y, dtype=np.float64),
                    column_names=("(Intercept)", *names), terms=terms,
-                   row_ids=np.asarray(row_ids), response_name=response_name)
+                   row_ids=np.arange(1, n + 1), response_name=response_name)
 
     # -- shape ----------------------------------------------------------------
 

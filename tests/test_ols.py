@@ -96,12 +96,10 @@ def test_predict_term_mismatch(hand_design):
         predict(m, other)
 
 
-def test_strict_mode_rejects_zero_column():
+def test_all_zero_column_is_aliased():
     d = DesignMatrix.from_arrays(np.column_stack([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]),
                                  [1.0, 2.0, 3.0], names=["x", "z"])
-    with pytest.raises(ValueError, match="all-zero"):
-        fit_ols(d, strict=True)
-    m = fit_ols(d)          # lenient: aliased instead
+    m = fit_ols(d)
     assert m.aliased[2]
 
 

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +55,7 @@ def tree_bytes(root: Path) -> dict:
 
 
 def test_defaults_are_the_reference_protocol():
-    cfg = RunConfig()
+    cfg = RunConfig(merged_table="data.csv", merged_schema="data.schema")
     assert cfg.na_ratio == 0.01
     assert cfg.vstar == 10.0
     assert cfg.k_penalty == 2.0
@@ -165,6 +165,15 @@ def test_bad_settings_fail_before_any_stage_runs(dataset_dir, tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_config_built_in_python_is_checked_before_any_stage_runs(dataset_dir):
+    cfg = read_config(write_config(dataset_dir, "out_unchecked"))
+    with pytest.raises(ValueError, match="top_m_full must be >= 1, got 0"):
+        run_pipeline(replace(cfg, top_m_full=0))
+    with pytest.raises(ValueError, match="exactly one input route"):
+        RunConfig()
+    assert not cfg.out.exists()
+
+
 # ---------------------------------------------------------------------------
 # pipeline runs
 # ---------------------------------------------------------------------------
@@ -179,7 +188,7 @@ def bundle_and_out(dataset_dir):
 
 def test_bundle_contains_every_stage(bundle_and_out):
     bundle, cfg = bundle_and_out
-    assert set(bundle.files) == {"prep", "prune", "select", "diagnose", "cv", "report"}
+    assert set(bundle) == {"prep", "prune", "select", "diagnose", "cv", "report"}
     out = cfg.out
     for name in ("prep.csv", "prep.schema", "audit.txt", "kept_terms.json",
                  "selected_models.json", "comparison.tsv", "comparison_side_by_side.tsv",
@@ -253,7 +262,7 @@ def test_modes_disabled_gives_prep_vif_and_full_model_only(dataset_dir):
     assert (out / "vif_values_after.tsv").exists()
     assert not (out / "comparison.tsv").exists()
     assert not (out / "cv_mspe.tsv").exists()
-    assert bundle.files["cv"] == []
+    assert bundle["cv"] == []
     assert (out / "model_report.txt").exists()
 
 

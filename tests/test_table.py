@@ -172,6 +172,19 @@ def test_load_errors(tmp_path):
         load_table(f, {"ID": "id", "x": "numeric", "ghost": "numeric"})
 
 
+@pytest.mark.parametrize("text, message", [
+    ("ID,x\n1,2\nNA,3\n", "column 'ID', data row 2: id value is missing"),
+    ("ID,x\n1,2\n2\n", "data row 2 has 1 fields, expected 2"),
+    ("", "file is empty"),
+])
+def test_load_errors_name_the_file(tmp_path, text, message):
+    f = tmp_path / "d.csv"
+    f.write_text(text)
+    with pytest.raises(ValueError) as excinfo:
+        load_table(f, {"ID": "id", "x": "numeric"})
+    assert str(excinfo.value) == f"{f}: {message}"
+
+
 def test_load_default_role_and_tab_delimiter(tmp_path):
     f = tmp_path / "d.tsv"
     f.write_text("ID\tx1\tx2\ty\n1\t0.1\t0.2\t5\n2\t0.3\t0.4\t6\n")
