@@ -36,9 +36,6 @@ from .table import DesignMatrix, coerce_to_factor, drop_incomplete_rows, drop_sp
 __all__ = ["RunConfig", "PipelineError", "run_pipeline", "run_stage", "STAGES",
            "write_reference_config"]
 
-STAGES = ("prep", "prune", "select", "diagnose", "cv", "report")
-
-
 class PipelineError(Exception):
     """Stage-tagged failure with a remediation hint."""
 
@@ -130,7 +127,7 @@ def _parse_value(name: str, raw: str, source: str | None = None):
     except ValueError:
         expected = {int: "an integer", float: "a number"}.get(kind, "comma-separated integers")
         raise ValueError(f"{source} expects {expected}, got {raw!r}") from None
-    return raw
+    return "\t" if name == "delimiter" and raw == r"\t" else raw
 
 
 def read_config(path, overrides: dict | None = None) -> RunConfig:
@@ -187,6 +184,9 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ValueError(f"unknown selection modes: {', '.join(sorted(bad_modes))}")
     if cfg.modes and cfg.report_model not in (*cfg.modes, "full"):
         raise ValueError(f"report_model '{cfg.report_model}' is not among the enabled modes")
+    if len(cfg.delimiter) != 1 or cfg.delimiter in '"\r\n':
+        raise ValueError("delimiter must be one character other than a quote or a line break "
+                         rf"(\t for a tab), got {cfg.delimiter!r}")
     if any(r < 1 for r in cfg.exclude_rows):
         raise ValueError("exclude_rows are 1-based row numbers; 0 or negatives are invalid")
     if not 0.0 <= cfg.na_ratio <= 1.0:
@@ -212,7 +212,7 @@ schema_b = exposures.schema
 response_table = outcome.csv
 response_schema = outcome.schema
 # Input route B (instead of the above): merged_table = data.csv / merged_schema = data.schema
-delimiter = ,
+delimiter = ,              # one character; \\t for a tab
 
 na_ratio = 0.01            # drop predictor columns with >= ratio * n missing
 factor_columns =           # comma-separated numeric columns to coerce to factors
@@ -245,13 +245,18 @@ def write_reference_config(path) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _checkpoint(stage: str, path: Path, producer: str) -> bytes:
+# The stage that writes each checkpoint file a later stage reads.
+_PRODUCERS = {"prep.csv": "prep", "prep.schema": "prep", "kept_terms.json": "prune",
+              "selected_models.json": "select"}
+
+
+def _checkpoint(stage: str, path: Path) -> bytes:
     """The bytes of a checkpoint file; a missing one names the stage that writes it."""
     try:
         return path.read_bytes()
     except FileNotFoundError:
         raise PipelineError(stage, f"missing checkpoint {path.name}",
-                            hint=f"run the '{producer}' stage first") from None
+                            hint=f"run the '{_PRODUCERS[path.name]}' stage first") from None
 
 
 # The encoded prepared design of one output directory, keyed by the directory
@@ -261,7 +266,7 @@ _PREPARED: dict = {}
 
 
 def _prepared_key(stage: str, out: Path) -> tuple:
-    digests = [hashlib.sha256(_checkpoint(stage, out / name, "prep")).hexdigest()
+    digests = [hashlib.sha256(_checkpoint(stage, out / name)).hexdigest()
                for name in ("prep.csv", "prep.schema")]
     return (out.resolve(), *digests)
 
@@ -292,7 +297,7 @@ def _runs(cfg: RunConfig, stage: str) -> list:
     excluded-rows rerun when ``exclude_rows`` is set."""
     out = cfg.out
     design = _prepared(stage, out)
-    design = design.subset_terms(json.loads(_checkpoint(stage, out / "kept_terms.json", "prune")))
+    design = design.subset_terms(json.loads(_checkpoint(stage, out / "kept_terms.json")))
     runs = [(design, out)]
     if cfg.exclude_rows:
         last = max(cfg.exclude_rows)
@@ -398,7 +403,7 @@ def _stage_select(cfg: RunConfig) -> list:
 def _diagnose_into(cfg: RunConfig, design: DesignMatrix, out: Path):
     """Write the influence files and ``comparison.tsv``; returns the paths and
     the ComparisonTable (None with no modes)."""
-    selected = json.loads(_checkpoint("diagnose", out / "selected_models.json", "select"))
+    selected = json.loads(_checkpoint("diagnose", out / "selected_models.json"))
     paths = []
     full_fit = fit_ols(design)
     full_report = influence_flags(full_fit, min(cfg.top_m_full, full_fit.n))
@@ -444,7 +449,7 @@ def _stage_diagnose(cfg: RunConfig) -> list:
 
 
 def _cv_into(cfg: RunConfig, design: DesignMatrix, out: Path) -> list:
-    selected = json.loads(_checkpoint("cv", out / "selected_models.json", "select"))
+    selected = json.loads(_checkpoint("cv", out / "selected_models.json"))
     config = CVConfig.for_models({mode: selected[mode] for mode in cfg.modes},
                                  replications=cfg.cv_replications,
                                  train_fraction=cfg.cv_train_fraction,
@@ -477,7 +482,7 @@ def _stage_report(cfg: RunConfig) -> list:
     design, out = _runs(cfg, "report")[0]
     terms = design.term_names
     if cfg.modes and cfg.report_model != "full":
-        terms = json.loads(_checkpoint("report", out / "selected_models.json", "select"))[cfg.report_model]
+        terms = json.loads(_checkpoint("report", out / "selected_models.json"))[cfg.report_model]
     model = fit_ols(design.subset_terms(terms))
     paths = list(write_summary(model, out / "model_report.txt", out / "model_report.tsv",
                                k=cfg.k_penalty))
@@ -491,35 +496,29 @@ def _stage_report(cfg: RunConfig) -> list:
     return paths
 
 
-_STAGE_FUNCS = {
-    "prep": _stage_prep,
-    "prune": _stage_prune,
-    "select": _stage_select,
-    "diagnose": _stage_diagnose,
-    "cv": _stage_cv,
-    "report": _stage_report,
+# Each stage in run order: its function and the hint a failure of it carries.
+_STAGES = {
+    "prep": (_stage_prep, "check the input paths and schema files named in the config"),
+    "prune": (_stage_prune, "rerun 'prep', then check vstar against the data"),
+    "select": (_stage_select, "rerun 'prep' and 'prune' first"),
+    "diagnose": (_stage_diagnose, "rerun 'select' first"),
+    "cv": (_stage_cv, "rerun 'select' first; cv_train_fraction may be too small for the models"),
+    "report": (_stage_report, "rerun 'select' first"),
 }
-
-_STAGE_HINTS = {
-    "prep": "check the input paths and schema files named in the config",
-    "prune": "rerun 'prep', then check vstar against the data",
-    "select": "rerun 'prep' and 'prune' first",
-    "diagnose": "rerun 'select' first",
-    "cv": "rerun 'select' first; cv_train_fraction may be too small for the models",
-    "report": "rerun 'select' first",
-}
+STAGES = tuple(_STAGES)
 
 
 def run_stage(stage: str, cfg: RunConfig) -> list:
     """Run one pipeline stage against the config's output directory."""
-    if stage not in _STAGE_FUNCS:
+    if stage not in _STAGES:
         raise ValueError(f"unknown stage '{stage}'; expected one of {STAGES}")
+    func, hint = _STAGES[stage]
     try:
-        return _STAGE_FUNCS[stage](cfg)
+        return func(cfg)
     except PipelineError:
         raise
     except Exception as exc:
-        raise PipelineError(stage, str(exc), hint=_STAGE_HINTS.get(stage)) from exc
+        raise PipelineError(stage, str(exc), hint=hint) from exc
 
 
 def run_pipeline(cfg: RunConfig) -> dict:

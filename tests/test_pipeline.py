@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -146,12 +147,20 @@ def test_retired_key_is_accepted_and_ignored(tmp_path):
     assert "cv_workers" not in {f.name for f in fields(RunConfig)}
 
 
+DELIMITER = "delimiter must be one character other than a quote or a line break (\\t for a tab), got "
+
+
 @pytest.mark.parametrize("key, raw, message", [
     ("k_penalty", "0", "penalty k must be positive, got 0.0"),
     ("vstar", "1", "vstar must exceed 1, got 1.0"),
     ("top_m_full", "0", "top_m_full must be >= 1, got 0"),
     ("top_m_selected", "0", "top_m_selected must be >= 1, got 0"),
     ("na_ratio", "1.5", "na_ratio must be in [0, 1], got 1.5"),
+    ("modes", "forward,sideways", "unknown selection modes: sideways"),
+    ("modes", "backward", "report_model 'forward' is not among the enabled modes"),
+    ("exclude_rows", "3,0", "exclude_rows are 1-based row numbers; 0 or negatives are invalid"),
+    ("delimiter", ";;", DELIMITER + "';;'"),
+    ("delimiter", "", DELIMITER + "''"),
 ])
 def test_bad_settings_fail_before_any_stage_runs(dataset_dir, tmp_path, capsys, key, raw, message):
     out = tmp_path / "out"
@@ -163,6 +172,49 @@ def test_bad_settings_fail_before_any_stage_runs(dataset_dir, tmp_path, capsys, 
     assert cli_main(["all", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"regsel: config error: {message}\n"
     assert not out.exists()
+
+
+ROUTE = "merged_table = m.csv\nmerged_schema = m.schema\nout_dir = out\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (ROUTE + "log_refit = maybe\n", "{cfg}:4: config key 'log_refit' expects true/false, got 'maybe'"),
+    (None, "config file not found: {cfg}"),
+    (ROUTE + "vstar 10\n", "{cfg}:4: expected 'key = value', got 'vstar 10'"),
+    ("table_a = a.csv\nschema_a = a.schema\ntable_b = b.csv\nschema_b = b.schema\n"
+     "response_table = r.csv\nout_dir = out\n",
+     "config key 'response_schema' is required for the two-table route"),
+    ("merged_table = m.csv\nout_dir = out\n", "config key 'merged_schema' is required with merged_table"),
+], ids=["bool", "no-file", "no-equals", "two-table-key", "merged-schema"])
+def test_malformed_config_exits_2_before_any_output(tmp_path, capsys, text, message):
+    cfg = tmp_path / "c.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    assert cli_main(["all", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"regsel: config error: {message.format(cfg=cfg)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_stage_is_rejected(dataset_dir):
+    cfg = read_config(write_config(dataset_dir, "out_unknown_stage"))
+    with pytest.raises(ValueError) as excinfo:
+        run_stage("wat", cfg)
+    assert not cfg.out.exists()
+    assert str(excinfo.value) == ("unknown stage 'wat'; expected one of "
+                                  "('prep', 'prune', 'select', 'diagnose', 'cv', 'report')")
+
+
+def test_tab_delimiter_reads_a_tab_separated_table(tmp_path):
+    parity_table(tmp_path)
+    text = (tmp_path / "d.csv").read_text()
+    (tmp_path / "t.tsv").write_text(text.replace(",", "\t"))
+    (tmp_path / "comma.cfg").write_text("merged_table = d.csv\nmerged_schema = d.schema\nout_dir = comma\n")
+    (tmp_path / "tab.cfg").write_text("merged_table = t.tsv\nmerged_schema = d.schema\n"
+                                      "delimiter = \\t\nout_dir = tab\n")
+    assert read_config(tmp_path / "tab.cfg").delimiter == "\t"
+    for name in ("comma", "tab"):
+        run_stage("prep", read_config(tmp_path / f"{name}.cfg"))
+    assert tree_bytes(tmp_path / "tab") == tree_bytes(tmp_path / "comma")
 
 
 def test_config_built_in_python_is_checked_before_any_stage_runs(dataset_dir):
@@ -271,6 +323,41 @@ def test_missing_checkpoint_has_stage_hint(dataset_dir, tmp_path):
     cfg = RunConfig(**{**cfg.__dict__, "out_dir": str(tmp_path / "fresh")})
     with pytest.raises(PipelineError, match=r"\[select\].*prep"):
         run_stage("select", cfg)
+
+
+# the checkpoint files each stage reads, and the stage that writes each one
+CHECKPOINT_READS = {
+    "prune": ("prep.csv", "prep.schema"),
+    "select": ("prep.csv", "prep.schema", "kept_terms.json"),
+    "diagnose": ("prep.csv", "prep.schema", "kept_terms.json", "selected_models.json",
+                 "excluded/selected_models.json"),
+    "cv": ("prep.csv", "prep.schema", "kept_terms.json", "selected_models.json",
+           "excluded/selected_models.json"),
+    "report": ("prep.csv", "prep.schema", "kept_terms.json", "selected_models.json"),
+}
+CHECKPOINT_PRODUCER = {"prep.csv": "prep", "prep.schema": "prep", "kept_terms.json": "prune",
+                       "selected_models.json": "select", "excluded/selected_models.json": "select"}
+
+
+def test_every_checkpoint_producer_runs_before_its_readers():
+    order = pipeline.STAGES
+    for stage, names in CHECKPOINT_READS.items():
+        for name in names:
+            assert order.index(CHECKPOINT_PRODUCER[name]) < order.index(stage), (stage, name)
+
+
+@pytest.mark.parametrize("stage, name", [(stage, name) for stage, names in CHECKPOINT_READS.items()
+                                         for name in names])
+def test_every_missing_checkpoint_names_its_producer(bundle_and_out, tmp_path, stage, name):
+    _, cfg = bundle_and_out
+    assert cfg.exclude_rows
+    out = tmp_path / "out"
+    shutil.copytree(cfg.out, out)
+    (out / name).unlink()
+    with pytest.raises(PipelineError) as excinfo:
+        run_stage(stage, replace(cfg, out_dir=str(out)))
+    assert str(excinfo.value) == (f"[{stage}] missing checkpoint {Path(name).name} "
+                                  f"(hint: run the '{CHECKPOINT_PRODUCER[name]}' stage first)")
 
 
 def test_stage_errors_are_tagged(tmp_path):
