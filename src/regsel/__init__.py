@@ -36,7 +36,6 @@ from .ols import (
     format_summary,
     predict,
     refit_log_response,
-    write_summary,
 )
 from .influence import (
     AddedVariable,
@@ -66,13 +65,10 @@ from .crossval import (
     CVConfig,
     CVResult,
     FiveNumberSummary,
-    emit_mspe_boxplot_data,
     five_number_summary,
     mc_cross_validate,
     replication_rng,
     replication_split,
-    write_mspe_dump,
-    write_mspe_summary,
 )
 from .pipeline import (
     PipelineError,
@@ -81,7 +77,13 @@ from .pipeline import (
     run_stage,
     write_reference_config,
 )
-from .report import residual_diagnostics
+from .report import (
+    emit_mspe_boxplot_data,
+    residual_diagnostics,
+    write_mspe_dump,
+    write_mspe_summary,
+    write_summary,
+)
 
 __version__ = "0.1.0"
 

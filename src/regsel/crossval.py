@@ -26,7 +26,6 @@ replication-count extensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import linalg
@@ -43,9 +42,6 @@ __all__ = [
     "replication_split",
     "mc_cross_validate",
     "five_number_summary",
-    "emit_mspe_boxplot_data",
-    "write_mspe_dump",
-    "write_mspe_summary",
 ]
 
 
@@ -372,62 +368,3 @@ def mc_cross_validate(design: DesignMatrix, config: CVConfig) -> CVResult:
     unseen, reduced, exact = (tuple(counts[slot_of].tolist()) for counts in tally)
     return CVResult(labels=labels, mspe=mspe[:, slot_of], config=config, unseen_level_rows=unseen,
                     exact_refits=exact, reduced_solves=reduced)
-
-
-# ---------------------------------------------------------------------------
-# Emission
-# ---------------------------------------------------------------------------
-
-
-def write_mspe_dump(result: CVResult, path) -> Path:
-    """Raw MSPE dump: one row per replication, one column per model."""
-    path = Path(path)
-    lines = ["replication\t" + "\t".join(result.labels)]
-    for i, row in enumerate(result.mspe.tolist(), start=1):
-        lines.append(f"{i}\t" + "\t".join(map(repr, row)))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
-_SUMMARY_ROWS = ("Min.", "1st Qu.", "Median", "Mean", "3rd Qu.", "Max.")
-
-
-def write_mspe_summary(result: CVResult, path) -> Path:
-    """Two summary tables (MSPE and root MSPE), six rows each."""
-    path = Path(path)
-    blocks = []
-    for title, root in (("MSPE", False), ("Root MSPE", True)):
-        summaries = result.summaries(root=root)
-        lines = [f"# {title}", "statistic\t" + "\t".join(result.labels)]
-        for row_name, idx in zip(_SUMMARY_ROWS, range(6)):
-            vals = [summaries[lab].as_tuple()[idx] for lab in result.labels]
-            lines.append(row_name + "\t" + "\t".join(repr(float(v)) for v in vals))
-        blocks.append("\n".join(lines))
-    path.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
-    return path
-
-
-def emit_mspe_boxplot_data(result: CVResult, out_dir, root: bool = False) -> list:
-    """Per-model boxplot data: five-number summary, 1.5*IQR whisker fences,
-    and every point beyond the fences.  Enough to redraw the boxplots."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    data = result.rmspe if root else result.mspe
-    suffix = "rmspe" if root else "mspe"
-    paths = []
-    for j, label in enumerate(result.labels):
-        v = data[:, j]
-        s = five_number_summary(v)
-        lo_fence = s.q1 - 1.5 * s.iqr
-        hi_fence = s.q3 + 1.5 * s.iqr
-        lines = ["statistic\tvalue"]
-        for key, val in (("min", s.minimum), ("q1", s.q1), ("median", s.median),
-                         ("mean", s.mean), ("q3", s.q3), ("max", s.maximum),
-                         ("iqr", s.iqr), ("lower_fence", lo_fence), ("upper_fence", hi_fence)):
-            lines.append(f"{key}\t{val!r}")
-        for val in v[(v < lo_fence) | (v > hi_fence)]:
-            lines.append(f"outlier\t{float(val)!r}")
-        path = out_dir / f"boxplot_{suffix}_{label}.tsv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        paths.append(path)
-    return paths

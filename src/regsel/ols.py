@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 from scipy import linalg, special
@@ -35,7 +34,6 @@ __all__ = [
     "aic_selection_value",
     "coefficient_table",
     "format_summary",
-    "write_summary",
 ]
 
 RANK_TOL = 1e-10
@@ -361,21 +359,3 @@ def _format_p(p: float) -> str:
     if p < 2.2e-16:
         return "< 2.2e-16"
     return f"{p:.6g}"
-
-
-def write_summary(model: FittedModel, text_path, tsv_path=None, k: float = 2.0):
-    """Write the plain-text report, and optionally a machine-readable TSV of the coefficient table."""
-    text_path = Path(text_path)
-    text_path.write_text(format_summary(model, k=k), encoding="utf-8")
-    paths = [text_path]
-    if tsv_path is not None:
-        tsv_path = Path(tsv_path)
-        lines = ["name\testimate\tstd_error\tt_value\tp_value\taliased"]
-        for name, est, se, t, p in coefficient_table(model):
-            if math.isnan(est):
-                lines.append(f"{name}\tNA\tNA\tNA\tNA\t1")
-            else:
-                lines.append(f"{name}\t{est!r}\t{se!r}\t{t!r}\t{p!r}\t0")
-        tsv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        paths.append(tsv_path)
-    return paths

@@ -4,7 +4,8 @@ Every stage reads its inputs from checkpoint files in the output directory
 and writes its own outputs there, so any stage can be rerun alone and a
 stage-by-stage run is byte-identical to a single-shot :func:`run_pipeline`.
 Outputs carry no timestamps; identical inputs and config give identical
-bundles.  Checkpoints are written to a temp file and moved into place, so a
+bundles.  Every file, checkpoints included, is written through
+:func:`regsel.report.write_file`: to a temp file, then moved into place, so a
 failed write leaves the previous one whole.  The prepared design is parsed
 at most once per process and shared by the stages while the bytes of
 ``prep.csv`` and ``prep.schema`` and the output directory stay the same; the
@@ -20,16 +21,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import report as rpt
-from .crossval import CVConfig, emit_mspe_boxplot_data, mc_cross_validate, write_mspe_dump, write_mspe_summary
+from .crossval import CVConfig, mc_cross_validate
 from .influence import influence_flags, vif, vif_prune
-from .ols import fit_ols, refit_log_response, write_summary
+from .ols import fit_ols, refit_log_response
 from .stepwise import COMPARISON_ROWS, MODES, ComparisonTable, Scope, compare_models, format_trace, step_select_modes
 from .table import DesignMatrix, coerce_to_factor, drop_incomplete_rows, drop_sparse_columns, encode_design, load_table, merge_by_id, read_schema, write_schema, write_table
 
@@ -136,14 +136,15 @@ def read_config(path, overrides: dict | None = None) -> RunConfig:
     Relative paths in the file are resolved against the file's directory.
     ``overrides`` (CLI flags; None values are skipped) are applied after
     that and win over file values; a path among them is used as given, so a
-    relative one is relative to the working directory.  Unknown keys are
-    rejected; a retired key is accepted and ignored.
+    relative one is relative to the working directory.  Unknown keys and a
+    key set twice are rejected; a retired key is accepted and ignored.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
     values: dict = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    first_line: dict = {}
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -155,6 +156,10 @@ def read_config(path, overrides: dict | None = None) -> RunConfig:
             continue
         if key not in _DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: config key '{key}' is set twice "
+                             f"(first on line {first_line[key]})")
+        first_line[key] = lineno
         try:
             values[key] = _parse_value(key, val)
         except ValueError as exc:
@@ -235,9 +240,7 @@ out_dir = out
 
 
 def write_reference_config(path) -> Path:
-    path = Path(path)
-    path.write_text(REFERENCE_CONFIG, encoding="utf-8")
-    return path
+    return rpt.write_string(path, REFERENCE_CONFIG)
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +312,8 @@ def _runs(cfg: RunConfig, stage: str) -> list:
     return runs
 
 
-def _replace(path: Path, write) -> Path:
-    """Call ``write`` on a temp file beside ``path``, then move it into place,
-    so a failed or interrupted write never leaves a partial checkpoint."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
-
-
 def _write_json(path: Path, obj) -> Path:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    return _replace(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+    return rpt.write_string(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +338,12 @@ def _stage_prep(cfg: RunConfig) -> list:
     table = coerce_to_factor(table, cfg.factor_columns, auto=cfg.factor_auto,
                              max_levels=cfg.max_factor_levels)
     paths = [
-        _replace(out / "prep.csv", lambda tmp: write_table(table, tmp)),
-        _replace(out / "prep.schema", lambda tmp: write_schema(table, tmp)),
+        rpt.write_file(out / "prep.csv", lambda tmp: write_table(table, tmp)),
+        rpt.write_file(out / "prep.schema", lambda tmp: write_schema(table, tmp)),
     ]
     # the files read back as this table, so later stages in this process skip parsing them
     _hold_prepared(_prepared_key("prep", out), table)
-    audit = out / "audit.txt"
-    audit.write_text("\n".join(table.audit) + "\n", encoding="utf-8")
-    paths.append(audit)
+    paths.append(rpt.write_lines(out / "audit.txt", table.audit))
     return paths
 
 
@@ -373,9 +360,7 @@ def _stage_prune(cfg: RunConfig) -> list:
     ]
     trail_lines = ["step\tvariable\tvif_at_removal"]
     trail_lines += [f"{i + 1}\t{name}\t{v!r}" for i, (name, v) in enumerate(after.trail)]
-    trail = out / "vif_trail.tsv"
-    trail.write_text("\n".join(trail_lines) + "\n", encoding="utf-8")
-    paths.append(trail)
+    paths.append(rpt.write_lines(out / "vif_trail.tsv", trail_lines))
     paths.append(_write_json(out / "kept_terms.json", list(pruned.term_names)))
     return paths
 
@@ -389,9 +374,7 @@ def _select_into(cfg: RunConfig, design: DesignMatrix, out: Path) -> list:
     for mode in cfg.modes:
         trace = traces[mode]
         selected[mode] = list(trace.final_terms)
-        trace_path = out / f"trace_{mode}.tsv"
-        trace_path.write_text(format_trace(trace), encoding="utf-8")
-        paths.append(trace_path)
+        paths.append(rpt.write_string(out / f"trace_{mode}.tsv", format_trace(trace)))
     paths.append(_write_json(out / "selected_models.json", selected))
     return paths
 
@@ -423,9 +406,7 @@ def _diagnose_into(cfg: RunConfig, design: DesignMatrix, out: Path):
     table = None
     if models:
         table = compare_models(models, labels=tuple(labels))
-        comp = out / "comparison.tsv"
-        comp.write_text(table.to_tsv(), encoding="utf-8")
-        paths.append(comp)
+        paths.append(rpt.write_string(out / "comparison.tsv", table.to_tsv()))
     return paths, table
 
 
@@ -442,9 +423,7 @@ def _stage_diagnose(cfg: RunConfig) -> list:
         side_table = ComparisonTable(
             labels=tuple(f"{l}_full" for l in full.labels) + tuple(f"{l}_excluded" for l in excl.labels),
             cells={row: full.cells[row] + excl.cells[row] for row in COMPARISON_ROWS})
-        side = cfg.out / "comparison_side_by_side.tsv"
-        side.write_text(side_table.to_tsv(), encoding="utf-8")
-        paths.append(side)
+        paths.append(rpt.write_string(cfg.out / "comparison_side_by_side.tsv", side_table.to_tsv()))
     return paths
 
 
@@ -456,16 +435,14 @@ def _cv_into(cfg: RunConfig, design: DesignMatrix, out: Path) -> list:
                                  seed=cfg.cv_seed)
     result = mc_cross_validate(design, config)
     paths = [
-        write_mspe_dump(result, out / "cv_mspe.tsv"),
-        write_mspe_summary(result, out / "cv_summary.tsv"),
+        rpt.write_mspe_dump(result, out / "cv_mspe.tsv"),
+        rpt.write_mspe_summary(result, out / "cv_summary.tsv"),
     ]
-    paths += emit_mspe_boxplot_data(result, out, root=False)
-    paths += emit_mspe_boxplot_data(result, out, root=True)
-    audit = out / "cv_audit.txt"
-    audit.write_text("".join(
-        f"{lab}: {count} held-out rows used the reference-level fallback for unseen factor levels\n"
-        for lab, count in zip(result.labels, result.unseen_level_rows)), encoding="utf-8")
-    paths.append(audit)
+    paths += rpt.emit_mspe_boxplot_data(result, out, root=False)
+    paths += rpt.emit_mspe_boxplot_data(result, out, root=True)
+    paths.append(rpt.write_lines(out / "cv_audit.txt", [
+        f"{lab}: {count} held-out rows used the reference-level fallback for unseen factor levels"
+        for lab, count in zip(result.labels, result.unseen_level_rows)]))
     if cfg.emit_svg:
         paths.append(rpt.svg_boxplot(
             {lab: result.column(lab) for lab in result.labels}, out / "cv_mspe.svg", ylabel="MSPE"))
@@ -484,8 +461,8 @@ def _stage_report(cfg: RunConfig) -> list:
     if cfg.modes and cfg.report_model != "full":
         terms = json.loads(_checkpoint("report", out / "selected_models.json"))[cfg.report_model]
     model = fit_ols(design.subset_terms(terms))
-    paths = list(write_summary(model, out / "model_report.txt", out / "model_report.tsv",
-                               k=cfg.k_penalty))
+    paths = rpt.write_summary(model, out / "model_report.txt", out / "model_report.tsv",
+                              k=cfg.k_penalty)
     paths += rpt.residual_diagnostics(model, out, prefix="identity")
     av_model = model
     if cfg.log_refit:

@@ -1,5 +1,12 @@
-"""Delimited plot-data emission: influence scatters, residual diagnostics,
-added-variable data, VIF histograms, and optional SVG renderings.
+"""The bundle writer: every file of a run's output directory is written here.
+
+Delimited plot data (influence scatters, residual diagnostics,
+added-variable data, VIF histograms), the cross-validation MSPE files, the
+model report, and optional SVG renderings; the pipeline writes its own
+checkpoints, audits, traces and comparison tables through the same
+:func:`write_file`.  That function writes a temp file beside the target
+and moves it into place, so a failed or interrupted write leaves the
+previous file whole and never a truncated one.
 
 Data files are the contract; the SVG helpers are display sugar over the
 same numbers.  Every file is a deterministic function of its inputs (no
@@ -9,23 +16,55 @@ timestamps), so report bundles can be compared byte for byte.
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 from scipy import special
 
+from .crossval import CVResult, five_number_summary
 from .influence import InfluenceReport, added_variable_data, studentized
-from .ols import FittedModel
+from .ols import FittedModel, coefficient_table, format_summary
 
+# write_file, write_string and write_lines stay out: they run once per file,
+# and every name listed here gets a span when a run is traced.
 __all__ = [
     "write_influence_data",
     "residual_diagnostics",
     "write_added_variable_data",
     "write_vif_values",
     "write_vif_histogram",
+    "write_summary",
+    "write_mspe_dump",
+    "write_mspe_summary",
+    "emit_mspe_boxplot_data",
     "svg_scatter",
     "svg_boxplot",
 ]
+
+
+def write_file(path, write) -> Path:
+    """Call ``write`` on a temp file beside ``path``, then move it into place,
+    so a failed or interrupted write never leaves a partial file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def write_string(path, text: str) -> Path:
+    """Write ``text`` as UTF-8."""
+    return write_file(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+
+
+def write_lines(path, lines) -> Path:
+    """Write ``lines``, each ended by a newline."""
+    return write_string(path, "\n".join(lines) + "\n")
 
 
 def write_influence_data(model: FittedModel, report: InfluenceReport, path) -> Path:
@@ -35,7 +74,6 @@ def write_influence_data(model: FittedModel, report: InfluenceReport, path) -> P
     distance threshold, so the scatter (flags, cutoff line and all) can be
     redrawn from this file alone.
     """
-    path = Path(path)
     lines = [
         f"# two_hbar\t{2.0 * report.mean_leverage!r}",
         f"# cook_threshold\t{report.cook_threshold!r}",
@@ -44,7 +82,7 @@ def write_influence_data(model: FittedModel, report: InfluenceReport, path) -> P
     rows = zip(report.leverage.tolist(), report.cooks_d.tolist(),
                report.high_leverage.tolist(), report.top_influence.tolist())
     lines += [f"{i}\t{h!r}\t{d!r}\t{int(hi)}\t{int(top)}" for i, (h, d, hi, top) in enumerate(rows, 1)]
-    return _write(path, lines)
+    return write_lines(path, lines)
 
 
 def residual_diagnostics(model: FittedModel, out_dir, prefix: str = "model") -> list:
@@ -60,20 +98,20 @@ def residual_diagnostics(model: FittedModel, out_dir, prefix: str = "model") -> 
 
     lines = ["index\tresidual"]
     lines += [f"{i}\t{r!r}" for i, r in enumerate(e, 1)]
-    paths.append(_write(out_dir / f"{prefix}_resid_vs_index.tsv", lines))
+    paths.append(write_lines(out_dir / f"{prefix}_resid_vs_index.tsv", lines))
 
     lines = ["fitted\tresidual"]
     lines += [f"{f!r}\t{r!r}" for f, r in zip(model.fitted.tolist(), e)]
-    paths.append(_write(out_dir / f"{prefix}_resid_vs_fitted.tsv", lines))
+    paths.append(write_lines(out_dir / f"{prefix}_resid_vs_fitted.tsv", lines))
 
     t = studentized(model, "external")
     probs = (np.arange(1, n + 1) - 0.5) / n
     theo = special.ndtri(probs)
     lines = ["theoretical_quantile\tstudentized_residual"]
     lines += [f"{q!r}\t{v!r}" for q, v in zip(theo.tolist(), t[np.argsort(t)].tolist())]
-    paths.append(_write(out_dir / f"{prefix}_qq.tsv", lines))
+    paths.append(write_lines(out_dir / f"{prefix}_qq.tsv", lines))
 
-    paths.append(_write(out_dir / f"{prefix}_studentized_hist.tsv", _histogram_lines(t)))
+    paths.append(write_lines(out_dir / f"{prefix}_studentized_hist.tsv", _histogram_lines(t)))
     return paths
 
 
@@ -88,7 +126,7 @@ def write_added_variable_data(model: FittedModel, out_dir) -> list:
         av = added_variable_data(model, term.name)
         lines = [f"# slope\t{av.slope!r}", "x_partial\ty_partial"]
         lines += [f"{x!r}\t{y!r}" for x, y in zip(av.x_partial.tolist(), av.y_partial.tolist())]
-        paths.append(_write(out_dir / f"av_{term.name}.tsv", lines))
+        paths.append(write_lines(out_dir / f"av_{term.name}.tsv", lines))
     return paths
 
 
@@ -96,15 +134,15 @@ def write_vif_values(values: dict, path) -> Path:
     lines = ["variable\tvif"]
     for name, v in values.items():
         lines.append(f"{name}\t{'inf' if math.isinf(v) else repr(float(v))}")
-    return _write(Path(path), lines)
+    return write_lines(path, lines)
 
 
 def write_vif_histogram(values: dict, path) -> Path:
     """Histogram binning of the finite VIFs, bin edges included."""
     finite = np.array([v for v in values.values() if math.isfinite(v)])
     if finite.size == 0:
-        return _write(Path(path), ["bin_left\tbin_right\tcount"])
-    return _write(Path(path), _histogram_lines(finite))
+        return write_lines(path, ["bin_left\tbin_right\tcount"])
+    return write_lines(path, _histogram_lines(finite))
 
 
 def _histogram_lines(values) -> list:
@@ -115,9 +153,71 @@ def _histogram_lines(values) -> list:
         f"{e[i]!r}\t{e[i + 1]!r}\t{c}" for i, c in enumerate(counts.tolist())]
 
 
-def _write(path: Path, lines) -> Path:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+def write_summary(model: FittedModel, text_path, tsv_path=None, k: float = 2.0):
+    """Write the plain-text report, and optionally a machine-readable TSV of the coefficient table."""
+    paths = [write_string(text_path, format_summary(model, k=k))]
+    if tsv_path is not None:
+        lines = ["name\testimate\tstd_error\tt_value\tp_value\taliased"]
+        for name, est, se, t, p in coefficient_table(model):
+            if math.isnan(est):
+                lines.append(f"{name}\tNA\tNA\tNA\tNA\t1")
+            else:
+                lines.append(f"{name}\t{est!r}\t{se!r}\t{t!r}\t{p!r}\t0")
+        paths.append(write_lines(tsv_path, lines))
+    return paths
+
+
+# ---------------------------------------------------------------------------
+# Cross-validation MSPE files
+# ---------------------------------------------------------------------------
+
+
+def write_mspe_dump(result: CVResult, path) -> Path:
+    """Raw MSPE dump: one row per replication, one column per model."""
+    lines = ["replication\t" + "\t".join(result.labels)]
+    for i, row in enumerate(result.mspe.tolist(), start=1):
+        lines.append(f"{i}\t" + "\t".join(map(repr, row)))
+    return write_lines(path, lines)
+
+
+_SUMMARY_ROWS = ("Min.", "1st Qu.", "Median", "Mean", "3rd Qu.", "Max.")
+
+
+def write_mspe_summary(result: CVResult, path) -> Path:
+    """Two summary tables (MSPE and root MSPE), six rows each."""
+    blocks = []
+    for title, root in (("MSPE", False), ("Root MSPE", True)):
+        summaries = result.summaries(root=root)
+        lines = [f"# {title}", "statistic\t" + "\t".join(result.labels)]
+        for row_name, idx in zip(_SUMMARY_ROWS, range(6)):
+            vals = [summaries[lab].as_tuple()[idx] for lab in result.labels]
+            lines.append(row_name + "\t" + "\t".join(repr(float(v)) for v in vals))
+        blocks.append("\n".join(lines))
+    return write_string(path, "\n\n".join(blocks) + "\n")
+
+
+def emit_mspe_boxplot_data(result: CVResult, out_dir, root: bool = False) -> list:
+    """Per-model boxplot data: five-number summary, 1.5*IQR whisker fences,
+    and every point beyond the fences.  Enough to redraw the boxplots."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    data = result.rmspe if root else result.mspe
+    suffix = "rmspe" if root else "mspe"
+    paths = []
+    for j, label in enumerate(result.labels):
+        v = data[:, j]
+        s = five_number_summary(v)
+        lo_fence = s.q1 - 1.5 * s.iqr
+        hi_fence = s.q3 + 1.5 * s.iqr
+        lines = ["statistic\tvalue"]
+        for key, val in (("min", s.minimum), ("q1", s.q1), ("median", s.median),
+                         ("mean", s.mean), ("q3", s.q3), ("max", s.maximum),
+                         ("iqr", s.iqr), ("lower_fence", lo_fence), ("upper_fence", hi_fence)):
+            lines.append(f"{key}\t{val!r}")
+        for val in v[(v < lo_fence) | (v > hi_fence)]:
+            lines.append(f"outlier\t{float(val)!r}")
+        paths.append(write_lines(out_dir / f"boxplot_{suffix}_{label}.tsv", lines))
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +253,11 @@ def svg_scatter(x, y, path, highlight=None, xlabel: str = "x", ylabel: str = "y"
     parts.append(f'<text x="14" y="{_SVG_H / 2:.0f}" transform="rotate(-90 14 {_SVG_H / 2:.0f})" '
                  f'text-anchor="middle">{ylabel}</text>')
     parts.append("</svg>")
-    path = Path(path)
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
-    return path
+    return write_lines(path, parts)
 
 
 def svg_boxplot(groups: dict, path, ylabel: str = "value") -> Path:
     """Side-by-side boxplots (median, quartile box, 1.5*IQR whiskers, outlier dots)."""
-    from .crossval import five_number_summary
-
     labels = list(groups)
     all_vals = np.concatenate([np.asarray(groups[l], dtype=float) for l in labels])
     lo, hi = float(all_vals.min()), float(all_vals.max())
@@ -193,6 +289,4 @@ def svg_boxplot(groups: dict, path, ylabel: str = "value") -> Path:
     parts.append(f'<text x="14" y="{_SVG_H / 2:.0f}" transform="rotate(-90 14 {_SVG_H / 2:.0f})" '
                  f'text-anchor="middle">{ylabel}</text>')
     parts.append("</svg>")
-    path = Path(path)
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
-    return path
+    return write_lines(path, parts)

@@ -108,7 +108,7 @@ def read_schema(path) -> Schema:
     roles: dict[str, ColumnRole] = {}
     lenient = set()
     default = None
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -317,7 +317,7 @@ def load_table(path, schema, delimiter: str = ",") -> RawTable:
     if not path.exists():
         raise FileNotFoundError(f"data file not found: {path}")
     schema = _as_schema(schema)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = [h.strip() for h in next(reader)]

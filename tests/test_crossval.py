@@ -378,6 +378,13 @@ def test_config_validation():
         mc_cross_validate(d, CVConfig(models=()))
 
 
+def test_training_size_that_leaves_no_held_out_rows_is_rejected():
+    d = noisy_design(np.random.default_rng(90), n=3, p=1)
+    with pytest.raises(ValueError) as excinfo:
+        mc_cross_validate(d, config_for(d, reps=5, train_fraction=0.9))
+    assert str(excinfo.value) == "training size 3 leaves no held-out rows (n=3)"
+
+
 @pytest.mark.parametrize("setting, match", [
     ({"replications": 0}, "replications"), ({"train_fraction": 0.0}, "train_fraction"),
     ({"train_fraction": 1.0}, "train_fraction"), ({"seed": -1}, "seed"), ({"seed": 2 ** 64}, "seed"),

@@ -19,7 +19,8 @@ from regsel import (
     predict,
     refit_log_response,
 )
-from regsel.ols import _format_p, write_summary
+from regsel.ols import _format_p
+from regsel.report import write_summary
 from oracles import random_design
 
 

@@ -36,12 +36,16 @@ def dataset_dir(tmp_path_factory):
     return path
 
 
+def config_text(out, **extra) -> str:
+    """CONFIG_TEMPLATE with the ``extra`` keys set; one the template sets takes the new value."""
+    kept = [line for line in CONFIG_TEMPLATE.format(out=out).splitlines(keepends=True)
+            if line.partition(" =")[0] not in extra]
+    return "".join(kept) + "".join(f"{key} = {val}\n" for key, val in extra.items())
+
+
 def write_config(dataset_dir, out_name, **extra) -> Path:
-    text = CONFIG_TEMPLATE.format(out=out_name)
-    for key, val in extra.items():
-        text += f"{key} = {val}\n"
     path = dataset_dir / f"config_{out_name}.cfg"
-    path.write_text(text)
+    path.write_text(config_text(out_name, **extra))
     return path
 
 
@@ -139,6 +143,13 @@ def test_out_override_is_used_as_given(dataset_dir, tmp_path, monkeypatch):
     assert read_config(path).out == dataset_dir / "outRel"
 
 
+def test_read_config_skips_a_byte_order_mark(tmp_path):
+    text = "merged_table = m.csv\nmerged_schema = m.schema\nvstar = 5\n"
+    (tmp_path / "plain.cfg").write_text(text)
+    (tmp_path / "bom.cfg").write_text("\ufeff" + text)
+    assert read_config(tmp_path / "bom.cfg") == read_config(tmp_path / "plain.cfg")
+
+
 def test_retired_key_is_accepted_and_ignored(tmp_path):
     text = "merged_table = m.csv\nmerged_schema = m.schema\n"
     (tmp_path / "plain.cfg").write_text(text)
@@ -165,7 +176,7 @@ DELIMITER = "delimiter must be one character other than a quote or a line break 
 def test_bad_settings_fail_before_any_stage_runs(dataset_dir, tmp_path, capsys, key, raw, message):
     out = tmp_path / "out"
     path = dataset_dir / f"bad_{key}.cfg"
-    path.write_text(CONFIG_TEMPLATE.format(out=out) + f"{key} = {raw}\n")
+    path.write_text(config_text(out, **{key: raw}))
     with pytest.raises(ValueError) as excinfo:
         read_config(path)
     assert str(excinfo.value) == message
@@ -185,7 +196,8 @@ ROUTE = "merged_table = m.csv\nmerged_schema = m.schema\nout_dir = out\n"
      "response_table = r.csv\nout_dir = out\n",
      "config key 'response_schema' is required for the two-table route"),
     ("merged_table = m.csv\nout_dir = out\n", "config key 'merged_schema' is required with merged_table"),
-], ids=["bool", "no-file", "no-equals", "two-table-key", "merged-schema"])
+    (ROUTE + "vstar = 10\nvstar = 5\n", "{cfg}:5: config key 'vstar' is set twice (first on line 4)"),
+], ids=["bool", "no-file", "no-equals", "two-table-key", "merged-schema", "key-set-twice"])
 def test_malformed_config_exits_2_before_any_output(tmp_path, capsys, text, message):
     cfg = tmp_path / "c.cfg"
     if text is not None:
@@ -250,6 +262,12 @@ def test_bundle_contains_every_stage(bundle_and_out):
     assert (out / "excluded" / "selected_models.json").exists()
     assert (out / "excluded" / "cv_mspe.tsv").exists()
     assert (out / "excluded" / "comparison.tsv").exists()
+
+
+def test_bundle_holds_no_temp_files(bundle_and_out):
+    _, cfg = bundle_and_out
+    assert (cfg.out / "excluded" / "cv_mspe.tsv").exists()
+    assert not list(cfg.out.rglob(".*.tmp"))
 
 
 def test_audit_records_the_preparation(bundle_and_out):

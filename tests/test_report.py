@@ -10,6 +10,7 @@ from regsel.report import (
     svg_boxplot,
     svg_scatter,
     write_added_variable_data,
+    write_file,
     write_influence_data,
     write_vif_histogram,
     write_vif_values,
@@ -158,3 +159,18 @@ def test_svg_outputs_are_wellformed(tmp_path):
     for p in (s1, s2):
         text = p.read_text()
         assert text.startswith("<svg ") and text.rstrip().endswith("</svg>")
+
+
+def test_failed_write_keeps_the_previous_file_whole(tmp_path):
+    target = tmp_path / "cv_mspe.tsv"
+    target.write_text("replication\tforward\n1\t0.5\n")
+    before = target.read_bytes()
+
+    def half_write(tmp):
+        tmp.write_text("replication\tfor")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        write_file(target, half_write)
+    assert target.read_bytes() == before
+    assert not list(tmp_path.glob(".*.tmp"))

@@ -312,6 +312,28 @@ def test_candidate_without_residual_df_is_logged_as_skipped():
     assert trace.skipped == ("add x3: fit statistics undefined: no residual degrees of freedom",)
 
 
+def _exact_x1_design():
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((30, 2))
+    return DesignMatrix.from_arrays(X, 1.0 + 2.0 * X[:, 0], names=["x1", "x2"])
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"scope": Scope(upper=("x1", "x9"))}, KeyError, "scope names unknown terms: x9"),
+    ({"scope": Scope(lower=("x1",), upper=("x2",))}, ValueError,
+     "scope lower model must be a subset of the upper model"),
+    ({"modes": ("forward", "sideways")}, ValueError,
+     f"mode must be one of {MODES}, got 'sideways'"),
+    ({"scope": Scope(upper=("x2",)), "start": ("x1",)}, ValueError,
+     "start model must lie within the scope"),
+    ({"start": ("x1",)}, ValueError, "AIC undefined: residual sum of squares is (numerically) zero"),
+], ids=["unknown-term", "lower-not-in-upper", "unknown-mode", "start-outside-scope", "start-fit-fails"])
+def test_step_select_modes_errors(kwargs, error, message):
+    with pytest.raises(error) as excinfo:
+        step_select_modes(_exact_x1_design(), **kwargs)
+    assert excinfo.value.args == (message,)
+
+
 def test_best_subset_lower_bound():
     rng = np.random.default_rng(61)
     for _ in range(3):

@@ -210,6 +210,16 @@ def test_schema_file_round_trip(tmp_path):
         read_schema(f)
 
 
+def test_byte_order_mark_is_not_read_into_the_first_name(tmp_path):
+    (tmp_path / "t.csv").write_text("id,x,y\n1,0.5,2\n2,1.5,3\n")
+    (tmp_path / "t.schema").write_text("id\tid\nx\tnumeric\ny\tresponse\n")
+    for name in ("t.csv", "t.schema"):
+        (tmp_path / f"bom_{name}").write_text("\ufeff" + (tmp_path / name).read_text())
+    schema = read_schema(tmp_path / "t.schema")
+    assert read_schema(tmp_path / "bom_t.schema") == schema
+    assert tables_equal(load_table(tmp_path / "bom_t.csv", schema), load_table(tmp_path / "t.csv", schema))
+
+
 def test_write_table_round_trip(tmp_path):
     t = make_table(
         ["id", "x", "f", "y"],
@@ -321,6 +331,20 @@ def test_merge_column_collision_error():
     b = make_table(["id", "x"], ["id", "numeric"], [[1, 2], [1.0, 2.0]])
     with pytest.raises(ValueError, match="both tables"):
         merge_by_id(a, b)
+
+
+@pytest.mark.parametrize("left, right, message", [
+    ((["x"], ["numeric"], [[1.0, 2.0]]), (["id", "z"], ["id", "numeric"], [[1, 2], [1.0, 2.0]]),
+     "both tables must have an id column to merge"),
+    ((["id", "x"], ["id", "numeric"], [[1, 2], [1.0, 2.0]]),
+     (["key", "z"], ["id", "numeric"], [[1, 2], [1.0, 2.0]]), "id columns differ: 'id' vs 'key'"),
+    ((["id", "x"], ["id", "numeric"], [[1, 2], [1.0, 2.0]]),
+     (["id", "z"], ["id", "numeric"], [[3, 4], [1.0, 2.0]]), "no common ids between the tables"),
+], ids=["no-id", "id-names-differ", "no-common-ids"])
+def test_merge_by_id_errors(left, right, message):
+    with pytest.raises(ValueError) as excinfo:
+        merge_by_id(make_table(*left), make_table(*right))
+    assert str(excinfo.value) == message
 
 
 # ---------------------------------------------------------------------------
