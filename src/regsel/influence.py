@@ -89,8 +89,6 @@ def studentized(model: FittedModel, kind: str = "internal") -> np.ndarray:
     e = model.residuals
     n, r = model.n, model.rank
     if kind == "internal":
-        if n <= r:
-            raise ValueError("internal studentized residuals require n > rank")
         return e / np.sqrt(model.sigma2 * (1.0 - h))
     if kind == "external":
         if n <= r + 1:

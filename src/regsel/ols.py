@@ -190,8 +190,6 @@ def fit_ols(design: DesignMatrix) -> FittedModel:
         With fitted values computed as ``X @ coef`` (aliased coefficients
         contribute zero), so in-sample prediction reproduces them exactly.
     """
-    if design.n_rows < 1:
-        raise ValueError("cannot fit on an empty design")
     return _fit(design, qr_block(design.X))
 
 
@@ -204,8 +202,6 @@ def _check_alignment(model: FittedModel, new_design: DesignMatrix) -> None:
         if missing:
             raise ValueError(f"new design is missing terms: {', '.join(sorted(missing))}")
         raise ValueError("new design terms do not align with the model's design")
-    if new_design.n_cols != model.design.n_cols:
-        raise ValueError("column count mismatch between model and new design")
 
 
 def predict(model: FittedModel, new_design: DesignMatrix) -> np.ndarray:
@@ -307,8 +303,6 @@ def coefficient_table(model: FittedModel):
 
 
 def _stars(p: float) -> str:
-    if math.isnan(p):
-        return ""
     if p < 0.001:
         return "***"
     if p < 0.01:

@@ -31,7 +31,7 @@ from .crossval import CVConfig, mc_cross_validate
 from .influence import influence_flags, vif, vif_prune
 from .ols import fit_ols, refit_log_response
 from .stepwise import COMPARISON_ROWS, MODES, ComparisonTable, Scope, compare_models, format_trace, step_select_modes
-from .table import DesignMatrix, coerce_to_factor, drop_incomplete_rows, drop_sparse_columns, encode_design, load_table, merge_by_id, read_schema, write_schema, write_table
+from .table import DesignMatrix, coerce_to_factor, drop_incomplete_rows, drop_sparse_columns, encode_design, load_table, merge_by_id, read_schema, tsv_lines, write_schema, write_table
 
 __all__ = ["RunConfig", "PipelineError", "run_pipeline", "run_stage", "STAGES",
            "write_reference_config"]
@@ -187,6 +187,9 @@ def _validate_config(cfg: RunConfig) -> None:
     bad_modes = set(cfg.modes) - set(MODES)
     if bad_modes:
         raise ValueError(f"unknown selection modes: {', '.join(sorted(bad_modes))}")
+    for mode in MODES:
+        if cfg.modes.count(mode) > 1:
+            raise ValueError(f"mode '{mode}' is listed twice")
     if cfg.modes and cfg.report_model not in (*cfg.modes, "full"):
         raise ValueError(f"report_model '{cfg.report_model}' is not among the enabled modes")
     if len(cfg.delimiter) != 1 or cfg.delimiter in '"\r\n':
@@ -358,9 +361,8 @@ def _stage_prune(cfg: RunConfig) -> list:
         rpt.write_vif_values(after.values, out / "vif_values_after.tsv"),
         rpt.write_vif_histogram(after.values, out / "vif_hist_after.tsv"),
     ]
-    trail_lines = ["step\tvariable\tvif_at_removal"]
-    trail_lines += [f"{i + 1}\t{name}\t{v!r}" for i, (name, v) in enumerate(after.trail)]
-    paths.append(rpt.write_lines(out / "vif_trail.tsv", trail_lines))
+    paths.append(rpt.write_lines(out / "vif_trail.tsv", tsv_lines(
+        ("step", "variable", "vif_at_removal"), range(1, len(after.trail) + 1), *zip(*after.trail))))
     paths.append(_write_json(out / "kept_terms.json", list(pruned.term_names)))
     return paths
 

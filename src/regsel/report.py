@@ -9,13 +9,14 @@ and moves it into place, so a failed or interrupted write leaves the
 previous file whole and never a truncated one.
 
 Data files are the contract; the SVG helpers are display sugar over the
-same numbers.  Every file is a deterministic function of its inputs (no
-timestamps), so report bundles can be compared byte for byte.
+same numbers, and every table cell is written by
+:func:`regsel.table.format_values`.  Every file is a deterministic function
+of its inputs (no timestamps), so report bundles can be compared byte for
+byte.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from scipy import special
 from .crossval import CVResult, five_number_summary
 from .influence import InfluenceReport, added_variable_data, studentized
 from .ols import FittedModel, coefficient_table, format_summary
+from .table import tsv_lines
 
 # write_file, write_string and write_lines stay out: they run once per file,
 # and every name listed here gets a span when a run is traced.
@@ -74,15 +76,15 @@ def write_influence_data(model: FittedModel, report: InfluenceReport, path) -> P
     distance threshold, so the scatter (flags, cutoff line and all) can be
     redrawn from this file alone.
     """
-    lines = [
-        f"# two_hbar\t{2.0 * report.mean_leverage!r}",
-        f"# cook_threshold\t{report.cook_threshold!r}",
-        "row_id\tleverage\tcooks_d\thigh_leverage_flag\ttop_influence_flag",
-    ]
-    rows = zip(report.leverage.tolist(), report.cooks_d.tolist(),
-               report.high_leverage.tolist(), report.top_influence.tolist())
-    lines += [f"{i}\t{h!r}\t{d!r}\t{int(hi)}\t{int(top)}" for i, (h, d, hi, top) in enumerate(rows, 1)]
-    return write_lines(path, lines)
+    return write_lines(path, tsv_lines(
+        ("row_id", "leverage", "cooks_d", "high_leverage_flag", "top_influence_flag"),
+        range(1, report.leverage.size + 1), report.leverage, report.cooks_d,
+        report.high_leverage.astype(int), report.top_influence.astype(int),
+        preamble=(f"# two_hbar\t{2.0 * report.mean_leverage!r}",
+                  f"# cook_threshold\t{report.cook_threshold!r}")))
+
+
+_HISTOGRAM_HEADER = ("bin_left", "bin_right", "count")
 
 
 def residual_diagnostics(model: FittedModel, out_dir, prefix: str = "model") -> list:
@@ -92,27 +94,20 @@ def residual_diagnostics(model: FittedModel, out_dir, prefix: str = "model") -> 
     studentized residuals (Sturges bins, edges emitted)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    e = model.residuals.tolist()
-    n = len(e)
-    paths = []
-
-    lines = ["index\tresidual"]
-    lines += [f"{i}\t{r!r}" for i, r in enumerate(e, 1)]
-    paths.append(write_lines(out_dir / f"{prefix}_resid_vs_index.tsv", lines))
-
-    lines = ["fitted\tresidual"]
-    lines += [f"{f!r}\t{r!r}" for f, r in zip(model.fitted.tolist(), e)]
-    paths.append(write_lines(out_dir / f"{prefix}_resid_vs_fitted.tsv", lines))
-
+    n = model.n
     t = studentized(model, "external")
-    probs = (np.arange(1, n + 1) - 0.5) / n
-    theo = special.ndtri(probs)
-    lines = ["theoretical_quantile\tstudentized_residual"]
-    lines += [f"{q!r}\t{v!r}" for q, v in zip(theo.tolist(), t[np.argsort(t)].tolist())]
-    paths.append(write_lines(out_dir / f"{prefix}_qq.tsv", lines))
-
-    paths.append(write_lines(out_dir / f"{prefix}_studentized_hist.tsv", _histogram_lines(t)))
-    return paths
+    theo = special.ndtri((np.arange(1, n + 1) - 0.5) / n)
+    counts, edges = np.histogram(t, bins="sturges")
+    return [
+        write_lines(out_dir / f"{prefix}_resid_vs_index.tsv",
+                    tsv_lines(("index", "residual"), range(1, n + 1), model.residuals)),
+        write_lines(out_dir / f"{prefix}_resid_vs_fitted.tsv",
+                    tsv_lines(("fitted", "residual"), model.fitted, model.residuals)),
+        write_lines(out_dir / f"{prefix}_qq.tsv",
+                    tsv_lines(("theoretical_quantile", "studentized_residual"), theo, np.sort(t))),
+        write_lines(out_dir / f"{prefix}_studentized_hist.tsv",
+                    tsv_lines(_HISTOGRAM_HEADER, edges[:-1], edges[1:], counts)),
+    ]
 
 
 def write_added_variable_data(model: FittedModel, out_dir) -> list:
@@ -124,46 +119,32 @@ def write_added_variable_data(model: FittedModel, out_dir) -> list:
         if len(term.columns) != 1 or model.aliased[term.columns[0]]:
             continue
         av = added_variable_data(model, term.name)
-        lines = [f"# slope\t{av.slope!r}", "x_partial\ty_partial"]
-        lines += [f"{x!r}\t{y!r}" for x, y in zip(av.x_partial.tolist(), av.y_partial.tolist())]
-        paths.append(write_lines(out_dir / f"av_{term.name}.tsv", lines))
+        paths.append(write_lines(out_dir / f"av_{term.name}.tsv", tsv_lines(
+            ("x_partial", "y_partial"), av.x_partial, av.y_partial,
+            preamble=(f"# slope\t{av.slope!r}",))))
     return paths
 
 
 def write_vif_values(values: dict, path) -> Path:
-    lines = ["variable\tvif"]
-    for name, v in values.items():
-        lines.append(f"{name}\t{'inf' if math.isinf(v) else repr(float(v))}")
-    return write_lines(path, lines)
+    return write_lines(path, tsv_lines(("variable", "vif"), list(values), list(values.values())))
 
 
 def write_vif_histogram(values: dict, path) -> Path:
     """Histogram binning of the finite VIFs, bin edges included."""
-    finite = np.array([v for v in values.values() if math.isfinite(v)])
-    if finite.size == 0:
-        return write_lines(path, ["bin_left\tbin_right\tcount"])
-    return write_lines(path, _histogram_lines(finite))
-
-
-def _histogram_lines(values) -> list:
-    """Sturges-bin histogram rows (left edge, right edge, count) under a header."""
-    counts, edges = np.histogram(values, bins="sturges")
-    e = edges.tolist()
-    return ["bin_left\tbin_right\tcount"] + [
-        f"{e[i]!r}\t{e[i + 1]!r}\t{c}" for i, c in enumerate(counts.tolist())]
+    finite = [v for v in values.values() if np.isfinite(v)]
+    if not finite:
+        return write_lines(path, tsv_lines(_HISTOGRAM_HEADER))
+    counts, edges = np.histogram(finite, bins="sturges")
+    return write_lines(path, tsv_lines(_HISTOGRAM_HEADER, edges[:-1], edges[1:], counts))
 
 
 def write_summary(model: FittedModel, text_path, tsv_path=None, k: float = 2.0):
     """Write the plain-text report, and optionally a machine-readable TSV of the coefficient table."""
     paths = [write_string(text_path, format_summary(model, k=k))]
     if tsv_path is not None:
-        lines = ["name\testimate\tstd_error\tt_value\tp_value\taliased"]
-        for name, est, se, t, p in coefficient_table(model):
-            if math.isnan(est):
-                lines.append(f"{name}\tNA\tNA\tNA\tNA\t1")
-            else:
-                lines.append(f"{name}\t{est!r}\t{se!r}\t{t!r}\t{p!r}\t0")
-        paths.append(write_lines(tsv_path, lines))
+        paths.append(write_lines(tsv_path, tsv_lines(
+            ("name", "estimate", "std_error", "t_value", "p_value", "aliased"),
+            *zip(*coefficient_table(model)), model.aliased.astype(int))))
     return paths
 
 
@@ -174,13 +155,12 @@ def write_summary(model: FittedModel, text_path, tsv_path=None, k: float = 2.0):
 
 def write_mspe_dump(result: CVResult, path) -> Path:
     """Raw MSPE dump: one row per replication, one column per model."""
-    lines = ["replication\t" + "\t".join(result.labels)]
-    for i, row in enumerate(result.mspe.tolist(), start=1):
-        lines.append(f"{i}\t" + "\t".join(map(repr, row)))
-    return write_lines(path, lines)
+    return write_lines(path, tsv_lines(("replication", *result.labels),
+                                       range(1, len(result.mspe) + 1), *result.mspe.T))
 
 
 _SUMMARY_ROWS = ("Min.", "1st Qu.", "Median", "Mean", "3rd Qu.", "Max.")
+_BOXPLOT_ROWS = ("min", "q1", "median", "mean", "q3", "max", "iqr", "lower_fence", "upper_fence")
 
 
 def write_mspe_summary(result: CVResult, path) -> Path:
@@ -188,12 +168,10 @@ def write_mspe_summary(result: CVResult, path) -> Path:
     blocks = []
     for title, root in (("MSPE", False), ("Root MSPE", True)):
         summaries = result.summaries(root=root)
-        lines = [f"# {title}", "statistic\t" + "\t".join(result.labels)]
-        for row_name, idx in zip(_SUMMARY_ROWS, range(6)):
-            vals = [summaries[lab].as_tuple()[idx] for lab in result.labels]
-            lines.append(row_name + "\t" + "\t".join(repr(float(v)) for v in vals))
-        blocks.append("\n".join(lines))
-    return write_string(path, "\n\n".join(blocks) + "\n")
+        blocks.append(tsv_lines(("statistic", *result.labels), _SUMMARY_ROWS,
+                                *(summaries[lab].as_tuple() for lab in result.labels),
+                                preamble=(f"# {title}",)))
+    return write_lines(path, [*blocks[0], "", *blocks[1]])
 
 
 def emit_mspe_boxplot_data(result: CVResult, out_dir, root: bool = False) -> list:
@@ -209,14 +187,11 @@ def emit_mspe_boxplot_data(result: CVResult, out_dir, root: bool = False) -> lis
         s = five_number_summary(v)
         lo_fence = s.q1 - 1.5 * s.iqr
         hi_fence = s.q3 + 1.5 * s.iqr
-        lines = ["statistic\tvalue"]
-        for key, val in (("min", s.minimum), ("q1", s.q1), ("median", s.median),
-                         ("mean", s.mean), ("q3", s.q3), ("max", s.maximum),
-                         ("iqr", s.iqr), ("lower_fence", lo_fence), ("upper_fence", hi_fence)):
-            lines.append(f"{key}\t{val!r}")
-        for val in v[(v < lo_fence) | (v > hi_fence)]:
-            lines.append(f"outlier\t{float(val)!r}")
-        paths.append(write_lines(out_dir / f"boxplot_{suffix}_{label}.tsv", lines))
+        outliers = v[(v < lo_fence) | (v > hi_fence)]
+        values = [s.minimum, s.q1, s.median, s.mean, s.q3, s.maximum, s.iqr, lo_fence, hi_fence]
+        paths.append(write_lines(out_dir / f"boxplot_{suffix}_{label}.tsv", tsv_lines(
+            ("statistic", "value"), _BOXPLOT_ROWS + ("outlier",) * outliers.size,
+            np.concatenate([values, outliers]))))
     return paths
 
 

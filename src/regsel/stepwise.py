@@ -41,14 +41,14 @@ walk one path share its factorizations, scores and refits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy import linalg
 
 from .influence import dffits, press_residuals
 from .ols import FittedModel, aic_selection_value, fit_ols, fit_statistics, residualize
-from .table import DesignMatrix, model_formula
+from .table import DesignMatrix, model_formula, tsv_lines
 
 __all__ = [
     "Scope",
@@ -428,11 +428,9 @@ class _Search:
 def format_trace(trace: SelectionTrace) -> str:
     """Trace file body: one ``step<TAB>add|remove<TAB>term<TAB>aic_before<TAB>aic_after``
     line per move, then the final model formula."""
-    lines = ["step\tdirection\tterm\taic_before\taic_after"]
-    for i, mv in enumerate(trace.moves, start=1):
-        lines.append(f"{i}\t{mv.direction}\t{mv.term}\t{mv.aic_before!r}\t{mv.aic_after!r}")
-    lines.append(f"formula\t{trace.formula()}")
-    return "\n".join(lines) + "\n"
+    lines = tsv_lines(("step", "direction", "term", "aic_before", "aic_after"),
+                      range(1, len(trace.moves) + 1), *zip(*map(astuple, trace.moves)))
+    return "\n".join([*lines, f"formula\t{trace.formula()}"]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +468,8 @@ class ComparisonTable:
         return "\n".join(lines) + "\n"
 
     def to_tsv(self) -> str:
-        lines = ["metric\t" + "\t".join(self.labels)]
-        for row in COMPARISON_ROWS:
-            lines.append(row + "\t" + "\t".join(repr(float(v)) for v in self.cells[row]))
-        return "\n".join(lines) + "\n"
+        columns = zip(*(self.cells[row] for row in COMPARISON_ROWS))
+        return "\n".join(tsv_lines(("metric", *self.labels), COMPARISON_ROWS, *columns)) + "\n"
 
 
 def compare_models(models, labels=None) -> ComparisonTable:

@@ -33,6 +33,8 @@ __all__ = [
     "load_table",
     "write_table",
     "write_schema",
+    "format_values",
+    "tsv_lines",
     "drop_sparse_columns",
     "merge_by_id",
     "drop_incomplete_rows",
@@ -276,7 +278,7 @@ def _parse_numeric(token: str, name: str, row: int, lenient: bool) -> float:
         raise ValueError(
             f"column '{name}', data row {row}: cannot parse {token!r} as numeric"
         ) from None
-    if math.isinf(value):
+    if not math.isfinite(value):
         raise ValueError(f"column '{name}', data row {row}: non-finite value {token!r}")
     return value
 
@@ -308,8 +310,8 @@ def load_table(path, schema, delimiter: str = ",") -> RawTable:
         every explicit schema entry must appear in the file.  Numeric parse
         failures raise unless the column is flagged lenient, in which case
         they become missing.  Empty cells and the literal ``NA`` are missing.
-        Infinite values (``inf``, or a literal that overflows such as
-        ``1e999``) always raise, naming the file, data row and column.
+        Non-finite values (``nan``, ``inf``, or a literal that overflows
+        such as ``1e999``) always raise, naming the file, data row and column.
     delimiter : str
         Field separator, ``","`` by default (use ``"\\t"`` for tab files).
     """
@@ -361,19 +363,13 @@ def load_table(path, schema, delimiter: str = ",") -> RawTable:
 
 
 def write_table(table: RawTable, path) -> Path:
-    """Write a RawTable as comma-separated text (missing cells become ``NA``)."""
+    """Write a RawTable as comma-separated text, each cell through
+    :func:`format_values` (a missing cell is ``NA``)."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.names)
-        cells = []
-        for col, role in zip(table.columns, table.roles):
-            if role in (ColumnRole.NUMERIC, ColumnRole.RESPONSE):
-                values = np.asarray(col, dtype=np.float64).tolist()
-                cells.append(["NA" if math.isnan(v) else repr(v) for v in values])
-            else:
-                cells.append(["NA" if v is None else str(v) for v in col.tolist()])
-        writer.writerows(zip(*cells))
+        writer.writerows(zip(*map(format_values, table.columns)))
     return path
 
 
@@ -383,6 +379,24 @@ def write_schema(table: RawTable, path) -> Path:
     lines = [f"{name}\t{role.value}" for name, role in zip(table.names, table.roles)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def format_values(values) -> list:
+    """The cells of one column as text, as every table regsel writes them:
+    NaN or ``None`` as ``NA``, anything else with ``str``, which for a float
+    is its shortest round-trip ``repr`` (``inf`` for infinity).
+
+    Values go through ``tolist()`` first, so a numpy scalar is written as the
+    Python number it holds, never as numpy's ``repr`` of it.
+    """
+    return ["NA" if v is None or v != v else str(v) for v in np.asarray(values).tolist()]
+
+
+def tsv_lines(header, *columns, preamble=()) -> list:
+    """A tab-separated table as lines: ``preamble``, the ``header`` names, then
+    one line per row of ``columns``, each cell through :func:`format_values`."""
+    rows = zip(*map(format_values, columns), strict=True)
+    return [*preamble, "\t".join(header), *map("\t".join, rows)]
 
 
 # ---------------------------------------------------------------------------

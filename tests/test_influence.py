@@ -7,9 +7,11 @@ import pytest
 
 from regsel import (
     DesignMatrix,
+    RawTable,
     added_variable_data,
     cooks_distance,
     dffits,
+    encode_design,
     fit_ols,
     influence_flags,
     interpolated_quantile,
@@ -451,6 +453,27 @@ def test_flags_hand_model_tie_inclusion(hand_model):
 def test_flags_top_m_validation(hand_model):
     with pytest.raises(ValueError, match="top_m"):
         influence_flags(hand_model, top_m=4)
+
+
+def _factor_only_design():
+    t = RawTable.build(["g", "y"], ["factor", "response"], [["a", "b", "c", "a"], [1.0, 2.0, 4.0, 3.0]])
+    return encode_design(t)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: cooks_distance(fit_ols(DesignMatrix.from_arrays([0.0, 1.0], [1.0, 3.0]))),
+     "Cook's distance undefined: no residual degrees of freedom"),
+    (lambda m: studentized(m, "external"), "external studentized residuals require n > rank + 1"),
+    (lambda m: vif(_factor_only_design()), "no columns to score: the design has no numeric terms"),
+    (lambda m: vif_prune(_factor_only_design()), "design has no numeric predictors to prune"),
+    (lambda m: interpolated_quantile([], 0.5), "quantile of an empty vector"),
+    (lambda m: interpolated_quantile([1.0, 2.0], 1.5), "probability must be in [0, 1], got 1.5"),
+], ids=["cooks-square", "external-studentized", "vif-no-numeric", "prune-no-numeric",
+        "quantile-empty", "quantile-probability"])
+def test_influence_errors(hand_model, call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call(hand_model)
+    assert str(excinfo.value) == message
 
 
 def test_interpolated_quantile_matches_numpy():

@@ -109,6 +109,26 @@ def test_all_zero_column_is_aliased():
 # ---------------------------------------------------------------------------
 
 
+def _square_model():
+    """Two rows, two columns: no residual degree of freedom."""
+    return fit_ols(DesignMatrix.from_arrays([0.0, 1.0], [1.0, 3.0]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _square_model().sigma2, "residual variance undefined: no residual degrees of freedom"),
+    (lambda: coefficient_table(_square_model()),
+     "standard errors undefined: no residual degrees of freedom"),
+    (lambda: adjusted_r_squared(0.5, 3, 3), "adjusted R-squared undefined: n <= rank"),
+    (lambda: predict(fit_ols(DesignMatrix.from_arrays(np.eye(4)[:, :2], np.arange(4.0), names=["a", "b"])),
+                     DesignMatrix.from_arrays(np.eye(4)[:, :2], np.arange(4.0), names=["b", "a"])),
+     "new design terms do not align with the model's design"),
+], ids=["sigma2", "coefficient-table", "adjusted-r-squared", "predict-term-order"])
+def test_ols_errors(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 def test_adjusted_r_squared_identity():
     assert abs(adjusted_r_squared(0.2827, 1276, 67) - 0.2435) < 1e-4
 

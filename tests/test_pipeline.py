@@ -197,7 +197,9 @@ ROUTE = "merged_table = m.csv\nmerged_schema = m.schema\nout_dir = out\n"
      "config key 'response_schema' is required for the two-table route"),
     ("merged_table = m.csv\nout_dir = out\n", "config key 'merged_schema' is required with merged_table"),
     (ROUTE + "vstar = 10\nvstar = 5\n", "{cfg}:5: config key 'vstar' is set twice (first on line 4)"),
-], ids=["bool", "no-file", "no-equals", "two-table-key", "merged-schema", "key-set-twice"])
+    (ROUTE + "modes = forward,forward\n", "mode 'forward' is listed twice"),
+], ids=["bool", "no-file", "no-equals", "two-table-key", "merged-schema", "key-set-twice",
+        "mode-listed-twice"])
 def test_malformed_config_exits_2_before_any_output(tmp_path, capsys, text, message):
     cfg = tmp_path / "c.cfg"
     if text is not None:

@@ -393,6 +393,22 @@ def test_compare_models_row_count_mismatch():
         compare_models([m1, m2])
 
 
+@pytest.mark.parametrize("n_models, labels, message", [
+    (0, None, "no models to compare"),
+    (1, ("a", "b"), "labels length must match the number of models"),
+], ids=["no-models", "labels-length"])
+def test_compare_models_errors(n_models, labels, message):
+    d = signal_design(np.random.default_rng(67), n=30, p=2, signal=(0,))
+    with pytest.raises(ValueError) as excinfo:
+        compare_models([fit_ols(d)] * n_models, labels=labels)
+    assert str(excinfo.value) == message
+
+
+def test_compare_models_default_labels():
+    d = signal_design(np.random.default_rng(68), n=30, p=2, signal=(0,))
+    assert compare_models([fit_ols(d)] * 2).labels == ("model1", "model2")
+
+
 def test_comparison_table_render_and_tsv():
     rng = np.random.default_rng(66)
     d = signal_design(rng, n=50, p=3, signal=(0,))

@@ -8,6 +8,7 @@ from regsel import (
     DesignMatrix,
     RawTable,
     Schema,
+    Term,
     coerce_to_factor,
     drop_incomplete_rows,
     drop_sparse_columns,
@@ -19,6 +20,7 @@ from regsel import (
     write_schema,
     write_table,
 )
+from regsel.table import format_values, tsv_lines
 
 
 def make_table(names, roles, columns):
@@ -77,7 +79,7 @@ def test_load_strict_numeric_parse_error(tmp_path):
         load_table(f, {"ID": "id", "x": "numeric", "y": "response"})
 
 
-@pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "1e999"])
+@pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "1e999", "nan", "NaN"])
 @pytest.mark.parametrize("column", ["x", "y"])
 def test_load_rejects_non_finite_numbers(tmp_path, token, column):
     f = tmp_path / "d.csv"
@@ -241,6 +243,17 @@ def test_write_table_cells(tmp_path):
     path = write_table(t, tmp_path / "t.csv")
     assert path.read_bytes() == (b"id,x,f,y\r\n7,0.30000000000000004,a,1e-300\r\n"
                                  b"8,NA,NA,2.5\r\n9,-2.0,b c,NA\r\n")
+
+
+def test_format_values_and_tsv_lines():
+    assert format_values([np.float64(1.5), 0.1 + 0.2, math.nan, -math.inf, None]) == [
+        "1.5", "0.30000000000000004", "NA", "-inf", "NA"]
+    assert format_values(np.array(["a", None, "b c"], dtype=object)) == ["a", "NA", "b c"]
+    assert tsv_lines(("i", "v"), range(1, 3), np.array([2.5, np.nan]), preamble=("# k\t1",)) == [
+        "# k\t1", "i\tv", "1\t2.5", "2\tNA"]
+    assert tsv_lines(("i", "v")) == ["i\tv"]
+    with pytest.raises(ValueError):
+        tsv_lines(("i", "v"), range(3), [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +535,69 @@ def test_level_codes_rejects_an_invalid_dummy_row(bad_row):
     for read in (d.level_codes, d.decode_factor):
         with pytest.raises(ValueError, match="row 3: dummy block of 'f' is not a valid encoding"):
             read("f")
+
+
+def _schema_file(tmp_path, text):
+    path = tmp_path / "s.schema"
+    path.write_text(text)
+    return path
+
+
+_X3 = np.column_stack([np.ones(3), [1.0, 2.0, 4.0]])
+_X3_TERMS = (Term("x", "numeric", (1,)),)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp: read_schema(_schema_file(tmp, "x\n")), ValueError,
+     "s.schema:1: expected 'name<TAB>role[<TAB>lenient]', got 'x'"),
+    (lambda tmp: read_schema(_schema_file(tmp, "x\tnumeric\nx\tfactor\n")), ValueError,
+     "s.schema:2: duplicate schema entry for column 'x'"),
+    (lambda tmp: make_table(["a", "b"], ["numeric"], [[1.0]]), ValueError,
+     "names, roles and columns must have equal length"),
+    (lambda tmp: make_table(["a", "a"], ["numeric"] * 2, [[1.0], [2.0]]), ValueError,
+     "duplicate column names: a"),
+    (lambda tmp: make_table(["a", "b"], ["numeric"] * 2, [[1.0], [1.0, 2.0]]), ValueError,
+     "all columns must have equal length"),
+    (lambda tmp: make_table(["y", "z"], ["response"] * 2, [[1.0], [2.0]]), ValueError,
+     "table declares 2 response columns; at most one is allowed"),
+    (lambda tmp: make_table(["a"], ["numeric"], [[1.0]]).role_of("b"), KeyError,
+     "no column named 'b'"),
+    (lambda tmp: drop_sparse_columns(make_table(["a"], ["numeric"], [[]]), 0.5), ValueError,
+     "table has no rows"),
+    (lambda tmp: DesignMatrix(np.ones((0, 1)), np.ones(0), ("(Intercept)",), (), np.arange(0)),
+     ValueError, "X must be a nonempty 2-d matrix"),
+    (lambda tmp: DesignMatrix(_X3, np.ones(2), ("(Intercept)", "x"), _X3_TERMS, np.arange(3)),
+     ValueError, "y length must match the number of rows of X"),
+    (lambda tmp: DesignMatrix(_X3, np.ones(3), ("(Intercept)",), _X3_TERMS, np.arange(3)),
+     ValueError, "column_names length must match the number of columns of X"),
+    (lambda tmp: DesignMatrix(_X3[:, ::-1], np.ones(3), ("x", "(Intercept)"), _X3_TERMS, np.arange(3)),
+     ValueError, "first design column must be the all-ones intercept"),
+    (lambda tmp: DesignMatrix(_X3, np.ones(3), ("(Intercept)", "x"), (), np.arange(3)),
+     ValueError, "every non-intercept column must belong to exactly one term group"),
+    (lambda tmp: DesignMatrix.from_arrays(_X3, np.ones(3), names=["x"]), ValueError,
+     "names length must match the number of predictor columns"),
+    (lambda tmp: DesignMatrix.from_arrays(_X3[:, 1], np.ones(3)).drop_rows([3]), IndexError,
+     "row indices out of range for 3 rows"),
+    (lambda tmp: DesignMatrix.from_arrays(_X3[:, 1], np.ones(3)).drop_rows([0, 1, 2]), ValueError,
+     "dropping all rows leaves an empty design"),
+    (lambda tmp: DesignMatrix.from_arrays(_X3[:, 1], np.ones(3)).level_codes("x1"), ValueError,
+     "term 'x1' is not a factor"),
+], ids=["schema-line", "schema-duplicate", "build-lengths", "build-duplicate-names",
+        "build-rows", "build-two-responses", "role-of-unknown", "sparse-no-rows", "design-empty",
+        "design-y-length", "design-names-length", "design-intercept", "design-term-groups",
+        "from-arrays-names", "drop-rows-range", "drop-all-rows", "level-codes-numeric"])
+def test_table_errors(tmp_path, call, error, message):
+    with pytest.raises(error) as excinfo:
+        call(tmp_path)
+    assert message in str(excinfo.value)
+
+
+def test_encode_design_leaves_out_exclude_columns():
+    t = make_table(["id", "note", "x", "y"], ["id", "exclude", "numeric", "response"],
+                   [[1, 2, 3], ["a", None, "c"], [1.0, 2.0, 4.0], [1.0, 0.0, 2.0]])
+    d = encode_design(t)
+    assert d.column_names == ("(Intercept)", "x")
+    np.testing.assert_array_equal(d.X[:, 1], [1.0, 2.0, 4.0])
 
 
 def test_subset_terms_and_take_rows():
