@@ -92,12 +92,12 @@ def _effective_coef(coef: np.ndarray, aliased: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockQR:
-    """Pivoted QR of a column block: ``X[:, pivot] = q @ r``.
+    """Pivoted QR of a column block: ``X[:, pivot[:rank]] = q @ r``.
 
-    Only the first ``rank`` pivoted columns are kept: ``q`` is n x rank with
-    orthonormal columns, ``r`` is rank x rank upper triangular, and
-    ``pivot`` lists all block columns in pivot order (the trailing
-    ``n_cols - rank`` are the aliased ones).
+    ``q`` is n x rank with orthonormal columns and ``r`` is rank x rank upper
+    triangular.  ``pivot`` lists every block column, the factored ones first;
+    the trailing ``n_cols - rank`` are aliased or left out.  ``insert`` and
+    ``delete`` update a full-rank factorization of a finite block.
     """
 
     q: np.ndarray
@@ -110,10 +110,10 @@ class BlockQR:
         return self.pivot.size
 
     def inverse_gram_rows(self) -> np.ndarray:
-        """W (n_cols x rank) with W Wᵀ = (XᵀX)⁻¹ over the non-aliased columns.
+        """W (n_cols x rank) with W Wᵀ = (XᵀX)⁻¹ over the factored columns.
 
-        Rows ``pivot[:rank]`` hold R⁻¹ un-pivoted and the aliased rows are
-        zero, so for a set G of non-aliased columns the block of
+        Rows ``pivot[:rank]`` hold R⁻¹ un-pivoted and the other rows are
+        zero, so for a set G of factored columns the block of
         (X_keptᵀX_kept)⁻¹ is ``W[G] @ W[G].T``, its diagonal is the row sums
         of W², and ``q @ W[j]`` is X_kept (X_keptᵀX_kept)⁻¹ e_j.
         """
@@ -122,6 +122,31 @@ class BlockQR:
         w = np.zeros((self.n_cols, self.rank), order="F")
         w[self.pivot[:self.rank]] = linalg.solve_triangular(self.r, np.eye(self.rank))
         return w
+
+    def solve(self, y: np.ndarray):
+        """(coef, aliased): least squares on the factored columns, coefficient zero on the rest."""
+        kept = self.pivot[:self.rank]
+        coef = np.zeros(self.n_cols)
+        coef[kept] = linalg.solve_triangular(self.r, self.q.T @ y)
+        aliased = np.ones(self.n_cols, dtype=bool)
+        aliased[kept] = False
+        return coef, aliased
+
+    def insert(self, X: np.ndarray, columns) -> BlockQR:
+        """The factorization with ``X[:, columns]`` appended to the factored columns."""
+        q, r = linalg.qr_insert(self.q, self.r, X[:, columns], self.rank, which="col", check_finite=False)
+        rest = self.pivot[self.rank:]
+        pivot = np.concatenate([self.pivot[:self.rank], columns, rest[~np.isin(rest, columns)]])
+        return BlockQR(q, r, pivot, self.rank + len(columns))
+
+    def delete(self, columns) -> BlockQR:
+        """The factorization with block columns ``columns`` removed from the factored ones."""
+        q, r, kept = self.q, self.r, self.pivot[:self.rank]
+        leaving = np.isin(kept, columns)
+        for k in np.flatnonzero(leaving)[::-1]:
+            q, r = linalg.qr_delete(q, r, k, which="col", check_finite=False)
+        pivot = np.concatenate([kept[~leaving], kept[leaving], self.pivot[self.rank:]])
+        return BlockQR(q, r, pivot, self.rank - int(leaving.sum()))
 
 
 def qr_block(X: np.ndarray) -> BlockQR:
@@ -143,16 +168,6 @@ def residualize(q: np.ndarray, a: np.ndarray) -> np.ndarray:
     return e - q @ (q.T @ e)
 
 
-def _solve(qr: BlockQR, y: np.ndarray):
-    """(coef, aliased) from a factorization: aliased columns get coefficient zero."""
-    kept = qr.pivot[:qr.rank]
-    coef = np.zeros(qr.n_cols)
-    coef[kept] = linalg.solve_triangular(qr.r, qr.q.T @ y)
-    aliased = np.ones(qr.n_cols, dtype=bool)
-    aliased[kept] = False
-    return coef, aliased
-
-
 def pivoted_effective_coef(X: np.ndarray, y: np.ndarray):
     """Rank-revealing least squares on raw arrays.
 
@@ -160,12 +175,12 @@ def pivoted_effective_coef(X: np.ndarray, y: np.ndarray):
     mirroring :func:`fit_ols` without the model bookkeeping.  Used by
     resampling loops that refit the same column block many times.
     """
-    return _solve(qr_block(X), y)
+    return qr_block(X).solve(y)
 
 
 def _fit(design: DesignMatrix, qr: BlockQR) -> FittedModel:
     """The least-squares fit of ``design`` through ``qr``, a factorization of ``design.X``."""
-    coef, aliased = _solve(qr, design.y)
+    coef, aliased = qr.solve(design.y)
     fitted = design.X @ coef
     residuals = design.y - fitted
     coef[aliased] = np.nan

@@ -326,7 +326,6 @@ def _write_json(path: Path, obj) -> Path:
 
 def _stage_prep(cfg: RunConfig) -> list:
     out = cfg.out
-    out.mkdir(parents=True, exist_ok=True)
     if cfg.merged_table is not None:
         table = load_table(cfg.merged_table, read_schema(cfg.merged_schema), cfg.delimiter)
         table = drop_sparse_columns(table, cfg.na_ratio)
@@ -340,6 +339,7 @@ def _stage_prep(cfg: RunConfig) -> list:
     table = drop_incomplete_rows(table)
     table = coerce_to_factor(table, cfg.factor_columns, auto=cfg.factor_auto,
                              max_levels=cfg.max_factor_levels)
+    out.mkdir(parents=True, exist_ok=True)     # only once the inputs have loaded
     paths = [
         rpt.write_file(out / "prep.csv", lambda tmp: write_table(table, tmp)),
         rpt.write_file(out / "prep.schema", lambda tmp: write_schema(table, tmp)),

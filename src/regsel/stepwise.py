@@ -7,11 +7,11 @@ the minimum-AIC move is applied if it beats the current model by more than
 lies within ``TIE_MARGIN`` of the best are ties, and the one whose term
 comes earliest in the design's term order wins.
 
-Each search carries one QR factorization of its current model, started from
-the :func:`fit_ols` fit of its start model and updated by
-``scipy.linalg.qr_insert``/``qr_delete`` at every applied move (Golub & Van
-Loan §6.5), so no move refits the model it enters.  Moves are scored from
-that factorization (the add/drop-one identities behind R's
+Each search carries one :class:`~regsel.ols.BlockQR` of its current model
+over the design's columns, started from the :func:`fit_ols` fit of its
+start model and updated by ``BlockQR.insert``/``delete`` at every applied
+move (Golub & Van Loan §6.5), so no move refits the model it enters.  Moves
+are scored from that factorization (the add/drop-one identities behind R's
 ``add1``/``drop1``):
 
 * dropping term G raises the RSS by β_Gᵀ([(XᵀX)⁻¹]_GG)⁻¹β_G, read from R⁻¹;
@@ -41,13 +41,12 @@ walk one path share its factorizations, scores and refits.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
-from scipy import linalg
 
 from .influence import dffits, press_residuals
-from .ols import FittedModel, aic_selection_value, fit_ols, fit_statistics, residualize
+from .ols import BlockQR, FittedModel, aic_selection_value, fit_ols, fit_statistics, residualize
 from .table import DesignMatrix, model_formula, tsv_lines
 
 __all__ = [
@@ -252,18 +251,16 @@ def step_select_modes(design: DesignMatrix, scope: Scope | None = None, modes=MO
 class _State:
     """One model on a search path and the QR factorization it is scored from.
 
-    ``q @ r`` factors the searched design's columns ``cols`` (intercept
-    included, in factorization order).  ``model`` is the :func:`fit_ols`
-    fit a state started from a refit carries.  A state that is
-    rank-deficient or near-aliased is not ``scorable``: each of its moves is
-    refit.  States compare by identity, so modes share one only while they
+    ``qr`` is a :class:`~regsel.ols.BlockQR` over the searched design's
+    columns that factors the model's, intercept included.  ``model`` is the
+    :func:`fit_ols` fit a state started from a refit carries.  A state that
+    is rank-deficient or near-aliased is not ``scorable``: each of its moves
+    is refit.  States compare by identity, so modes share one only while they
     walk one path.
     """
 
     terms: frozenset
-    cols: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
+    qr: BlockQR
     residuals: np.ndarray
     rss: float
     aic: float
@@ -282,52 +279,44 @@ class _ModelSpace:
         y = design.y
         self.tss = float(np.sum((y - y.mean()) ** 2))
 
-    def _state(self, terms, cols, q, r, residuals, rss, aic, full_rank=True, model=None) -> _State:
-        diag = np.abs(np.diag(r))
-        scorable = full_rank and diag.min() >= ALIAS_GUARD * self.norms[cols].max()
-        return _State(terms, cols, q, r, residuals, rss, aic, bool(scorable), model)
+    def _state(self, terms, qr, residuals, rss, aic, full_rank=True, model=None) -> _State:
+        diag = np.abs(np.diag(qr.r))
+        scorable = full_rank and diag.min() >= ALIAS_GUARD * self.norms[qr.pivot[:qr.rank]].max()
+        return _State(terms, qr, residuals, rss, aic, bool(scorable), model)
 
     def fit(self, terms: frozenset) -> _State:
-        """Refit ``terms`` with :func:`fit_ols` and start a factorization from its QR."""
+        """Refit ``terms`` and start a factorization from the fit's QR over the design's columns."""
         model = fit_ols(self.design.subset_terms(terms))
         aic = fit_statistics(model, k=self.k).aic_selection
-        qr = model.qr
         own = np.array([0, *(c for t in model.design.term_names for c in self.columns[t])])
-        return self._state(terms, own[qr.pivot[:qr.rank]], qr.q, qr.r, model.residuals,
-                           model.rss, aic, full_rank=qr.rank == model.p, model=model)
+        rest = np.setdiff1d(np.arange(self.design.n_cols), own, assume_unique=True)
+        qr = replace(model.qr, pivot=np.concatenate([own[model.qr.pivot], rest]))
+        return self._state(terms, qr, model.residuals, model.rss, aic,
+                           full_rank=qr.rank == model.p, model=model)
 
     def move(self, state: _State, direction: str, term: str) -> _State:
         """The state after a scored move: ``state``'s QR updated by the term's columns."""
         cols = self.columns[term]
-        # a DesignMatrix holds finite values only, so scipy's finite checks are skipped
-        if direction == "add":
-            q, r = linalg.qr_insert(state.q, state.r, self.design.X[:, cols], state.cols.size,
-                                    which="col", check_finite=False)
-            kept, terms = np.concatenate([state.cols, cols]), state.terms | {term}
-        else:
-            q, r = state.q, state.r
-            leaving = np.isin(state.cols, cols)
-            for k in np.flatnonzero(leaving)[::-1]:
-                q, r = linalg.qr_delete(q, r, k, which="col", check_finite=False)
-            kept, terms = state.cols[~leaving], state.terms - {term}
-        residuals = residualize(q, self.design.y)
+        qr = state.qr.insert(self.design.X, cols) if direction == "add" else state.qr.delete(cols)
+        terms = state.terms ^ {term}    # the term enters or leaves
+        residuals = residualize(qr.q, self.design.y)
         rss = float(residuals @ residuals)
-        aic = aic_selection_value(rss, self.design.n_rows, kept.size, self.k)
-        return self._state(terms, kept, q, r, residuals, rss, aic)
+        aic = aic_selection_value(rss, self.design.n_rows, qr.rank, self.k)
+        return self._state(terms, qr, residuals, rss, aic)
 
     def score(self, state: _State, legal) -> list:
         """Selection AIC of each legal move from ``state``; None marks a move that must be refit."""
         if not state.scorable:
             return [None] * len(legal)
         X, y, n, rss = self.design.X, self.design.y, self.design.n_rows, state.rss
-        q, res, rank = state.q, state.residuals, state.cols.size
-        w = linalg.solve_triangular(state.r, np.eye(rank))    # (XᵀX)⁻¹ = WWᵀ; row i is cols[i]
-        coef = linalg.solve_triangular(state.r, q.T @ y)
+        q, res, rank = state.qr.q, state.residuals, state.qr.rank
+        w = state.qr.inverse_gram_rows()      # (XᵀX)⁻¹ = WWᵀ; row j is design column j
+        coef = state.qr.solve(y)[0]
         floor = max(NEAR_FLOOR * rss, NEAR_FLOOR ** 2 * self.tss)
-        position = {c: i for i, c in enumerate(state.cols.tolist())}
-        model_scale = self.norms[state.cols].max()
-        # dropping one column j raises the RSS by β_j² / [(XᵀX)⁻¹]_jj
-        drop_one = rss + coef ** 2 / np.einsum("ij,ij->i", w, w)
+        model_scale = self.norms[state.qr.pivot[:rank]].max()
+        # dropping one column j raises the RSS by β_j² / [(XᵀX)⁻¹]_jj; W² is zero off the model
+        w2 = np.einsum("ij,ij->i", w, w)
+        drop_one = rss + np.divide(coef ** 2, w2, out=np.zeros_like(w2), where=w2 > 0)
 
         added = [c for d, t in legal if d == "add" for c in self.columns[t]]
         if added:
@@ -341,7 +330,7 @@ class _ModelSpace:
         for direction, term in legal:
             cols = self.columns[term]
             if direction == "remove":
-                at = [position[c] for c in cols]
+                at = list(cols)
                 if len(at) == 1:
                     new_rss = float(drop_one[at[0]])
                 else:

@@ -454,14 +454,10 @@ def merge_by_id(a: RawTable, b: RawTable) -> RawTable:
     if overlap:
         raise ValueError(f"non-id columns present in both tables: {', '.join(sorted(overlap))}")
 
-    common = np.intersect1d(ids_a, ids_b)
+    # sorted common ids and their positions; the checks above make the ids unique
+    common, idx_a, idx_b = np.intersect1d(ids_a, ids_b, assume_unique=True, return_indices=True)
     if common.size == 0:
         raise ValueError("no common ids between the tables")
-    common = np.sort(common)
-    pos_a = {v: i for i, v in enumerate(ids_a.tolist())}
-    pos_b = {v: i for i, v in enumerate(ids_b.tolist())}
-    idx_a = np.array([pos_a[v] for v in common.tolist()], dtype=np.intp)
-    idx_b = np.array([pos_b[v] for v in common.tolist()], dtype=np.intp)
 
     names = list(a.names) + [n for n in b.names if n != id_name]
     roles = [a.role_of(n) for n in a.names] + [b.role_of(n) for n in b.names if n != id_name]

@@ -79,6 +79,42 @@ def test_qr_block_inverse_gram_matches_inverse():
                                rtol=1e-9)
 
 
+def test_block_qr_insert_and_delete_keep_a_factorization_of_their_columns():
+    """Random inserts and deletes from a qr_block factorization, whole
+    multi-column blocks and columns apart in pivot order included: after each,
+    Q is orthonormal, QR reproduces the factored columns, pivot lists every
+    column once, solve agrees with lstsq, and W is zero off the factored rows."""
+    from regsel.ols import qr_block
+    rng = np.random.default_rng(25)
+    n, p = 60, 12
+    X = rng.standard_normal((n, p)) * rng.uniform(0.1, 10.0, p)
+    y = rng.standard_normal(n)
+    qr = qr_block(X)
+    sizes = []
+    for _ in range(60):
+        kept = qr.pivot[:qr.rank]
+        out = qr.pivot[qr.rank:]
+        if out.size and (qr.rank <= 3 or rng.random() < 0.5):
+            columns = rng.choice(out, size=min(out.size, rng.integers(1, 4)), replace=False)
+            qr = qr.insert(X, columns.tolist())
+        else:
+            columns = rng.choice(kept, size=rng.integers(1, 4), replace=False)
+            qr = qr.delete(columns.tolist())
+        sizes.append(len(columns))
+        kept = qr.pivot[:qr.rank]
+        assert sorted(qr.pivot.tolist()) == list(range(p))
+        q, r, X_S = qr.q, qr.r, X[:, kept]
+        assert q.shape == (n, qr.rank) and r.shape == (qr.rank, qr.rank)
+        assert np.linalg.norm(q.T @ q - np.eye(qr.rank)) <= 1e-13     # Frobenius norms
+        assert np.linalg.norm(q @ r - X_S) <= 1e-13 * np.linalg.norm(X_S)
+        coef, aliased = qr.solve(y)
+        np.testing.assert_allclose(coef[kept], np.linalg.lstsq(X_S, y, rcond=None)[0],
+                                   rtol=1e-10, atol=1e-10)
+        assert not coef[aliased].any() and set(np.flatnonzero(~aliased)) == set(kept)
+        assert not qr.inverse_gram_rows()[qr.pivot[qr.rank:]].any()
+    assert max(sizes) > 1
+
+
 def test_predict_in_sample_identity(hand_design):
     m = fit_ols(hand_design)
     assert np.array_equal(predict(m, hand_design), m.fitted)

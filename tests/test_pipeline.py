@@ -577,3 +577,13 @@ def test_cli_stage_error_exit_code(tmp_path, capsys):
     assert cli_main(["all", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "[prep]" in err and "hint" in err
+
+
+def test_prep_that_fails_on_its_data_leaves_no_output_directory(tmp_path, capsys):
+    (tmp_path / "nan.csv").write_text("id,x,y\n1,0.5,1\n2,nan,2\n3,1.5,3\n")
+    (tmp_path / "nan.schema").write_text("id\tid\nx\tnumeric\ny\tresponse\n")
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("merged_table = nan.csv\nmerged_schema = nan.schema\nout_dir = nan_out\n")
+    assert cli_main(["prep", "--config", str(cfg)]) == 1
+    assert "non-finite value 'nan'" in capsys.readouterr().err
+    assert not (tmp_path / "nan_out").exists()
