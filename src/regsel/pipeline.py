@@ -9,8 +9,9 @@ bundles.  Every file, checkpoints included, is written through
 failed write leaves the previous one whole.  The prepared design is parsed
 at most once per process and shared by the stages while the bytes of
 ``prep.csv`` and ``prep.schema`` and the output directory stay the same; the
-prep stage hands the table it wrote to the later stages, so a single
-:func:`run_pipeline` never parses them.
+prep stage hands the design it encoded to the later stages, so a single
+:func:`run_pipeline` never parses them, and a table that cannot be encoded
+fails in prep before any file is written.
 
 Row exclusions (the outlier protocol) are 1-based row numbers into the
 prepared dataset (the same numbers the influence files report).  Excluded
@@ -251,11 +252,6 @@ def write_reference_config(path) -> Path:
 # ---------------------------------------------------------------------------
 
 
-# The stage that writes each checkpoint file a later stage reads.
-_PRODUCERS = {"prep.csv": "prep", "prep.schema": "prep", "kept_terms.json": "prune",
-              "selected_models.json": "select"}
-
-
 def _checkpoint(stage: str, path: Path) -> bytes:
     """The bytes of a checkpoint file; a missing one names the stage that writes it."""
     try:
@@ -267,7 +263,7 @@ def _checkpoint(stage: str, path: Path) -> bytes:
 
 # The encoded prepared design of one output directory, keyed by the directory
 # and the SHA-256 of the ``prep.csv`` and ``prep.schema`` bytes it came from.
-# The prep stage hands over the table it wrote; another stage parses the files.
+# The prep stage hands over the design it encoded; another stage parses the files.
 _PREPARED: dict = {}
 
 
@@ -281,21 +277,23 @@ def _prepared(stage: str, out: Path) -> DesignMatrix:
     """The encoded prepared design, parsed at most once per process while the
     bytes of ``prep.csv`` and ``prep.schema`` and the directory stay the same."""
     key = _prepared_key(stage, out)
-    entry = _PREPARED.get(key)
-    if not isinstance(entry, DesignMatrix):
-        table = entry if entry is not None else load_table(out / "prep.csv",
-                                                           read_schema(out / "prep.schema"))
-        entry = encode_design(table)
-        # X and y are shared by every stage, so read-only
-        entry.X.flags.writeable = False
-        entry.y.flags.writeable = False
-        _hold_prepared(key, entry)
-    return entry
+    if key not in _PREPARED:
+        _hold_prepared(key, encode_design(load_table(out / "prep.csv",
+                                                     read_schema(out / "prep.schema"))))
+    return _PREPARED[key]
 
 
-def _hold_prepared(key: tuple, entry) -> None:
+def _hold_prepared(key: tuple, design: DesignMatrix) -> None:
+    # X and y are shared by every stage, so read-only
+    design.X.flags.writeable = False
+    design.y.flags.writeable = False
     _PREPARED.clear()
-    _PREPARED[key] = entry
+    _PREPARED[key] = design
+
+
+def _selected(stage: str, out: Path) -> dict:
+    """{mode: [term, ...]} of the models the select stage wrote to ``out``."""
+    return json.loads(_checkpoint(stage, out / "selected_models.json"))
 
 
 def _runs(cfg: RunConfig, stage: str) -> list:
@@ -339,13 +337,14 @@ def _stage_prep(cfg: RunConfig) -> list:
     table = drop_incomplete_rows(table)
     table = coerce_to_factor(table, cfg.factor_columns, auto=cfg.factor_auto,
                              max_levels=cfg.max_factor_levels)
-    out.mkdir(parents=True, exist_ok=True)     # only once the inputs have loaded
+    design = encode_design(table)
+    out.mkdir(parents=True, exist_ok=True)     # only once the inputs have loaded and encoded
     paths = [
         rpt.write_file(out / "prep.csv", lambda tmp: write_table(table, tmp)),
         rpt.write_file(out / "prep.schema", lambda tmp: write_schema(table, tmp)),
     ]
-    # the files read back as this table, so later stages in this process skip parsing them
-    _hold_prepared(_prepared_key("prep", out), table)
+    # the files read back as this design, so later stages in this process skip parsing them
+    _hold_prepared(_prepared_key("prep", out), design)
     paths.append(rpt.write_lines(out / "audit.txt", table.audit))
     return paths
 
@@ -367,58 +366,39 @@ def _stage_prune(cfg: RunConfig) -> list:
     return paths
 
 
-def _select_into(cfg: RunConfig, design: DesignMatrix, out: Path) -> list:
-    out.mkdir(parents=True, exist_ok=True)
-    scope = cfg.scope()
-    selected = {}
+def _stage_select(cfg: RunConfig) -> list:
     paths = []
-    traces = step_select_modes(design, scope, cfg.modes)
-    for mode in cfg.modes:
-        trace = traces[mode]
-        selected[mode] = list(trace.final_terms)
-        paths.append(rpt.write_string(out / f"trace_{mode}.tsv", format_trace(trace)))
-    paths.append(_write_json(out / "selected_models.json", selected))
+    for design, out in _runs(cfg, "select"):
+        out.mkdir(parents=True, exist_ok=True)
+        traces = step_select_modes(design, cfg.scope(), cfg.modes)
+        paths += [rpt.write_string(out / f"trace_{mode}.tsv", format_trace(traces[mode]))
+                  for mode in cfg.modes]
+        paths.append(_write_json(out / "selected_models.json",
+                                 {mode: list(traces[mode].final_terms) for mode in cfg.modes}))
     return paths
 
 
-def _stage_select(cfg: RunConfig) -> list:
-    return [path for design, out in _runs(cfg, "select") for path in _select_into(cfg, design, out)]
-
-
-def _diagnose_into(cfg: RunConfig, design: DesignMatrix, out: Path):
-    """Write the influence files and ``comparison.tsv``; returns the paths and
-    the ComparisonTable (None with no modes)."""
-    selected = json.loads(_checkpoint("diagnose", out / "selected_models.json"))
-    paths = []
-    full_fit = fit_ols(design)
-    full_report = influence_flags(full_fit, min(cfg.top_m_full, full_fit.n))
-    paths.append(rpt.write_influence_data(full_fit, full_report, out / "influence_full.tsv"))
-    models, labels = [], []
-    for mode in cfg.modes:
-        fit = fit_ols(design.subset_terms(selected[mode]))
-        models.append(fit)
-        labels.append(mode)
-        flags = influence_flags(fit, min(cfg.top_m_selected, fit.n))
-        paths.append(rpt.write_influence_data(fit, flags, out / f"influence_{mode}.tsv"))
-        if cfg.emit_svg:
-            paths.append(rpt.svg_scatter(
-                flags.leverage, flags.cooks_d, out / f"influence_{mode}.svg",
-                highlight=flags.top_influence, xlabel="leverage", ylabel="Cook's distance",
-                vline=2.0 * flags.mean_leverage))
-    table = None
-    if models:
-        table = compare_models(models, labels=tuple(labels))
-        paths.append(rpt.write_string(out / "comparison.tsv", table.to_tsv()))
-    return paths, table
-
-
 def _stage_diagnose(cfg: RunConfig) -> list:
+    """Influence files and ``comparison.tsv`` of each run, then the side-by-side table."""
     runs = _runs(cfg, "diagnose")
     paths, tables = [], []
     for design, out in runs if cfg.modes else runs[:1]:     # no modes: the rerun has no models
-        more, table = _diagnose_into(cfg, design, out)
-        paths += more
-        tables.append(table)
+        selected = _selected("diagnose", out)
+        full_fit = fit_ols(design)
+        full_report = influence_flags(full_fit, min(cfg.top_m_full, full_fit.n))
+        paths.append(rpt.write_influence_data(full_fit, full_report, out / "influence_full.tsv"))
+        models = [fit_ols(design.subset_terms(selected[mode])) for mode in cfg.modes]
+        for mode, fit in zip(cfg.modes, models):
+            flags = influence_flags(fit, min(cfg.top_m_selected, fit.n))
+            paths.append(rpt.write_influence_data(fit, flags, out / f"influence_{mode}.tsv"))
+            if cfg.emit_svg:
+                paths.append(rpt.svg_scatter(
+                    flags.leverage, flags.cooks_d, out / f"influence_{mode}.svg",
+                    highlight=flags.top_influence, xlabel="leverage", ylabel="Cook's distance",
+                    vline=2.0 * flags.mean_leverage))
+        if models:
+            tables.append(compare_models(models, labels=tuple(cfg.modes)))
+            paths.append(rpt.write_string(out / "comparison.tsv", tables[-1].to_tsv()))
     if len(tables) == 2:
         # side-by-side table: full-data columns then excluded-data columns
         full, excl = tables
@@ -429,39 +409,35 @@ def _stage_diagnose(cfg: RunConfig) -> list:
     return paths
 
 
-def _cv_into(cfg: RunConfig, design: DesignMatrix, out: Path) -> list:
-    selected = json.loads(_checkpoint("cv", out / "selected_models.json"))
-    config = CVConfig.for_models({mode: selected[mode] for mode in cfg.modes},
-                                 replications=cfg.cv_replications,
-                                 train_fraction=cfg.cv_train_fraction,
-                                 seed=cfg.cv_seed)
-    result = mc_cross_validate(design, config)
-    paths = [
-        rpt.write_mspe_dump(result, out / "cv_mspe.tsv"),
-        rpt.write_mspe_summary(result, out / "cv_summary.tsv"),
-    ]
-    paths += rpt.emit_mspe_boxplot_data(result, out, root=False)
-    paths += rpt.emit_mspe_boxplot_data(result, out, root=True)
-    paths.append(rpt.write_lines(out / "cv_audit.txt", [
-        f"{lab}: {count} held-out rows used the reference-level fallback for unseen factor levels"
-        for lab, count in zip(result.labels, result.unseen_level_rows)]))
-    if cfg.emit_svg:
-        paths.append(rpt.svg_boxplot(
-            {lab: result.column(lab) for lab in result.labels}, out / "cv_mspe.svg", ylabel="MSPE"))
-    return paths
-
-
 def _stage_cv(cfg: RunConfig) -> list:
     if not cfg.modes:
         return []
-    return [path for design, out in _runs(cfg, "cv") for path in _cv_into(cfg, design, out)]
+    paths = []
+    for design, out in _runs(cfg, "cv"):
+        selected = _selected("cv", out)
+        config = CVConfig.for_models({mode: selected[mode] for mode in cfg.modes},
+                                     replications=cfg.cv_replications,
+                                     train_fraction=cfg.cv_train_fraction,
+                                     seed=cfg.cv_seed)
+        result = mc_cross_validate(design, config)
+        paths.append(rpt.write_mspe_dump(result, out / "cv_mspe.tsv"))
+        paths.append(rpt.write_mspe_summary(result, out / "cv_summary.tsv"))
+        paths += rpt.emit_mspe_boxplot_data(result, out, root=False)
+        paths += rpt.emit_mspe_boxplot_data(result, out, root=True)
+        paths.append(rpt.write_lines(out / "cv_audit.txt", [
+            f"{lab}: {count} held-out rows used the reference-level fallback for unseen factor levels"
+            for lab, count in zip(result.labels, result.unseen_level_rows)]))
+        if cfg.emit_svg:
+            paths.append(rpt.svg_boxplot(
+                {lab: result.column(lab) for lab in result.labels}, out / "cv_mspe.svg", ylabel="MSPE"))
+    return paths
 
 
 def _stage_report(cfg: RunConfig) -> list:
     design, out = _runs(cfg, "report")[0]
     terms = design.term_names
     if cfg.modes and cfg.report_model != "full":
-        terms = json.loads(_checkpoint("report", out / "selected_models.json"))[cfg.report_model]
+        terms = _selected("report", out)[cfg.report_model]
     model = fit_ols(design.subset_terms(terms))
     paths = rpt.write_summary(model, out / "model_report.txt", out / "model_report.tsv",
                               k=cfg.k_penalty)
@@ -475,23 +451,27 @@ def _stage_report(cfg: RunConfig) -> list:
     return paths
 
 
-# Each stage in run order: its function and the hint a failure of it carries.
+# Each stage in run order: its function, the checkpoints it writes that later
+# stages read, and the hint a failure of it carries.
 _STAGES = {
-    "prep": (_stage_prep, "check the input paths and schema files named in the config"),
-    "prune": (_stage_prune, "rerun 'prep', then check vstar against the data"),
-    "select": (_stage_select, "rerun 'prep' and 'prune' first"),
-    "diagnose": (_stage_diagnose, "rerun 'select' first"),
-    "cv": (_stage_cv, "rerun 'select' first; cv_train_fraction may be too small for the models"),
-    "report": (_stage_report, "rerun 'select' first"),
+    "prep": (_stage_prep, ("prep.csv", "prep.schema"),
+             "check the input paths and schema files named in the config"),
+    "prune": (_stage_prune, ("kept_terms.json",), "rerun 'prep', then check vstar against the data"),
+    "select": (_stage_select, ("selected_models.json",), "rerun 'prep' and 'prune' first"),
+    "diagnose": (_stage_diagnose, (), "rerun 'select' first"),
+    "cv": (_stage_cv, (), "rerun 'select' first; cv_train_fraction may be too small for the models"),
+    "report": (_stage_report, (), "rerun 'select' first"),
 }
 STAGES = tuple(_STAGES)
+# The stage that writes each checkpoint file.
+_PRODUCERS = {name: stage for stage, (_, writes, _) in _STAGES.items() for name in writes}
 
 
 def run_stage(stage: str, cfg: RunConfig) -> list:
     """Run one pipeline stage against the config's output directory."""
     if stage not in _STAGES:
         raise ValueError(f"unknown stage '{stage}'; expected one of {STAGES}")
-    func, hint = _STAGES[stage]
+    func, _, hint = _STAGES[stage]
     try:
         return func(cfg)
     except PipelineError:

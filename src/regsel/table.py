@@ -266,11 +266,18 @@ class RawTable:
 # ---------------------------------------------------------------------------
 
 
+def _plain(text: str) -> bool:
+    # float() and int() read "1_0" as 10 and "٣" as 3; neither is a number in a data file
+    return "_" not in text and text.isascii()
+
+
 def _parse_numeric(token: str, name: str, row: int, lenient: bool) -> float:
     token = token.strip()
     if token in MISSING_TOKENS:
         return math.nan
     try:
+        if not _plain(token):
+            raise ValueError
         value = float(token)
     except ValueError:
         if lenient:
@@ -287,13 +294,14 @@ def _parse_numeric_column(raw: list, name: str, lenient: bool) -> np.ndarray:
     """Parse a numeric column in one numpy call, which reads each token as
     ``float()`` does.  A column with a missing, non-finite or unparsable cell
     takes the per-cell path instead, so that cell gets its row's error."""
-    try:
-        values = np.array(raw, dtype=np.float64)
-    except ValueError:
-        pass
-    else:
-        if np.isfinite(values).all():
-            return values
+    if _plain("".join(raw)):
+        try:
+            values = np.array(raw, dtype=np.float64)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values
     return np.array([_parse_numeric(tok, name, i, lenient) for i, tok in enumerate(raw, start=1)],
                     dtype=np.float64)
 
@@ -312,6 +320,8 @@ def load_table(path, schema, delimiter: str = ",") -> RawTable:
         they become missing.  Empty cells and the literal ``NA`` are missing.
         Non-finite values (``nan``, ``inf``, or a literal that overflows
         such as ``1e999``) always raise, naming the file, data row and column.
+        A number holding ``_`` or a non-ASCII character (``1_0``, ``٣``) does
+        not parse, and an id column holding one is text.
     delimiter : str
         Field separator, ``","`` by default (use ``"\\t"`` for tab files).
     """
@@ -353,6 +363,8 @@ def load_table(path, schema, delimiter: str = ",") -> RawTable:
                 if tok in MISSING_TOKENS:
                     raise ValueError(f"{path}: column '{name}', data row {i}: id value is missing")
             try:
+                if not _plain("".join(raw)):
+                    raise ValueError
                 columns.append(np.array([int(tok) for tok in raw], dtype=np.int64))
             except ValueError:
                 columns.append(np.array(raw, dtype=object))
@@ -445,6 +457,10 @@ def merge_by_id(a: RawTable, b: RawTable) -> RawTable:
         raise ValueError(f"id columns differ: '{a.id_name}' vs '{b.id_name}'")
     id_name = a.id_name
     ids_a, ids_b = a.column(id_name), b.column(id_name)
+    if (ids_a.dtype == object) != (ids_b.dtype == object):
+        sides = ("left", "right") if ids_a.dtype == object else ("right", "left")
+        raise ValueError(f"id column '{id_name}' holds text in the {sides[0]} table and "
+                         f"integers in the {sides[1]} table, so no id can match")
     for side, ids in (("left", ids_a), ("right", ids_b)):
         vals, counts = np.unique(ids, return_counts=True)
         if (counts > 1).any():

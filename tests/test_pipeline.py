@@ -587,3 +587,19 @@ def test_prep_that_fails_on_its_data_leaves_no_output_directory(tmp_path, capsys
     assert cli_main(["prep", "--config", str(cfg)]) == 1
     assert "non-finite value 'nan'" in capsys.readouterr().err
     assert not (tmp_path / "nan_out").exists()
+
+
+@pytest.mark.parametrize("schema, message", [
+    ("id\tid\nx\tnumeric\ng\tfactor\ny\tresponse\n", "factor 'g' has fewer than two observed levels"),
+    ("id\tid\nx\tnumeric\ng\tfactor\ny\tnumeric\n", "table has no response column"),
+], ids=["one-level-factor", "no-response"])
+def test_prep_that_cannot_encode_its_table_fails_before_writing(tmp_path, capsys, schema, message):
+    rows = "".join(f"{i},{0.25 * i},a,{i % 7}\n" for i in range(1, 41))
+    (tmp_path / "m.csv").write_text("id,x,g,y\n" + rows)
+    (tmp_path / "m.schema").write_text(schema)
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("merged_table = m.csv\nmerged_schema = m.schema\nout_dir = m_out\n")
+    assert cli_main(["all", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("regsel: [prep]") and message in err
+    assert not (tmp_path / "m_out").exists()

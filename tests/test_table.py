@@ -119,6 +119,24 @@ def test_column_parse_matches_the_per_cell_parse(tmp_path, lenient):
         assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), column
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11"])     # 1_0, Arabic-Indic 3, fullwidth 1
+def test_numbers_with_an_underscore_or_non_ascii_character_do_not_parse(tmp_path, token):
+    f = tmp_path / "d.csv"
+    f.write_text(f"ID,x,y\n1,0.5,2\n2,{token},3\n3,1.5,4\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"d\.csv: column 'x', data row 2: cannot parse '{token}'"):
+        load_table(f, {"ID": "id", "x": "numeric", "y": "response"})
+    f.write_text(f"ID,x,y\n1,0.5,2\n2,1.5,{token}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"column 'y', data row 2: cannot parse '{token}'"):
+        load_table(f, {"ID": "id", "x": "numeric", "y": "response"})
+    f.write_text(f"ID,x,y\n1,0.5,2\n2,{token},3\n3,1.5,4\n", encoding="utf-8")
+    lenient = load_table(f, Schema({"ID": ColumnRole.ID, "x": ColumnRole.NUMERIC,
+                                    "y": ColumnRole.RESPONSE}, lenient=frozenset({"x"})))
+    assert lenient.column("x")[0] == 0.5 and math.isnan(lenient.column("x")[1])
+    f.write_text(f"ID,x,y\n1,0.5,2\n{token},1.5,3\n", encoding="utf-8")
+    ids = load_table(f, {"ID": "id", "x": "numeric", "y": "response"}).column("ID")
+    assert ids.dtype == object and ids.tolist() == ["1", token]
+
+
 def test_design_matrix_rejects_non_finite_values():
     from regsel import DesignMatrix
     X = np.arange(12.0).reshape(6, 2)
@@ -358,6 +376,20 @@ def test_merge_by_id_errors(left, right, message):
     with pytest.raises(ValueError) as excinfo:
         merge_by_id(make_table(*left), make_table(*right))
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("text_side", ["left", "right"])
+def test_merge_rejects_text_ids_against_integer_ids(tmp_path, text_side):
+    (tmp_path / "ints.csv").write_text("id,x\n1,0.5\n2,1.5\n3,2.5\n")
+    (tmp_path / "text.csv").write_text("id,z\n1,1\nb2,2\n3,3\n4,4\n")
+    ints = load_table(tmp_path / "ints.csv", {"id": "id", "x": "numeric"})
+    text = load_table(tmp_path / "text.csv", {"id": "id", "z": "numeric"})
+    assert ints.column("id").dtype == np.int64 and text.column("id").dtype == object
+    int_side = "right" if text_side == "left" else "left"
+    with pytest.raises(ValueError) as excinfo:
+        merge_by_id(*((text, ints) if text_side == "left" else (ints, text)))
+    assert str(excinfo.value) == (f"id column 'id' holds text in the {text_side} table and "
+                                  f"integers in the {int_side} table, so no id can match")
 
 
 # ---------------------------------------------------------------------------
