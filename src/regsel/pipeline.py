@@ -338,6 +338,11 @@ def _stage_prep(cfg: RunConfig) -> list:
     table = coerce_to_factor(table, cfg.factor_columns, auto=cfg.factor_auto,
                              max_levels=cfg.max_factor_levels)
     design = encode_design(table)
+    if cfg.log_refit and (design.y <= 0.0).any():
+        i = int(np.flatnonzero(design.y <= 0.0)[0])
+        raise PipelineError("prep", f"log_refit needs a positive response, but '{design.response_name}' "
+                            f"is {design.y[i]} in prepared row {i + 1} (id {design.row_ids[i]})",
+                            hint="set log_refit = false, or make every response value positive")
     out.mkdir(parents=True, exist_ok=True)     # only once the inputs have loaded and encoded
     paths = [
         rpt.write_file(out / "prep.csv", lambda tmp: write_table(table, tmp)),

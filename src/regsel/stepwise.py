@@ -1,4 +1,4 @@
-"""Greedy model-space search over term groups under the selection AIC.
+"""Greedy model-space search over terms under the selection AIC.
 
 Moves operate on whole terms: a factor's indicator columns enter and leave
 together.  At every iteration all legal single-term moves are scored, and
@@ -36,7 +36,9 @@ Forward search starts from the scope's lower model, backward from the upper
 model.  Both-direction search also starts from the upper model by default;
 pass ``start=scope.lower`` for the textbook intercept-only start.
 :func:`step_select_modes` runs several modes in lockstep, so modes that
-walk one path share its factorizations, scores and refits.
+walk one path share its factorizations, scores and refits.  A state's
+removals and additions are scored apart, each only for a mode that moves
+in that direction.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ def step_select(design: DesignMatrix, scope: Scope | None = None, mode: str = "f
     Parameters
     ----------
     design : DesignMatrix
-        Encoded data; term groups are the units of search.
+        Encoded data; its terms are the units of search.
     scope : Scope
         Lower/upper bounds and the AIC penalty k (defaults: intercept-only
         lower, all terms upper, k = 2).
@@ -166,85 +168,39 @@ def step_select_modes(design: DesignMatrix, scope: Scope | None = None, modes=MO
                       start=None) -> dict:
     """Run several search modes on one design in lockstep: {mode: SelectionTrace}.
 
-    Each iteration advances every unfinished mode by one move.  Modes that
-    stand at the same factorization are scored once, over the union of
-    their legal moves; a move they both apply is applied once, and a
-    fallback refit is shared by every mode that needs it in the same
-    iteration.  Modes share a factorization only while they walk one path,
-    so each trace equals the one ``step_select`` returns for its mode alone.
-    Both-direction search from the upper model usually walks backward
-    search's path move for move, so most of its work comes free.  Only the
-    current iteration's updates and refits are kept, so memory does not
-    grow with the length of the path.  ``start`` applies to every mode.
+    Each iteration advances every unfinished mode by one move.  One
+    :class:`_ModelSpace` keeps the iteration's work: a state is scored at
+    most once per direction, only in the directions some mode at it moves
+    in; a move several modes apply is applied once, and a fallback refit is
+    shared by every mode that needs it.  Modes share a state only while they
+    walk one path, so each trace equals the one ``step_select`` returns for
+    its mode alone.  Both-direction search from the upper model usually
+    walks backward search's path move for move, so most of its work comes
+    free.  ``start`` applies to every mode.
     """
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    scope = scope or Scope()
-    lower, upper = scope.resolve(design)
-    lower_set, upper_set = set(lower), set(upper)
+    space = _ModelSpace(design, scope or Scope())
     order = {name: i for i, name in enumerate(design.term_names)}
-    space = _ModelSpace(design, scope.k)
-
-    fits: dict = {}     # this iteration's refits: term set -> _State or the fit's error
-    moved: dict = {}    # this iteration's updates: (state, direction, term) -> _State
-
-    def fit(terms: frozenset):
-        if terms not in fits:
-            try:
-                fits[terms] = space.fit(terms)
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                fits[terms] = exc
-        return fits[terms]
-
-    def move(state, direction: str, term: str):
-        key = (state, direction, term)
-        if key not in moved:
-            moved[key] = space.move(state, direction, term)
-        return moved[key]
-
     searches = []
     for mode in dict.fromkeys(modes):
-        begin = start if start is not None else (lower if mode == "forward" else upper)
+        begin = start if start is not None else (space.lower if mode == "forward" else space.upper)
         begin = tuple(sorted(set(begin), key=order.get))
-        if not lower_set <= set(begin) <= upper_set:
+        if not set(space.lower) <= set(begin) <= set(space.upper):
             raise ValueError("start model must lie within the scope")
-        state = fit(frozenset(begin))
+        state = space.fit(frozenset(begin))
         if isinstance(state, Exception):
             raise state
         searches.append(_Search(mode, begin, state))
 
     active = searches
     while active:
-        groups: dict = {}
+        space.forget()
         for search in active:
-            groups.setdefault(search.state, []).append(search)
-        fits.clear()
-        moved.clear()
-        for state, group in groups.items():
-            can_add = any(s.can_add for s in group)
-            can_remove = any(s.can_remove for s in group)
-            legal = []      # (direction, term) in design term order
-            for term in design.term_names:
-                if term in state.terms:
-                    if can_remove and term not in lower_set:
-                        legal.append(("remove", term))
-                elif can_add and term in upper_set:
-                    legal.append(("add", term))
-            scores = dict(zip(legal, space.score(state, legal)))
-            for search in group:
-                search.step(scores, fit, move)
+            search.step(space)
         active = [s for s in active if not s.done]
-
-    def final_model(state) -> FittedModel:
-        if state.model is None:
-            fitted = fit(state.terms)
-            if isinstance(fitted, Exception):
-                raise fitted
-            state = fitted
-        return state.model
-
-    return {s.mode: s.trace(final_model(s.state)) for s in searches}
+    return {s.mode: s.trace(space.final(s.state)) for s in searches}
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,95 +225,132 @@ class _State:
 
 
 class _ModelSpace:
-    """The models of one design under one AIC penalty: refits, QR updates and move scores."""
+    """The models of one design within one scope: refits, QR updates and move scores.
 
-    def __init__(self, design: DesignMatrix, k: float):
+    Refits (errors included), updates and each state's scores per direction
+    are kept by their arguments until :meth:`forget`."""
+
+    def __init__(self, design: DesignMatrix, scope: Scope):
         self.design = design
-        self.k = k
+        self.k = scope.k
+        self.lower, self.upper = scope.resolve(design)
         self.columns = {t.name: t.columns for t in design.terms}
         self.norms = np.sqrt(np.einsum("ij,ij->j", design.X, design.X))
-        y = design.y
-        self.tss = float(np.sum((y - y.mean()) ** 2))
+        self.rss_floor = NEAR_FLOOR ** 2 * float(np.sum((design.y - design.y.mean()) ** 2))
+        self._fits, self._moves, self._scores = {}, {}, {}
+
+    def forget(self) -> None:
+        """Drop the kept refits, updates and scores, so memory does not grow along a path."""
+        for kept in (self._fits, self._moves, self._scores):
+            kept.clear()
 
     def _state(self, terms, qr, residuals, rss, aic, full_rank=True, model=None) -> _State:
         diag = np.abs(np.diag(qr.r))
         scorable = full_rank and diag.min() >= ALIAS_GUARD * self.norms[qr.pivot[:qr.rank]].max()
         return _State(terms, qr, residuals, rss, aic, bool(scorable), model)
 
-    def fit(self, terms: frozenset) -> _State:
-        """Refit ``terms`` and start a factorization from the fit's QR over the design's columns."""
-        model = fit_ols(self.design.subset_terms(terms))
-        aic = fit_statistics(model, k=self.k).aic_selection
-        own = np.array([0, *(c for t in model.design.term_names for c in self.columns[t])])
-        rest = np.setdiff1d(np.arange(self.design.n_cols), own, assume_unique=True)
-        qr = replace(model.qr, pivot=np.concatenate([own[model.qr.pivot], rest]))
-        return self._state(terms, qr, model.residuals, model.rss, aic,
-                           full_rank=qr.rank == model.p, model=model)
+    def fit(self, terms: frozenset):
+        """Refit ``terms`` and start a factorization from the fit's QR over the
+        design's columns; the fit's error instead when it fails."""
+        if terms not in self._fits:
+            try:
+                model = fit_ols(self.design.subset_terms(terms))
+                aic = fit_statistics(model, k=self.k).aic_selection
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                self._fits[terms] = exc
+                return exc
+            own = np.array([0, *(c for t in model.design.term_names for c in self.columns[t])])
+            rest = np.setdiff1d(np.arange(self.design.n_cols), own, assume_unique=True)
+            qr = replace(model.qr, pivot=np.concatenate([own[model.qr.pivot], rest]))
+            self._fits[terms] = self._state(terms, qr, model.residuals, model.rss, aic,
+                                            full_rank=qr.rank == model.p, model=model)
+        return self._fits[terms]
+
+    def final(self, state: _State) -> FittedModel:
+        """The fitted model of a search's final state, refit once if the state carries none."""
+        if state.model is None:
+            state = self.fit(state.terms)
+            if isinstance(state, Exception):
+                raise state
+        return state.model
 
     def move(self, state: _State, direction: str, term: str) -> _State:
         """The state after a scored move: ``state``'s QR updated by the term's columns."""
-        cols = self.columns[term]
-        qr = state.qr.insert(self.design.X, cols) if direction == "add" else state.qr.delete(cols)
-        terms = state.terms ^ {term}    # the term enters or leaves
-        residuals = residualize(qr.q, self.design.y)
-        rss = float(residuals @ residuals)
-        aic = aic_selection_value(rss, self.design.n_rows, qr.rank, self.k)
-        return self._state(terms, qr, residuals, rss, aic)
+        key = (state, direction, term)
+        if key not in self._moves:
+            cols = self.columns[term]
+            qr = state.qr.insert(self.design.X, cols) if direction == "add" else state.qr.delete(cols)
+            residuals = residualize(qr.q, self.design.y)
+            rss = float(residuals @ residuals)
+            aic = aic_selection_value(rss, self.design.n_rows, qr.rank, self.k)
+            self._moves[key] = self._state(state.terms ^ {term}, qr, residuals, rss, aic)
+        return self._moves[key]
 
-    def score(self, state: _State, legal) -> list:
-        """Selection AIC of each legal move from ``state``; None marks a move that must be refit."""
+    def scores(self, state: _State, directions) -> dict:
+        """Selection AIC of each legal move from ``state`` in ``directions``, by
+        term in design term order; None marks a move that must be refit."""
+        scored = {}
+        for direction in directions:
+            if (state, direction) not in self._scores:
+                scorer = self._additions if direction == "add" else self._removals
+                self._scores[state, direction] = scorer(state)
+            scored.update(self._scores[state, direction])
+        return {term: scored[term] for term in self.upper if term in scored}
+
+    def _aic(self, state: _State, new_rss: float, new_rank: int):
+        """A scored move's AIC, or None when it would leave at most one residual
+        degree of freedom or an RSS near the floor."""
+        n = self.design.n_rows
+        if n - new_rank <= 1 or new_rss <= max(NEAR_FLOOR * state.rss, self.rss_floor):
+            return None
+        return aic_selection_value(new_rss, n, new_rank, self.k)
+
+    def _removals(self, state: _State) -> dict:
+        """Scores of dropping each term outside the lower model, read from R⁻¹."""
+        terms = [t for t in self.upper if t in state.terms and t not in self.lower]
         if not state.scorable:
-            return [None] * len(legal)
-        X, y, n, rss = self.design.X, self.design.y, self.design.n_rows, state.rss
-        q, res, rank = state.qr.q, state.residuals, state.qr.rank
+            return dict.fromkeys(terms)
         w = state.qr.inverse_gram_rows()      # (XᵀX)⁻¹ = WWᵀ; row j is design column j
-        coef = state.qr.solve(y)[0]
-        floor = max(NEAR_FLOOR * rss, NEAR_FLOOR ** 2 * self.tss)
-        model_scale = self.norms[state.qr.pivot[:rank]].max()
+        coef = state.qr.solve(self.design.y)[0]
         # dropping one column j raises the RSS by β_j² / [(XᵀX)⁻¹]_jj; W² is zero off the model
         w2 = np.einsum("ij,ij->i", w, w)
-        drop_one = rss + np.divide(coef ** 2, w2, out=np.zeros_like(w2), where=w2 > 0)
+        drop_one = state.rss + np.divide(coef ** 2, w2, out=np.zeros_like(w2), where=w2 > 0)
+        scores = {}
+        for term in terms:
+            at = list(self.columns[term])
+            new_rss = (float(drop_one[at[0]]) if len(at) == 1 else
+                       state.rss + float(coef[at] @ np.linalg.solve(w[at] @ w[at].T, coef[at])))
+            scores[term] = self._aic(state, new_rss, state.qr.rank - len(at))
+        return scores
 
-        added = [c for d, t in legal if d == "add" for c in self.columns[t]]
-        if added:
-            G = X[:, added]
-            C = q.T @ G
-            g2 = np.einsum("ij,ij->j", G, G)
-            z2 = g2 - np.einsum("ij,ij->j", C, C)
-            z_r = G.T @ res - C.T @ (q.T @ res)     # zᵀr = gᵀ(I − QQᵀ)r
-        scores = []
-        start = 0
-        for direction, term in legal:
-            cols = self.columns[term]
-            if direction == "remove":
-                at = list(cols)
-                if len(at) == 1:
-                    new_rss = float(drop_one[at[0]])
-                else:
-                    beta = coef[at]
-                    new_rss = rss + float(beta @ np.linalg.solve(w[at] @ w[at].T, beta))
-                new_rank = rank - len(cols)
+    def _additions(self, state: _State) -> dict:
+        """Scores of adding each term of the upper model, from the residuals
+        projected onto its columns residualized against the current Q."""
+        terms = [t for t in self.upper if t not in state.terms]
+        if not state.scorable or not terms:
+            return dict.fromkeys(terms)
+        q, res, rank = state.qr.q, state.residuals, state.qr.rank
+        G = self.design.X[:, [c for t in terms for c in self.columns[t]]]
+        C = q.T @ G
+        g2 = np.einsum("ij,ij->j", G, G)
+        z2 = g2 - np.einsum("ij,ij->j", C, C)
+        z_r = G.T @ res - C.T @ (q.T @ res)     # zᵀr = gᵀ(I − QQᵀ)r
+        model_scale = self.norms[state.qr.pivot[:rank]].max()
+        scores = {}
+        j = 0
+        for term in terms:
+            m = len(self.columns[term])
+            scale = max(model_scale, np.sqrt(g2[j:j + m].max()))
+            if m == 1 and z2[j] >= CANCELLATION * g2[j]:
+                zn = np.sqrt(z2[j])
+                drop = z_r[j] ** 2 / z2[j]
             else:
-                m = len(cols)
-                j, sl = start, slice(start, start + m)
-                start += m
-                scale = max(model_scale, np.sqrt(g2[sl].max()))
-                if m == 1 and z2[j] >= CANCELLATION * g2[j]:
-                    zn = np.sqrt(z2[j])
-                    drop = z_r[j] ** 2 / z2[j]
-                else:
-                    qz, rz = np.linalg.qr(residualize(q, G[:, sl]))
-                    zn = np.abs(np.diag(rz)).min()
-                    drop = float(np.sum((qz.T @ res) ** 2))
-                if zn < ALIAS_GUARD * scale:
-                    scores.append(None)
-                    continue
-                new_rss = rss - drop
-                new_rank = rank + m
-            if n - new_rank <= 1 or new_rss <= floor:
-                scores.append(None)
-            else:
-                scores.append(aic_selection_value(new_rss, n, new_rank, self.k))
+                qz, rz = np.linalg.qr(residualize(q, G[:, j:j + m]))
+                zn = np.abs(np.diag(rz)).min()
+                drop = float(np.sum((qz.T @ res) ** 2))
+            aliased = zn < ALIAS_GUARD * scale
+            scores[term] = None if aliased else self._aic(state, state.rss - drop, rank + m)
+            j += m
         return scores
 
 
@@ -366,8 +359,7 @@ class _Search:
 
     def __init__(self, mode: str, start: tuple, state: _State):
         self.mode = mode
-        self.can_add = mode in ("forward", "both")
-        self.can_remove = mode in ("backward", "both")
+        self.directions = {"forward": ("add",), "backward": ("remove",)}.get(mode, ("add", "remove"))
         self.start = start
         self.state = state
         self.aic_start = state.aic
@@ -376,20 +368,18 @@ class _Search:
         self.fallback_refits = 0
         self.done = False
 
-    def step(self, scores: dict, fit, move) -> None:
-        """Apply the best of this mode's moves in ``scores`` (move -> scored AIC,
-        None for a move refit by ``fit``), or stop when none beats the current
-        model.  ``move`` applies a scored move to the current state."""
+    def step(self, space: _ModelSpace) -> None:
+        """Apply the best of this mode's moves from the current state, or stop
+        when none beats it; a move the space cannot score is refit."""
         current = self.state
         values = {}     # move -> (AIC, refit state or None), in design term order
-        for (direction, term), score in scores.items():
-            if not (self.can_add if direction == "add" else self.can_remove):
-                continue
+        for term, score in space.scores(current, self.directions).items():
+            direction = "remove" if term in current.terms else "add"
             if score is not None:
                 values[direction, term] = (score, None)
                 continue
             self.fallback_refits += 1
-            refit = fit(current.terms - {term} if direction == "remove" else current.terms | {term})
+            refit = space.fit(current.terms ^ {term})
             if isinstance(refit, Exception):
                 self.skipped.append(f"{direction} {term}: {refit}")
                 continue
@@ -401,7 +391,7 @@ class _Search:
         (direction, term), (_, new) = next(
             item for item in values.items() if item[1][0] <= best + TIE_MARGIN)
         if new is None:
-            new = move(current, direction, term)
+            new = space.move(current, direction, term)
         if new.aic >= current.aic - TOL_AIC:
             self.done = True
             return

@@ -81,7 +81,7 @@ class Schema:
         raise ValueError(f"column '{name}' has no role in the schema and no default role is declared")
 
     def is_lenient(self, name: str) -> bool:
-        return name in self.lenient
+        return name in self.lenient or (name not in self.roles and "*" in self.lenient)
 
 
 def _as_schema(schema) -> Schema:
@@ -345,6 +345,11 @@ def load_table(path, schema, delimiter: str = ",") -> RawTable:
     if unknown:
         raise ValueError(f"{path}: schema names columns not present in file: {', '.join(unknown)}")
     roles = [schema.role_of(name) for name in header]
+    for name, role in zip(header, roles):
+        if not name or name[0] == "#" or any(c in name for c in "\t\r\n") or (
+                "/" in name and role in (ColumnRole.NUMERIC, ColumnRole.FACTOR)):
+            raise ValueError(f"{path}: column {name!r} cannot be written back: names must be non-empty, "
+                             "not start with '#', hold no tab or line break, and no '/' if numeric or factor")
 
     for i, row in enumerate(rows, start=1):
         if len(row) != len(header):
@@ -366,7 +371,7 @@ def load_table(path, schema, delimiter: str = ",") -> RawTable:
                 if not _plain("".join(raw)):
                     raise ValueError
                 columns.append(np.array([int(tok) for tok in raw], dtype=np.int64))
-            except ValueError:
+            except (ValueError, OverflowError):     # not int64: read as text
                 columns.append(np.array(raw, dtype=object))
         else:
             columns.append(np.array(

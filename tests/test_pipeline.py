@@ -603,3 +603,20 @@ def test_prep_that_cannot_encode_its_table_fails_before_writing(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("regsel: [prep]") and message in err
     assert not (tmp_path / "m_out").exists()
+
+
+def test_log_refit_with_a_non_positive_response_fails_in_prep(tmp_path, capsys):
+    rows = "".join(f"{i},{0.25 * i},{i * 7 % 11},{-0.5 if i == 2 else 1 + i % 7}\n"
+                   for i in range(1, 41))
+    (tmp_path / "m.csv").write_text("id,x,z,y\n" + rows)
+    (tmp_path / "m.schema").write_text("id\tid\nx\tnumeric\nz\tnumeric\ny\tresponse\n")
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("merged_table = m.csv\nmerged_schema = m.schema\ncv_replications = 20\n"
+                   "out_dir = m_out\n")
+    assert cli_main(["all", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("regsel: [prep] log_refit needs a positive response, but 'y' is -0.5 "
+                          "in prepared row 2 (id 2)") and "set log_refit = false" in err
+    assert not (tmp_path / "m_out").exists()
+    cfg.write_text(cfg.read_text() + "log_refit = false\n")
+    assert cli_main(["all", "--config", str(cfg)]) == 0

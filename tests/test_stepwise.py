@@ -238,6 +238,29 @@ def test_fit_ols_runs_only_for_starts_fallback_refits_and_finals(monkeypatch):
     assert len(fitted) <= len(ends(traces)) + refits
 
 
+def test_each_state_is_scored_once_per_direction_its_modes_move_in(monkeypatch):
+    """Both-direction search walks backward's path here, so the two share
+    every state: no (state, direction) pair is scored twice.  A backward
+    search alone never scores additions, a forward one never removals."""
+    from regsel.stepwise import _ModelSpace
+    scored = []
+    for direction, name in (("add", "_additions"), ("remove", "_removals")):
+        def counting(self, state, scorer=getattr(_ModelSpace, name), direction=direction):
+            scored.append((state, direction))
+            return scorer(self, state)
+        monkeypatch.setattr(_ModelSpace, name, counting)
+
+    design = signal_design(np.random.default_rng(78), n=120, p=8)
+    traces = step_select_modes(design)
+    assert traces["backward"].moves and traces["both"].moves == traces["backward"].moves
+    assert len(scored) == len(set(scored))
+    assert sum(d == "remove" for _, d in scored) == len(traces["backward"].moves) + 1
+    for mode, unscored in (("backward", "add"), ("forward", "remove")):
+        scored.clear()
+        step_select(design, mode=mode)
+        assert scored and all(d != unscored for _, d in scored)
+
+
 def test_updated_factorization_stays_accurate_along_a_long_backward_search():
     """65 qr_delete updates on a 1300 x 90 design: after each, the carried
     factorization is orthonormal and reproduces its columns to 1e-13, and at
@@ -247,7 +270,7 @@ def test_updated_factorization_stays_accurate_along_a_long_backward_search():
     design, _ = make_wide_benchmark(1300, 90, n_signal=10)
     trace = step_select(design, mode="backward")
     assert len(trace.moves) >= 50 and trace.fallback_refits == 0
-    space = _ModelSpace(design, 2.0)
+    space = _ModelSpace(design, Scope())
     state = space.fit(frozenset(trace.start))
     for i, move in enumerate(trace.moves, start=1):
         state = space.move(state, move.direction, move.term)
@@ -268,7 +291,7 @@ def test_updated_factorization_stays_accurate_along_a_long_forward_search():
     design, _ = make_wide_benchmark(1300, 90, n_signal=60)
     trace = step_select(design, mode="forward")
     assert len(trace.moves) >= 50 and trace.fallback_refits == 0
-    space = _ModelSpace(design, 2.0)
+    space = _ModelSpace(design, Scope())
     state = space.fit(frozenset(trace.start))
     for i, move in enumerate(trace.moves, start=1):
         state = space.move(state, move.direction, move.term)

@@ -230,6 +230,53 @@ def test_schema_file_round_trip(tmp_path):
         read_schema(f)
 
 
+def test_lenient_default_role_applies_to_unlisted_columns(tmp_path):
+    (tmp_path / "s.schema").write_text("ID\tid\ny\tresponse\n*\tnumeric\tlenient\n")
+    (tmp_path / "d.csv").write_text("ID,x,y\n1,0.5,2\n2,abc,3\n")
+    schema = read_schema(tmp_path / "s.schema")
+    assert schema.is_lenient("x") and not schema.is_lenient("y")
+    x = load_table(tmp_path / "d.csv", schema).column("x")
+    assert x[0] == 0.5 and math.isnan(x[1])
+    (tmp_path / "d.csv").write_text("ID,x,y\n1,0.5,2\n2,1.5,abc\n")
+    with pytest.raises(ValueError, match="column 'y', data row 2: cannot parse 'abc'"):
+        load_table(tmp_path / "d.csv", schema)
+
+
+@pytest.mark.parametrize("header, name", [
+    ('ID,"a\tb",y', "'a\\tb'"),
+    ('ID,"a\nb",y', "'a\\nb'"),
+    ("ID,,y", "''"),
+    ("ID,#a,y", "'#a'"),
+    ("ID,a/b,y", "'a/b'"),
+], ids=["tab", "line-break", "empty", "hash", "slash"])
+def test_names_regsel_cannot_write_back_are_rejected(tmp_path, header, name):
+    f = tmp_path / "d.csv"
+    f.write_text(f"{header}\n1,0.5,2\n2,1.5,3\n")
+    slash = "/" in header       # only a numeric or factor name gives a file its name
+    for role in (ColumnRole.NUMERIC, ColumnRole.FACTOR) + (() if slash else (ColumnRole.EXCLUDE,)):
+        schema = Schema(roles={"ID": ColumnRole.ID, "y": ColumnRole.RESPONSE}, default=role)
+        with pytest.raises(ValueError) as excinfo:
+            load_table(f, schema)
+        assert str(excinfo.value).startswith(f"{f}: column {name} cannot be written back")
+
+
+def test_slash_in_id_response_or_exclude_names_loads(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("the/id,x,skip/me,the/y\n1,0.5,a,2\n2,1.5,b,3\n")
+    t = load_table(f, {"the/id": "id", "x": "numeric", "skip/me": "exclude", "the/y": "response"})
+    assert t.names == ("the/id", "x", "skip/me", "the/y")
+
+
+def test_id_beyond_int64_is_read_as_text(tmp_path):
+    (tmp_path / "big.csv").write_text("id,x\n1,0.5\n99999999999999999999,1.5\n3,2.5\n")
+    (tmp_path / "ints.csv").write_text("id,z\n1,1\n3,2\n")
+    big = load_table(tmp_path / "big.csv", {"id": "id", "x": "numeric"})
+    assert big.column("id").tolist() == ["1", "99999999999999999999", "3"]
+    ints = load_table(tmp_path / "ints.csv", {"id": "id", "z": "numeric"})
+    with pytest.raises(ValueError, match="id column 'id' holds text in the left table"):
+        merge_by_id(big, ints)
+
+
 def test_byte_order_mark_is_not_read_into_the_first_name(tmp_path):
     (tmp_path / "t.csv").write_text("id,x,y\n1,0.5,2\n2,1.5,3\n")
     (tmp_path / "t.schema").write_text("id\tid\nx\tnumeric\ny\tresponse\n")
