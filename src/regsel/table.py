@@ -19,6 +19,7 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -54,6 +55,9 @@ class ColumnRole(str, Enum):
     FACTOR = "factor"
     RESPONSE = "response"
     EXCLUDE = "exclude"
+
+
+_NUMERIC = (ColumnRole.NUMERIC, ColumnRole.RESPONSE)
 
 
 # ---------------------------------------------------------------------------
@@ -166,19 +170,23 @@ class RawTable:
     columns are float64 with NaN for missing cells, factor and exclude
     columns are object arrays of labels with ``None`` for missing, and the
     id column is int64 (or object of strings when ids are not integral).
-    ``levels`` maps each factor column to its observed labels in
-    :func:`level_order`, so a table rebuilt from the same labels (a row
-    subset, a join, a reloaded checkpoint) has the same levels.
+    ``text`` holds, for a numeric or response column whose every cell
+    :func:`load_table` parsed, the stripped input tokens as an object array,
+    and ``None`` for every other column.  ``levels`` maps each factor column
+    to its observed labels in :func:`level_order`, so a table rebuilt from
+    the same labels (a row subset, a join, a reloaded checkpoint) has the
+    same levels.
     """
 
     names: tuple
     roles: tuple
     columns: tuple
+    text: tuple
     levels: dict = field(default_factory=dict)
     audit: tuple = ()
 
     @classmethod
-    def build(cls, names, roles, columns, audit=()) -> "RawTable":
+    def build(cls, names, roles, columns, audit=(), text=None) -> "RawTable":
         names = tuple(names)
         roles = tuple(ColumnRole(r) for r in roles)
         columns = tuple(np.asarray(c) for c in columns)
@@ -197,7 +205,7 @@ class RawTable:
         norm_cols = []
         out_levels = {}
         for name, role, col in zip(names, roles, columns):
-            if role in (ColumnRole.NUMERIC, ColumnRole.RESPONSE):
+            if role in _NUMERIC:
                 norm_cols.append(np.asarray(col, dtype=np.float64))
             elif role is ColumnRole.FACTOR:
                 col = np.array([None if v is None else str(v) for v in col], dtype=object)
@@ -207,7 +215,9 @@ class RawTable:
                 norm_cols.append(np.asarray(col))
             else:
                 norm_cols.append(np.asarray(col, dtype=object))
-        return cls(names=names, roles=roles, columns=tuple(norm_cols),
+        text = tuple(t if r in _NUMERIC else None
+                     for r, t in zip(roles, text or [None] * len(columns), strict=True))
+        return cls(names=names, roles=roles, columns=tuple(norm_cols), text=text,
                    levels=out_levels, audit=tuple(audit))
 
     # -- accessors ----------------------------------------------------------
@@ -248,7 +258,7 @@ class RawTable:
         """True at each missing cell of the column (id cells are never missing)."""
         col = self.column(name)
         role = self.role_of(name)
-        if role in (ColumnRole.NUMERIC, ColumnRole.RESPONSE):
+        if role in _NUMERIC:
             return np.isnan(col)
         if role is ColumnRole.ID:
             return np.zeros(col.shape[0], dtype=bool)
@@ -290,10 +300,11 @@ def _parse_numeric(token: str, name: str, row: int, lenient: bool) -> float:
     return value
 
 
-def _parse_numeric_column(raw: list, name: str, lenient: bool) -> np.ndarray:
+def _parse_numeric_column(raw: list, name: str, lenient: bool) -> tuple:
     """Parse a numeric column in one numpy call, which reads each token as
-    ``float()`` does.  A column with a missing, non-finite or unparsable cell
-    takes the per-cell path instead, so that cell gets its row's error."""
+    ``float()`` does, and keep ``raw`` as the column's text.  A column with a
+    missing, non-finite or unparsable cell takes the per-cell path instead, so
+    that cell gets its row's error, and keeps no text."""
     if _plain("".join(raw)):
         try:
             values = np.array(raw, dtype=np.float64)
@@ -301,9 +312,9 @@ def _parse_numeric_column(raw: list, name: str, lenient: bool) -> np.ndarray:
             pass
         else:
             if np.isfinite(values).all():
-                return values
+                return values, np.array(raw, dtype=object)
     return np.array([_parse_numeric(tok, name, i, lenient) for i, tok in enumerate(raw, start=1)],
-                    dtype=np.float64)
+                    dtype=np.float64), None
 
 
 def load_table(path, schema, delimiter: str = ",") -> RawTable:
@@ -344,7 +355,10 @@ def load_table(path, schema, delimiter: str = ",") -> RawTable:
     unknown = sorted(set(schema.roles) - set(header))
     if unknown:
         raise ValueError(f"{path}: schema names columns not present in file: {', '.join(unknown)}")
-    roles = [schema.role_of(name) for name in header]
+    try:
+        roles = [schema.role_of(name) for name in header]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     for name, role in zip(header, roles):
         if not name or name[0] == "#" or any(c in name for c in "\t\r\n") or (
                 "/" in name and role in (ColumnRole.NUMERIC, ColumnRole.FACTOR)):
@@ -355,14 +369,15 @@ def load_table(path, schema, delimiter: str = ",") -> RawTable:
         if len(row) != len(header):
             raise ValueError(f"{path}: data row {i} has {len(row)} fields, expected {len(header)}")
 
-    columns = []
+    columns, text = [], {}
     for name, role, cells in zip(header, roles, zip(*rows)):
         raw = [tok.strip() for tok in cells]
-        if role in (ColumnRole.NUMERIC, ColumnRole.RESPONSE):
+        if role in _NUMERIC:
             try:
-                columns.append(_parse_numeric_column(raw, name, schema.is_lenient(name)))
+                values, text[name] = _parse_numeric_column(raw, name, schema.is_lenient(name))
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
+            columns.append(values)
         elif role is ColumnRole.ID:
             for i, tok in enumerate(raw, start=1):
                 if tok in MISSING_TOKENS:
@@ -376,17 +391,29 @@ def load_table(path, schema, delimiter: str = ",") -> RawTable:
         else:
             columns.append(np.array(
                 [None if tok in MISSING_TOKENS else tok for tok in raw], dtype=object))
-    return RawTable.build(header, roles, columns)
+    return RawTable.build(header, roles, columns, text=[text.get(name) for name in header])
+
+
+def _quoted(cell: str) -> str:
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def write_table(table: RawTable, path) -> Path:
-    """Write a RawTable as comma-separated text, each cell through
-    :func:`format_values` (a missing cell is ``NA``)."""
+    """Write a RawTable as comma-separated text with CRLF line ends, quoted as
+    :mod:`csv` quotes it.  A numeric cell kept as ``text`` is written as that
+    text; every other cell goes through :func:`format_values` (a missing cell
+    is ``NA``)."""
     path = Path(path)
+    cells = [format_values(c) if t is None else t.tolist() for c, t in zip(table.columns, table.text)]
+    for j, role in enumerate(table.roles):
+        if role not in _NUMERIC:        # numbers, NA and inf never need quotes
+            cells[j] = list(map(_quoted, cells[j]))
+    empty = '""' if len(table.names) == 1 else ""   # a lone empty field is quoted, not a blank line
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.names)
-        writer.writerows(zip(*map(format_values, table.columns)))
+        for line in chain([",".join(map(_quoted, table.names))], map(",".join, zip(*cells))):
+            fh.write((line or empty) + "\r\n")
     return path
 
 
@@ -445,8 +472,14 @@ def drop_sparse_columns(table: RawTable, ratio: float) -> RawTable:
     kept_roles = [table.role_of(n_) for n_ in keep]
     if not any(r in (ColumnRole.NUMERIC, ColumnRole.FACTOR) for r in kept_roles):
         raise ValueError("no predictors remain after dropping sparse columns")
-    out = RawTable.build(keep, kept_roles, [table.column(n_) for n_ in keep], audit=table.audit)
+    out = RawTable.build(keep, kept_roles, [table.column(n_) for n_ in keep], audit=table.audit,
+                         text=[table.text[table.names.index(n_)] for n_ in keep])
     return out.with_audit(*audit)
+
+
+def _take_rows(table: RawTable, rows) -> tuple:
+    """The table's columns and their text at ``rows``, indices or a mask."""
+    return [c[rows] for c in table.columns], [None if t is None else t[rows] for t in table.text]
 
 
 def merge_by_id(a: RawTable, b: RawTable) -> RawTable:
@@ -482,12 +515,12 @@ def merge_by_id(a: RawTable, b: RawTable) -> RawTable:
 
     names = list(a.names) + [n for n in b.names if n != id_name]
     roles = [a.role_of(n) for n in a.names] + [b.role_of(n) for n in b.names if n != id_name]
-    cols = [a.column(n)[idx_a] for n in a.names]
-    cols += [b.column(n)[idx_b] for n in b.names if n != id_name]
+    (cols, text), (cols_b, text_b) = _take_rows(a, idx_a), _take_rows(b, idx_b)
+    del cols_b[b.names.index(id_name)], text_b[b.names.index(id_name)]
     audit = a.audit + b.audit + (
         f"merge_by_id on '{id_name}': kept {common.size} rows, "
         f"excluded {ids_a.size - common.size} left-only and {ids_b.size - common.size} right-only ids",)
-    return RawTable.build(names, roles, cols, audit=audit)
+    return RawTable.build(names, roles, cols + cols_b, audit=audit, text=text + text_b)
 
 
 def drop_incomplete_rows(table: RawTable) -> RawTable:
@@ -500,8 +533,8 @@ def drop_incomplete_rows(table: RawTable) -> RawTable:
     removed = int(missing.sum())
     if removed == n:
         raise ValueError("empty dataset after NA omission")
-    out = RawTable.build(table.names, table.roles, [c[~missing] for c in table.columns],
-                         audit=table.audit)
+    cols, text = _take_rows(table, ~missing)
+    out = RawTable.build(table.names, table.roles, cols, audit=table.audit, text=text)
     return out.with_audit(f"drop_incomplete_rows: removed {removed} of {n} rows")
 
 
@@ -551,7 +584,7 @@ def coerce_to_factor(table: RawTable, columns: Sequence[str] = (),
                 f"refusing to coerce (max_levels={max_levels})")
         cols[j] = np.array([None if math.isnan(v) else _format_level(v) for v in col], dtype=object)
         roles[j] = ColumnRole.FACTOR
-    out = RawTable.build(names, roles, cols, audit=table.audit)
+    out = RawTable.build(names, roles, cols, audit=table.audit, text=table.text)     # drops a factor's text
     return out.with_audit(*(f"coerce_to_factor: '{name}' -> factor with levels "
                             f"({', '.join(out.levels[name])})" for name in targets))
 

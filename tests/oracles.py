@@ -8,6 +8,8 @@ route, not against themselves.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 
@@ -19,6 +21,7 @@ from regsel import (DesignMatrix, RawTable, encode_design, fit_ols, fit_statisti
 from regsel.influence import VIF_COLLINEAR
 from regsel.ols import aic_selection_value
 from regsel.stepwise import TIE_MARGIN
+from regsel.table import format_values
 
 
 def loo_predictions(design: DesignMatrix) -> np.ndarray:
@@ -303,6 +306,17 @@ def unseen_level_rows(labels, config) -> np.ndarray:
         out[i] = sum(np.count_nonzero(labels == level) for level in np.unique(labels)
                      if not in_train[labels == level].any())
     return out
+
+
+def csv_module_bytes(table: RawTable) -> bytes:
+    """``table`` as ``csv.writer`` writes it, in UTF-8: the header, then one
+    row per record, each cell its kept ``text`` or else ``format_values``."""
+    cells = [format_values(c) if t is None else t.tolist() for c, t in zip(table.columns, table.text)]
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(table.names)
+    writer.writerows(zip(*cells))
+    return out.getvalue().encode("utf-8")
 
 
 def assert_same_design(got: DesignMatrix, want: DesignMatrix) -> None:

@@ -456,6 +456,36 @@ def test_prep_hands_over_the_design_a_parse_gives(route, dataset_dir, tmp_path, 
     assert any(t.kind == "factor" for t in handed.terms)
 
 
+def test_prep_csv_keeps_the_input_text_of_numeric_cells(tmp_path):
+    rows = "".join(f"{i},{i % 9}.50,{i * 3 % 7}E3,{i % 5}.250\n" for i in range(1, 41))
+    (tmp_path / "t.csv").write_text("id,x,z,y\n" + rows)
+    (tmp_path / "t.schema").write_text("id\tid\nx\tnumeric\nz\tnumeric\ny\tresponse\n")
+    (tmp_path / "t.cfg").write_text("merged_table = t.csv\nmerged_schema = t.schema\nout_dir = out\n")
+    cfg = read_config(tmp_path / "t.cfg")
+    run_stage("prep", cfg)
+    assert (cfg.out / "prep.csv").read_bytes().startswith(b"id,x,z,y\r\n1,1.50,3E3,1.250\r\n")
+    handed = pipeline._prepared("prune", cfg.out)
+    pipeline._PREPARED.clear()
+    assert_same_design(handed, pipeline._prepared("prune", cfg.out))
+
+
+def test_prep_names_the_file_holding_a_column_without_a_role(tmp_path, capsys):
+    for stem, header, schema in (("a", "id,x", "id\tid\nx\tnumeric\n"),
+                                 ("b", "id,w,z", "id\tid\nz\tnumeric\n"),
+                                 ("r", "id,y", "id\tid\ny\tresponse\n")):
+        (tmp_path / f"{stem}.csv").write_text(header + "\n" + "".join(
+            f"{i}" + f",{i % 7}" * header.count(",") + "\n" for i in range(1, 41)))
+        (tmp_path / f"{stem}.schema").write_text(schema)
+    cfg = tmp_path / "ab.cfg"
+    cfg.write_text("table_a = a.csv\nschema_a = a.schema\ntable_b = b.csv\nschema_b = b.schema\n"
+                   "response_table = r.csv\nresponse_schema = r.schema\nout_dir = ab_out\n")
+    assert cli_main(["prep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("regsel: [prep]")
+    assert "b.csv: column 'w' has no role in the schema and no default role is declared" in err
+    assert not (tmp_path / "ab_out").exists()
+
+
 def test_stage_rereads_changed_prep_in_the_same_process(dataset_dir):
     cfg = read_config(write_config(dataset_dir, "out_reprep"))
     for stage in ("prep", "prune", "select", "diagnose"):

@@ -2,8 +2,10 @@
 
 Random tables check that the pipeline's checkpoint format (``write_table``
 and ``write_schema``, read back by ``read_schema`` and ``load_table``)
-reproduces every cell, and that encoding the table the prep stage hands over
-gives the design parsing its files gives.  For the OLS core each example
+reproduces every cell, that ``write_table`` writes the bytes ``csv.writer``
+writes, and that encoding the table the prep stage hands over gives the
+design parsing its files gives, also when its numeric cells keep the text
+they were read from.  For the OLS core each example
 draws a design shape and a seed for its values.  Designs with one exactly
 duplicated column and factors check the rank/leverage identity and the
 PRESS = leave-one-out identity; designs with near-collinear columns check
@@ -26,7 +28,7 @@ from regsel import (CVConfig, DesignMatrix, RawTable, coerce_to_factor, drop_inc
                     encode_design, fit_ols, fit_statistics, load_table, mc_cross_validate,
                     press_residuals, read_schema, step_select_modes, vif_prune, write_schema,
                     write_table)
-from oracles import (aic_error_bound, assert_same_design, loo_predictions,
+from oracles import (aic_error_bound, assert_same_design, csv_module_bytes, loo_predictions,
                      prune_by_auxiliary_regression, reencoded_cv_mspe, reference_aic, refit_cv_mspe,
                      unseen_level_rows)
 
@@ -112,6 +114,49 @@ def test_handed_over_design_equals_a_parse(table):
         assert handed == fresh
     else:
         assert_same_design(handed, fresh)
+
+
+# Spellings of a float that read back as it: repr, and forms other writers
+# use (trailing zeros as in ``1.50``, a capital exponent, a leading sign).
+SPELLINGS = (repr, "{:.17g}".format, "{:.20E}".format, "{:+.17e}".format)
+
+
+@st.composite
+def spelled_tables(draw):
+    """A checkpoint table whose numeric columns without a missing cell are
+    written in drawn SPELLINGS and read back, so it carries their text."""
+    table = draw(checkpoint_tables())
+    text = [np.array([draw(st.sampled_from(SPELLINGS))(v) for v in col.tolist()], dtype=object)
+            if role.value in ("numeric", "response") and not np.isnan(col).any() else None
+            for role, col in zip(table.roles, table.columns)]
+    table = RawTable.build(table.names, table.roles, table.columns, text=text)
+    with tempfile.TemporaryDirectory() as tmp:
+        back = load_table(write_table(table, Path(tmp) / "t.csv"),
+                          read_schema(write_schema(table, Path(tmp) / "t.schema")))
+    assert [None if t is None else t.tolist() for t in back.text] == \
+        [None if t is None else t.tolist() for t in text]
+    return back
+
+
+@PROPERTY_SETTINGS
+@given(spelled_tables())
+def test_handed_over_design_with_kept_text_equals_a_parse(table):
+    """The handover check above, on tables whose numeric cells keep the text they were read from."""
+    test_handed_over_design_equals_a_parse.hypothesis.inner_test(table)
+
+
+@PROPERTY_SETTINGS
+@given(checkpoint_tables() | spelled_tables())
+@example(RawTable.build(["id", "a,b", 'say "q"', "y"], ["id", "factor", "exclude", "response"],
+                        [[1, 2, 3, 4], ["a,b", '"q"', "a\nb", 'Ω,"ß"'],
+                         ["x\ry", "", None, 'a, "b"'], [1.0, 2.0, 3.0, 4.0]]))
+@example(RawTable.build(["f"], ["factor"], [["", "a", None, "a,b"]]))     # one column
+@example(RawTable.build([""], ["exclude"], [["", "x"]]))                 # one column, empty name
+@example(RawTable.build(["id", "x,1", "y"], ["id", "numeric", "response"], [[], [], []]))  # no rows
+@example(RawTable.build([], [], []))
+def test_write_table_quotes_as_the_csv_module(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert write_table(table, Path(tmp) / "t.csv").read_bytes() == csv_module_bytes(table)
 
 
 @st.composite

@@ -205,6 +205,14 @@ def test_load_errors_name_the_file(tmp_path, text, message):
     assert str(excinfo.value) == f"{f}: {message}"
 
 
+def test_a_header_without_a_role_names_the_file(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("id,x,w,y\n1,2,3,4\n")
+    with pytest.raises(ValueError) as excinfo:
+        load_table(f, {"id": "id", "x": "numeric", "y": "response"})
+    assert str(excinfo.value) == f"{f}: column 'w' has no role in the schema and no default role is declared"
+
+
 def test_load_default_role_and_tab_delimiter(tmp_path):
     f = tmp_path / "d.tsv"
     f.write_text("ID\tx1\tx2\ty\n1\t0.1\t0.2\t5\n2\t0.3\t0.4\t6\n")
@@ -319,6 +327,79 @@ def test_format_values_and_tsv_lines():
     assert tsv_lines(("i", "v")) == ["i\tv"]
     with pytest.raises(ValueError):
         tsv_lines(("i", "v"), range(3), [1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# Kept text: numeric cells written back as they were read
+# ---------------------------------------------------------------------------
+
+
+def text_of(table: RawTable, name: str):
+    text = table.text[table.names.index(name)]
+    return None if text is None else text.tolist()
+
+
+def test_numeric_cells_are_written_back_as_their_stripped_text(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("id,x,y\n1,1.50,+2\n2,1E3,-0\n3,1e-400, 7 \n")
+    schema = {"id": "id", "x": "numeric", "y": "response"}
+    t = load_table(f, schema)
+    assert text_of(t, "x") == ["1.50", "1E3", "1e-400"] and text_of(t, "y") == ["+2", "-0", "7"]
+    assert text_of(t, "id") is None
+    path = write_table(t, tmp_path / "prep.csv")
+    assert path.read_bytes() == b"id,x,y\r\n1,1.50,+2\r\n2,1E3,-0\r\n3,1e-400,7\r\n"
+    back = load_table(path, schema)
+    for name, want in (("x", [1.5, 1000.0, 0.0]), ("y", [2.0, -0.0, 7.0])):
+        assert back.column(name).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+        assert back.column(name).view(np.int64).tolist() == t.column(name).view(np.int64).tolist()
+
+
+def test_merge_by_id_reorders_the_text_with_the_ids(tmp_path):
+    (tmp_path / "a.csv").write_text("id,x\n3,3.0\n1,1.00\n2,2.50\n")
+    (tmp_path / "b.csv").write_text("id,y\n2,20.0\n4,4E1\n3,30.0\n1,1E1\n")
+    a = load_table(tmp_path / "a.csv", {"id": "id", "x": "numeric"})
+    b = load_table(tmp_path / "b.csv", {"id": "id", "y": "response"})
+    merged = merge_by_id(a, b)
+    assert merged.column("id").tolist() == [1, 2, 3]
+    assert text_of(merged, "x") == ["1.00", "2.50", "3.0"] and text_of(merged, "y") == ["1E1", "20.0", "30.0"]
+    assert write_table(merged, tmp_path / "ab.csv").read_bytes() == (
+        b"id,x,y\r\n1,1.00,1E1\r\n2,2.50,20.0\r\n3,3.0,30.0\r\n")
+    assert write_table(merge_by_id(b, a), tmp_path / "ba.csv").read_bytes() == (
+        b"id,y,x\r\n1,1E1,1.00\r\n2,20.0,2.50\r\n3,30.0,3.0\r\n")
+
+
+def test_dropped_rows_and_columns_take_their_text_along(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("id,x,z,w,y\n1,1.0,5,NA,0.10\n2,2.0,NA,NA,0.20\n3,3.0,7,NA,0.30\n4,4.0,8,1,0.40\n")
+    t = load_table(f, {"id": "id", "x": "numeric", "z": "numeric", "w": "numeric", "y": "response"})
+    assert len(t.text) == 5 and text_of(t, "w") is None
+    t = drop_incomplete_rows(drop_sparse_columns(t, 0.5))
+    assert t.names == ("id", "x", "z", "y") and len(t.text) == 4
+    assert text_of(t, "x") == ["1.0", "3.0", "4.0"] and text_of(t, "y") == ["0.10", "0.30", "0.40"]
+    assert text_of(t, "z") is None      # it had a missing cell, so it is written through format_values
+    assert write_table(t, tmp_path / "p.csv").read_bytes() == (
+        b"id,x,z,y\r\n1,1.0,5.0,0.10\r\n3,3.0,7.0,0.30\r\n4,4.0,8.0,0.40\r\n")
+
+
+def test_coerced_and_lenient_columns_are_written_through_format_values(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("id,g,u,y\n1,1.0,0.50,1\n2,0.0,x,2\n3,1.0,1.50,3\n")
+    schema = Schema(roles={"id": ColumnRole.ID, "g": ColumnRole.NUMERIC, "u": ColumnRole.NUMERIC,
+                           "y": ColumnRole.RESPONSE}, lenient=frozenset({"u"}))
+    t = load_table(f, schema)
+    assert text_of(t, "g") == ["1.0", "0.0", "1.0"] and text_of(t, "u") is None
+    t = coerce_to_factor(t, ["g"])
+    assert text_of(t, "g") is None and text_of(t, "y") == ["1", "2", "3"]
+    assert write_table(t, tmp_path / "p.csv").read_bytes() == (
+        b"id,g,u,y\r\n1,1,0.5,1\r\n2,0,NA,2\r\n3,1,1.5,3\r\n")
+
+
+def test_text_is_kept_only_where_it_is_given_for_a_numeric_column():
+    t = make_table(["id", "x", "f"], ["id", "numeric", "factor"], [[1], [0.5], ["a"]])
+    assert t.text == (None, None, None)
+    t = RawTable.build(["x", "f"], ["numeric", "factor"], [[0.5], ["a"]],
+                       text=[np.array(["5e-1"], dtype=object), np.array(["a"], dtype=object)])
+    assert t.text[0].tolist() == ["5e-1"] and t.text[1] is None
 
 
 # ---------------------------------------------------------------------------
