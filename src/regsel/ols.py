@@ -257,14 +257,16 @@ def fit_statistics(model: FittedModel, k: float = 2.0) -> FitStatistics:
 
     R-squared uses the total sum of squares about the mean (an intercept is
     always present here); an intercept-only model has R-squared identically
-    zero.  A near-perfect fit (RSS below 1e-12 * TSS) leaves the log-AIC
-    undefined and raises.
+    zero.  A constant response (TSS zero) or a near-perfect fit (RSS below
+    1e-12 * TSS) leaves R-squared or the log-AIC undefined and raises.
     """
     n, r = model.n, model.rank
     if n - r < 1:
         raise ValueError("fit statistics undefined: no residual degrees of freedom")
     y = model.design.y
     tss = float(np.sum((y - y.mean()) ** 2))
+    if tss == 0.0:
+        raise ValueError("fit statistics undefined: the response is constant")
     if model.rss <= RSS_FLOOR_FACTOR * tss:
         raise ValueError("AIC undefined: residual sum of squares is (numerically) zero")
     r_squared = 0.0 if not model.design.terms else 1.0 - model.rss / tss

@@ -34,7 +34,7 @@ from .ols import fit_ols, refit_log_response
 from .stepwise import COMPARISON_ROWS, MODES, ComparisonTable, Scope, compare_models, format_trace, step_select_modes
 from .table import DesignMatrix, coerce_to_factor, drop_incomplete_rows, drop_sparse_columns, encode_design, load_table, merge_by_id, read_schema, tsv_lines, write_schema, write_table
 
-__all__ = ["RunConfig", "PipelineError", "run_pipeline", "run_stage", "STAGES",
+__all__ = ["RunConfig", "PipelineError", "read_config", "run_pipeline", "run_stage", "STAGES",
            "write_reference_config"]
 
 class PipelineError(Exception):
@@ -188,9 +188,10 @@ def _validate_config(cfg: RunConfig) -> None:
     bad_modes = set(cfg.modes) - set(MODES)
     if bad_modes:
         raise ValueError(f"unknown selection modes: {', '.join(sorted(bad_modes))}")
-    for mode in MODES:
-        if cfg.modes.count(mode) > 1:
-            raise ValueError(f"mode '{mode}' is listed twice")
+    for kind, values in (("mode", cfg.modes), ("factor column", cfg.factor_columns)):
+        for value in values:
+            if values.count(value) > 1:
+                raise ValueError(f"{kind} '{value}' is listed twice")
     if cfg.modes and cfg.report_model not in (*cfg.modes, "full"):
         raise ValueError(f"report_model '{cfg.report_model}' is not among the enabled modes")
     if len(cfg.delimiter) != 1 or cfg.delimiter in '"\r\n':
@@ -343,6 +344,10 @@ def _stage_prep(cfg: RunConfig) -> list:
         raise PipelineError("prep", f"log_refit needs a positive response, but '{design.response_name}' "
                             f"is {design.y[i]} in prepared row {i + 1} (id {design.row_ids[i]})",
                             hint="set log_refit = false, or make every response value positive")
+    if (design.y == design.y[0]).all():
+        raise PipelineError("prep", f"the response '{design.response_name}' is {design.y[0]} in every "
+                            "prepared row, so no model can explain it",
+                            hint="check the response column and the rows prep keeps")
     out.mkdir(parents=True, exist_ok=True)     # only once the inputs have loaded and encoded
     paths = [
         rpt.write_file(out / "prep.csv", lambda tmp: write_table(table, tmp)),

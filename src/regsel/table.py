@@ -391,7 +391,10 @@ def load_table(path, schema, delimiter: str = ",") -> RawTable:
         else:
             columns.append(np.array(
                 [None if tok in MISSING_TOKENS else tok for tok in raw], dtype=object))
-    return RawTable.build(header, roles, columns, text=[text.get(name) for name in header])
+    try:
+        return RawTable.build(header, roles, columns, text=[text.get(name) for name in header])
+    except ValueError as exc:     # two id or two response columns
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _quoted(cell: str) -> str:
@@ -560,6 +563,8 @@ def coerce_to_factor(table: RawTable, columns: Sequence[str] = (),
             raise KeyError(f"no column named '{name}'")
         if table.role_of(name) is not ColumnRole.NUMERIC:
             raise ValueError(f"column '{name}' is not numeric; cannot coerce to factor")
+        if targets.count(name) > 1:
+            raise ValueError(f"column '{name}' is listed twice")
     if auto:
         for name, role in zip(table.names, table.roles):
             if role is not ColumnRole.NUMERIC or name in targets:
@@ -755,8 +760,8 @@ def encode_design(table: RawTable) -> DesignMatrix:
 
     Numeric predictors are copied verbatim in table order; an L-level factor
     contributes L-1 indicator columns for levels 2..L (level 1 is the
-    reference), named ``<column><level>``.  Requires a response column and
-    no remaining missing cells.
+    reference), named ``<column><level>``, so no level label may hold a tab
+    or line break.  Requires a response column and no remaining missing cells.
     """
     if table.response_name is None:
         raise ValueError("table has no response column")
@@ -781,6 +786,10 @@ def encode_design(table: RawTable) -> DesignMatrix:
             levels = table.levels[name]
             if len(levels) < 2:
                 raise ValueError(f"factor '{name}' has fewer than two observed levels")
+            for label in levels:
+                if any(c in label for c in "\t\r\n"):
+                    raise ValueError(f"factor '{name}' has the level {label!r}: a label holding "
+                                     "a tab or line break cannot name a column of regsel's reports")
             idx = tuple(range(len(names), len(names) + len(levels) - 1))
             code = {label: k for k, label in enumerate(levels)}
             codes = np.array([code[v] for v in table.column(name)], dtype=np.intp)

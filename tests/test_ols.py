@@ -200,6 +200,13 @@ def test_perfect_fit_aic_error():
         fit_statistics(fit_ols(d))
 
 
+def test_fit_statistics_of_a_constant_response_raises():
+    X = np.random.default_rng(4).standard_normal((30, 2))
+    m = fit_ols(DesignMatrix.from_arrays(X, np.full(30, 5.0)))
+    with pytest.raises(ValueError, match="fit statistics undefined: the response is constant"):
+        fit_statistics(m)
+
+
 def test_intercept_only_r_squared_is_exactly_zero():
     rng = np.random.default_rng(3)
     d = random_design(rng, 25, 3)
@@ -356,6 +363,12 @@ def test_format_summary_layout():
     assert "Residual standard error:" in text
     assert "Adjusted R-squared:" in text
     assert "F-statistic:" in text
+
+
+def test_format_summary_marks_a_p_value_below_0_01_with_two_stars():
+    m = fit_ols(DesignMatrix.from_arrays(np.arange(8.0), [0.0, 1, 1, 2, 1, 3, 2, 3], names=["x"]))
+    assert 0.001 <= coefficient_table(m)[1][4] < 0.01
+    assert format_summary(m).splitlines()[5].endswith(" 0.00719228 **")
 
 
 def test_summaries_of_an_aliased_log_refit(tmp_path):

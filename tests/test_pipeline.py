@@ -198,8 +198,9 @@ ROUTE = "merged_table = m.csv\nmerged_schema = m.schema\nout_dir = out\n"
     ("merged_table = m.csv\nout_dir = out\n", "config key 'merged_schema' is required with merged_table"),
     (ROUTE + "vstar = 10\nvstar = 5\n", "{cfg}:5: config key 'vstar' is set twice (first on line 4)"),
     (ROUTE + "modes = forward,forward\n", "mode 'forward' is listed twice"),
+    (ROUTE + "factor_columns = b,b\n", "factor column 'b' is listed twice"),
 ], ids=["bool", "no-file", "no-equals", "two-table-key", "merged-schema", "key-set-twice",
-        "mode-listed-twice"])
+        "mode-listed-twice", "factor-listed-twice"])
 def test_malformed_config_exits_2_before_any_output(tmp_path, capsys, text, message):
     cfg = tmp_path / "c.cfg"
     if text is not None:
@@ -469,9 +470,10 @@ def test_prep_csv_keeps_the_input_text_of_numeric_cells(tmp_path):
     assert_same_design(handed, pipeline._prepared("prune", cfg.out))
 
 
-def test_prep_names_the_file_holding_a_column_without_a_role(tmp_path, capsys):
-    for stem, header, schema in (("a", "id,x", "id\tid\nx\tnumeric\n"),
-                                 ("b", "id,w,z", "id\tid\nz\tnumeric\n"),
+def two_table_prep_error(tmp_path, capsys, b_header, b_schema) -> str:
+    """The stderr of ``regsel prep`` on the two-table route with ``b.csv`` as
+    given; the run must exit 1 and leave no output directory."""
+    for stem, header, schema in (("a", "id,x", "id\tid\nx\tnumeric\n"), ("b", b_header, b_schema),
                                  ("r", "id,y", "id\tid\ny\tresponse\n")):
         (tmp_path / f"{stem}.csv").write_text(header + "\n" + "".join(
             f"{i}" + f",{i % 7}" * header.count(",") + "\n" for i in range(1, 41)))
@@ -480,10 +482,20 @@ def test_prep_names_the_file_holding_a_column_without_a_role(tmp_path, capsys):
     cfg.write_text("table_a = a.csv\nschema_a = a.schema\ntable_b = b.csv\nschema_b = b.schema\n"
                    "response_table = r.csv\nresponse_schema = r.schema\nout_dir = ab_out\n")
     assert cli_main(["prep", "--config", str(cfg)]) == 1
+    assert not (tmp_path / "ab_out").exists()
     err = capsys.readouterr().err
     assert err.startswith("regsel: [prep]")
+    return err
+
+
+def test_prep_names_the_file_holding_a_column_without_a_role(tmp_path, capsys):
+    err = two_table_prep_error(tmp_path, capsys, "id,w,z", "id\tid\nz\tnumeric\n")
     assert "b.csv: column 'w' has no role in the schema and no default role is declared" in err
-    assert not (tmp_path / "ab_out").exists()
+
+
+def test_prep_names_the_file_holding_two_response_columns(tmp_path, capsys):
+    err = two_table_prep_error(tmp_path, capsys, "id,z,v", "id\tid\nz\tresponse\nv\tresponse\n")
+    assert f"{tmp_path / 'b.csv'}: table declares 2 response columns; at most one is allowed" in err
 
 
 def test_stage_rereads_changed_prep_in_the_same_process(dataset_dir):
@@ -632,6 +644,32 @@ def test_prep_that_cannot_encode_its_table_fails_before_writing(tmp_path, capsys
     assert cli_main(["all", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("regsel: [prep]") and message in err
+    assert not (tmp_path / "m_out").exists()
+
+
+def test_factor_label_holding_a_tab_or_line_break_fails_in_prep(tmp_path, capsys):
+    # the labels would become dummy names <factor><level> in model_report.tsv
+    labels = ('"a\tb"', '"c\nd"', "e")
+    rows = "".join(f"{i},{0.25 * i},{labels[i % 3]},{i % 7}\n" for i in range(1, 61))
+    (tmp_path / "m.csv").write_text("id,x,g,y\n" + rows)
+    (tmp_path / "m.schema").write_text("id\tid\nx\tnumeric\ng\tfactor\ny\tresponse\n")
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("merged_table = m.csv\nmerged_schema = m.schema\nreport_model = full\n"
+                   "out_dir = m_out\n")
+    assert cli_main(["all", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("regsel: [prep] factor 'g' has the level 'a\\tb': ")
+    assert not (tmp_path / "m_out").exists()
+
+
+def test_constant_response_fails_in_prep(tmp_path, capsys):
+    rows = "".join(f"{i},{0.25 * i},{i * 7 % 11},7\n" for i in range(1, 41))
+    (tmp_path / "m.csv").write_text("id,x,z,y\n" + rows)
+    (tmp_path / "m.schema").write_text("id\tid\nx\tnumeric\nz\tnumeric\ny\tresponse\n")
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("merged_table = m.csv\nmerged_schema = m.schema\nout_dir = m_out\n")
+    assert cli_main(["all", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "regsel: [prep] the response 'y' is 7.0 in every prepared row")
     assert not (tmp_path / "m_out").exists()
 
 

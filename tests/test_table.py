@@ -220,6 +220,9 @@ def test_load_default_role_and_tab_delimiter(tmp_path):
                     default=ColumnRole.NUMERIC)
     t = load_table(f, schema, delimiter="\t")
     assert t.predictor_names == ("x1", "x2")
+    # a mapping schema declares the default role under "*"
+    t = load_table(f, {"ID": "id", "y": "response", "*": "numeric"}, delimiter="\t")
+    assert t.predictor_names == ("x1", "x2")
 
 
 def test_schema_file_round_trip(tmp_path):
@@ -703,6 +706,22 @@ def _schema_file(tmp_path, text):
     return path
 
 
+def _csv_file(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    return path
+
+
+def _labelled(label):
+    """A table whose factor g has the levels "a" and ``label``."""
+    return make_table(["id", "g", "y"], ["id", "factor", "response"],
+                      [np.arange(4), ["a", label, "a", label], [1.0, 2.0, 0.0, 3.0]])
+
+
+# a level label becomes part of the dummy name <factor><level> in the tab-separated reports
+LABEL_ERROR = "a label holding a tab or line break cannot name a column of regsel's reports"
+
+
 _X3 = np.column_stack([np.ones(3), [1.0, 2.0, 4.0]])
 _X3_TERMS = (Term("x", "numeric", (1,)),)
 
@@ -720,6 +739,20 @@ _X3_TERMS = (Term("x", "numeric", (1,)),)
      "all columns must have equal length"),
     (lambda tmp: make_table(["y", "z"], ["response"] * 2, [[1.0], [2.0]]), ValueError,
      "table declares 2 response columns; at most one is allowed"),
+    (lambda tmp: load_table(_csv_file(tmp, "a,b,x\n1,2,0.5\n"),
+                            {"a": "id", "b": "id", "x": "numeric"}),
+     ValueError, "t.csv: table declares 2 id columns; at most one is allowed"),
+    (lambda tmp: load_table(_csv_file(tmp, "a,b,x\n1,2,0.5\n"),
+                            {"a": "response", "b": "response", "x": "numeric"}),
+     ValueError, "t.csv: table declares 2 response columns; at most one is allowed"),
+    (lambda tmp: coerce_to_factor(make_table(["b"], ["numeric"], [[0.0, 1.0]]), ["b", "b"]),
+     ValueError, "column 'b' is listed twice"),
+    (lambda tmp: encode_design(_labelled("a\tb")), ValueError,
+     f"factor 'g' has the level 'a\\tb': {LABEL_ERROR}"),
+    (lambda tmp: encode_design(_labelled("c\nd")), ValueError,
+     f"factor 'g' has the level 'c\\nd': {LABEL_ERROR}"),
+    (lambda tmp: encode_design(_labelled("e\rf")), ValueError,
+     f"factor 'g' has the level 'e\\rf': {LABEL_ERROR}"),
     (lambda tmp: make_table(["a"], ["numeric"], [[1.0]]).role_of("b"), KeyError,
      "no column named 'b'"),
     (lambda tmp: drop_sparse_columns(make_table(["a"], ["numeric"], [[]]), 0.5), ValueError,
@@ -743,7 +776,9 @@ _X3_TERMS = (Term("x", "numeric", (1,)),)
     (lambda tmp: DesignMatrix.from_arrays(_X3[:, 1], np.ones(3)).level_codes("x1"), ValueError,
      "term 'x1' is not a factor"),
 ], ids=["schema-line", "schema-duplicate", "build-lengths", "build-duplicate-names",
-        "build-rows", "build-two-responses", "role-of-unknown", "sparse-no-rows", "design-empty",
+        "build-rows", "build-two-responses", "load-two-ids", "load-two-responses",
+        "coerce-listed-twice", "encode-tab-label", "encode-lf-label", "encode-cr-label",
+        "role-of-unknown", "sparse-no-rows", "design-empty",
         "design-y-length", "design-names-length", "design-intercept", "design-term-groups",
         "from-arrays-names", "drop-rows-range", "drop-all-rows", "level-codes-numeric"])
 def test_table_errors(tmp_path, call, error, message):
