@@ -32,7 +32,7 @@ from .crossval import CVConfig, mc_cross_validate
 from .influence import influence_flags, vif, vif_prune
 from .ols import fit_ols, refit_log_response
 from .stepwise import COMPARISON_ROWS, MODES, ComparisonTable, Scope, compare_models, format_trace, step_select_modes
-from .table import DesignMatrix, coerce_to_factor, drop_incomplete_rows, drop_sparse_columns, encode_design, load_table, merge_by_id, read_schema, tsv_lines, write_schema, write_table
+from .table import DesignMatrix, _read_text, coerce_to_factor, drop_incomplete_rows, drop_sparse_columns, encode_design, load_table, merge_by_id, read_schema, tsv_lines, write_schema, write_table
 
 __all__ = ["RunConfig", "PipelineError", "read_config", "run_pipeline", "run_stage", "STAGES",
            "write_reference_config"]
@@ -141,11 +141,9 @@ def read_config(path, overrides: dict | None = None) -> RunConfig:
     key set twice are rejected; a retired key is accepted and ignored.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
     values: dict = {}
     first_line: dict = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path, "config").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -262,6 +260,30 @@ def _checkpoint(stage: str, path: Path) -> bytes:
                             hint=f"run the '{_PRODUCERS[path.name]}' stage first") from None
 
 
+def _term_lists(stage: str, path: Path, terms: tuple, modes: tuple | None = None):
+    """A JSON checkpoint of term names, checked against what its producer
+    writes: ``kept_terms.json`` lists names among ``terms``, and
+    ``selected_models.json`` (``modes`` given) maps each mode to such a list.
+    Any other content raises PipelineError naming the file and the stage to rerun."""
+    try:
+        obj = json.loads(_checkpoint(stage, path))
+    except ValueError:      # half-written, or not JSON at all
+        obj = None
+
+    def listed(value) -> bool:
+        return isinstance(value, list) and all(isinstance(t, str) and t in terms for t in value)
+
+    if modes is None:
+        valid, want = listed(obj), "a list of the prepared design's terms"
+    else:
+        valid = isinstance(obj, dict) and all(listed(obj.get(mode)) for mode in modes)
+        want = f"a list of kept terms for each configured mode ({', '.join(modes)})"
+    if not valid:
+        raise PipelineError(stage, f"checkpoint {path} does not hold {want}",
+                            hint=f"rerun the '{_PRODUCERS[path.name]}' stage")
+    return obj
+
+
 # The encoded prepared design of one output directory, keyed by the directory
 # and the SHA-256 of the ``prep.csv`` and ``prep.schema`` bytes it came from.
 # The prep stage hands over the design it encoded; another stage parses the files.
@@ -292,9 +314,9 @@ def _hold_prepared(key: tuple, design: DesignMatrix) -> None:
     _PREPARED[key] = design
 
 
-def _selected(stage: str, out: Path) -> dict:
+def _selected(stage: str, cfg: RunConfig, design: DesignMatrix, out: Path) -> dict:
     """{mode: [term, ...]} of the models the select stage wrote to ``out``."""
-    return json.loads(_checkpoint(stage, out / "selected_models.json"))
+    return _term_lists(stage, out / "selected_models.json", design.term_names, cfg.modes)
 
 
 def _runs(cfg: RunConfig, stage: str) -> list:
@@ -302,7 +324,7 @@ def _runs(cfg: RunConfig, stage: str) -> list:
     excluded-rows rerun when ``exclude_rows`` is set."""
     out = cfg.out
     design = _prepared(stage, out)
-    design = design.subset_terms(json.loads(_checkpoint(stage, out / "kept_terms.json")))
+    design = design.subset_terms(_term_lists(stage, out / "kept_terms.json", design.term_names))
     runs = [(design, out)]
     if cfg.exclude_rows:
         last = max(cfg.exclude_rows)
@@ -393,7 +415,7 @@ def _stage_diagnose(cfg: RunConfig) -> list:
     runs = _runs(cfg, "diagnose")
     paths, tables = [], []
     for design, out in runs if cfg.modes else runs[:1]:     # no modes: the rerun has no models
-        selected = _selected("diagnose", out)
+        selected = _selected("diagnose", cfg, design, out)
         full_fit = fit_ols(design)
         full_report = influence_flags(full_fit, min(cfg.top_m_full, full_fit.n))
         paths.append(rpt.write_influence_data(full_fit, full_report, out / "influence_full.tsv"))
@@ -424,7 +446,7 @@ def _stage_cv(cfg: RunConfig) -> list:
         return []
     paths = []
     for design, out in _runs(cfg, "cv"):
-        selected = _selected("cv", out)
+        selected = _selected("cv", cfg, design, out)
         config = CVConfig.for_models({mode: selected[mode] for mode in cfg.modes},
                                      replications=cfg.cv_replications,
                                      train_fraction=cfg.cv_train_fraction,
@@ -447,7 +469,7 @@ def _stage_report(cfg: RunConfig) -> list:
     design, out = _runs(cfg, "report")[0]
     terms = design.term_names
     if cfg.modes and cfg.report_model != "full":
-        terms = _selected("report", out)[cfg.report_model]
+        terms = _selected("report", cfg, design, out)[cfg.report_model]
     model = fit_ols(design.subset_terms(terms))
     paths = rpt.write_summary(model, out / "model_report.txt", out / "model_report.tsv",
                               k=cfg.k_penalty)

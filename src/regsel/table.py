@@ -91,30 +91,35 @@ class Schema:
 def _as_schema(schema) -> Schema:
     if isinstance(schema, Schema):
         return schema
-    roles = {}
-    default = None
-    for name, role in dict(schema).items():
-        role = ColumnRole(role)
-        if name == "*":
-            default = role
-        else:
-            roles[name] = role
-    return Schema(roles=roles, default=default)
+    roles = {name: ColumnRole(role) for name, role in dict(schema).items()}
+    return Schema(default=roles.pop("*", None), roles=roles)
+
+
+def _read_text(path: Path, kind: str) -> str:
+    """The text of a UTF-8 ``kind`` file, a leading byte-order mark skipped.
+    A missing file raises FileNotFoundError, and a byte that is not UTF-8 a
+    ValueError naming the file and the line that holds the byte."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{kind} file not found: {path}") from None
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
 
 
 def read_schema(path) -> Schema:
     """Read a schema sidecar: one ``name<TAB>role[<TAB>lenient]`` line per column.
 
-    A ``*`` name declares the default role.  Blank lines and ``#`` comments
-    are skipped.
+    A ``*`` name declares the default role; like any name, it may appear
+    once.  Blank lines and ``#`` comments are skipped.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"schema file not found: {path}")
     roles: dict[str, ColumnRole] = {}
     lenient = set()
-    default = None
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path, "schema").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -131,13 +136,10 @@ def read_schema(path) -> Schema:
             if flag != "lenient":
                 raise ValueError(f"{path}:{lineno}: unknown flag {flag!r} (only 'lenient' is allowed)")
             lenient.add(name)
-        if name == "*":
-            default = role
-            continue
         if name in roles:
             raise ValueError(f"{path}:{lineno}: duplicate schema entry for column '{name}'")
         roles[name] = role
-    return Schema(roles=roles, lenient=frozenset(lenient), default=default)
+    return Schema(default=roles.pop("*", None), roles=roles, lenient=frozenset(lenient))
 
 
 def level_order(labels) -> tuple:
@@ -323,7 +325,8 @@ def load_table(path, schema, delimiter: str = ",") -> RawTable:
     Parameters
     ----------
     path : file path
-        UTF-8 delimited text, first row holds column names.
+        UTF-8 delimited text, first row holds column names.  Each ValueError
+        starts with the path; a bad byte or an overlong field names its line.
     schema : Schema or mapping
         Column-name -> role map.  Every header must resolve to a role and
         every explicit schema entry must appear in the file.  Numeric parse
@@ -339,61 +342,57 @@ def load_table(path, schema, delimiter: str = ",") -> RawTable:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"data file not found: {path}")
-    schema = _as_schema(schema)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: file is empty") from None
-        rows = [r for r in reader if r]
-    if len(set(header)) != len(header):
-        dupes = sorted({h for h in header if header.count(h) > 1})
-        raise ValueError(f"{path}: duplicate column names: {', '.join(dupes)}")
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    unknown = sorted(set(schema.roles) - set(header))
-    if unknown:
-        raise ValueError(f"{path}: schema names columns not present in file: {', '.join(unknown)}")
     try:
+        schema = _as_schema(schema)
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            try:
+                header = [h.strip() for h in next(reader)]
+                rows = [r for r in reader if r]
+            except StopIteration:
+                raise ValueError("file is empty") from None
+            except csv.Error as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
+        if not rows:
+            raise ValueError("no data rows")
+        unknown = sorted(set(schema.roles) - set(header))
+        if unknown:
+            raise ValueError(f"schema names columns not present in file: {', '.join(unknown)}")
         roles = [schema.role_of(name) for name in header]
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    for name, role in zip(header, roles):
-        if not name or name[0] == "#" or any(c in name for c in "\t\r\n") or (
-                "/" in name and role in (ColumnRole.NUMERIC, ColumnRole.FACTOR)):
-            raise ValueError(f"{path}: column {name!r} cannot be written back: names must be non-empty, "
-                             "not start with '#', hold no tab or line break, and no '/' if numeric or factor")
+        for name, role in zip(header, roles):
+            if not name or name[0] == "#" or any(c in name for c in "\t\r\n") or (
+                    "/" in name and role in (ColumnRole.NUMERIC, ColumnRole.FACTOR)):
+                raise ValueError(f"column {name!r} cannot be written back: names must be non-empty, not start "
+                                 "with '#', hold no tab or line break, and no '/' if numeric or factor")
 
-    for i, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: data row {i} has {len(row)} fields, expected {len(header)}")
+        for i, row in enumerate(rows, start=1):
+            if len(row) != len(header):
+                raise ValueError(f"data row {i} has {len(row)} fields, expected {len(header)}")
 
-    columns, text = [], {}
-    for name, role, cells in zip(header, roles, zip(*rows)):
-        raw = [tok.strip() for tok in cells]
-        if role in _NUMERIC:
-            try:
+        columns, text = [], {}
+        for name, role, cells in zip(header, roles, zip(*rows)):
+            raw = [tok.strip() for tok in cells]
+            if role in _NUMERIC:
                 values, text[name] = _parse_numeric_column(raw, name, schema.is_lenient(name))
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
-            columns.append(values)
-        elif role is ColumnRole.ID:
-            for i, tok in enumerate(raw, start=1):
-                if tok in MISSING_TOKENS:
-                    raise ValueError(f"{path}: column '{name}', data row {i}: id value is missing")
-            try:
-                if not _plain("".join(raw)):
-                    raise ValueError
-                columns.append(np.array([int(tok) for tok in raw], dtype=np.int64))
-            except (ValueError, OverflowError):     # not int64: read as text
-                columns.append(np.array(raw, dtype=object))
-        else:
-            columns.append(np.array(
-                [None if tok in MISSING_TOKENS else tok for tok in raw], dtype=object))
-    try:
+                columns.append(values)
+            elif role is ColumnRole.ID:
+                for i, tok in enumerate(raw, start=1):
+                    if tok in MISSING_TOKENS:
+                        raise ValueError(f"column '{name}', data row {i}: id value is missing")
+                try:
+                    if not _plain("".join(raw)):
+                        raise ValueError
+                    columns.append(np.array([int(tok) for tok in raw], dtype=np.int64))
+                except (ValueError, OverflowError):     # not int64: read as text
+                    columns.append(np.array(raw, dtype=object))
+            else:
+                columns.append(np.array(
+                    [None if tok in MISSING_TOKENS else tok for tok in raw], dtype=object))
         return RawTable.build(header, roles, columns, text=[text.get(name) for name in header])
-    except ValueError as exc:     # two id or two response columns
+    except UnicodeDecodeError:      # its position counts from a read chunk: _read_text names the line
+        _read_text(path, "data")
+        raise
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -635,6 +634,10 @@ class DesignMatrix:
             raise ValueError("y length must match the number of rows of X")
         if len(self.column_names) != X.shape[1]:
             raise ValueError("column_names length must match the number of columns of X")
+        for kind, names in (("design columns", self.column_names), ("terms", self.term_names)):
+            if len(set(names)) < len(names):
+                repeat = next(name for i, name in enumerate(names) if name in names[:i])
+                raise ValueError(f"two {kind} are named {repeat!r}")
         if not np.all(X[:, 0] == 1.0):
             raise ValueError("first design column must be the all-ones intercept")
         for values, names in ((y[:, None], (self.response_name,)), (X, self.column_names)):
@@ -761,7 +764,8 @@ def encode_design(table: RawTable) -> DesignMatrix:
     Numeric predictors are copied verbatim in table order; an L-level factor
     contributes L-1 indicator columns for levels 2..L (level 1 is the
     reference), named ``<column><level>``, so no level label may hold a tab
-    or line break.  Requires a response column and no remaining missing cells.
+    or line break and no such name may repeat another column's name.
+    Requires a response column and no remaining missing cells.
     """
     if table.response_name is None:
         raise ValueError("table has no response column")

@@ -163,6 +163,7 @@ DELIMITER = "delimiter must be one character other than a quote or a line break 
 
 @pytest.mark.parametrize("key, raw, message", [
     ("k_penalty", "0", "penalty k must be positive, got 0.0"),
+    ("k_penalty", "inf", "penalty k must be finite, got inf"),
     ("vstar", "1", "vstar must exceed 1, got 1.0"),
     ("top_m_full", "0", "top_m_full must be >= 1, got 0"),
     ("top_m_selected", "0", "top_m_selected must be >= 1, got 0"),
@@ -207,6 +208,14 @@ def test_malformed_config_exits_2_before_any_output(tmp_path, capsys, text, mess
         cfg.write_text(text)
     assert cli_main(["all", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"regsel: config error: {message.format(cfg=cfg)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_that_is_not_utf8_exits_2_naming_the_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(ROUTE.encode() + "# caf\u00e9\n".encode("latin-1"))
+    assert cli_main(["all", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"regsel: config error: {cfg}: line 4: byte 0xe9 is not UTF-8\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -491,6 +500,60 @@ def two_table_prep_error(tmp_path, capsys, b_header, b_schema) -> str:
 def test_prep_names_the_file_holding_a_column_without_a_role(tmp_path, capsys):
     err = two_table_prep_error(tmp_path, capsys, "id,w,z", "id\tid\nz\tnumeric\n")
     assert "b.csv: column 'w' has no role in the schema and no default role is declared" in err
+
+
+@pytest.mark.parametrize("stage, name, content", [
+    ("diagnose", "selected_models.json", None),
+    ("cv", "selected_models.json", None),
+    ("select", "kept_terms.json", '["x", "zz"]'),
+    ("select", "kept_terms.json", '["x", '),
+    ("select", "kept_terms.json", '{"x": 1}'),
+], ids=["diagnose-mode-not-selected", "cv-mode-not-selected", "kept-unknown-term",
+        "kept-half-written", "kept-not-a-list"])
+def test_a_checkpoint_its_producer_cannot_have_written_names_the_file(tmp_path, capsys, stage, name,
+                                                                     content):
+    """A checkpoint whose content no run of its producer writes (without
+    ``content``: a forward-only select read with backward enabled) fails the
+    stage reading it, naming the file and the stage to rerun."""
+    parity_table(tmp_path)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("merged_table = d.csv\nmerged_schema = d.schema\nfactor_columns = parity\n"
+                   "modes = forward\ncv_replications = 20\nout_dir = out\n")
+    assert cli_main(["all", "--config", str(cfg)]) == 0
+    if content is None:
+        cfg.write_text(cfg.read_text().replace("modes = forward", "modes = forward,backward"))
+    else:
+        (tmp_path / "out" / name).write_text(content)
+    capsys.readouterr()
+    assert cli_main([stage, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"regsel: [{stage}] checkpoint {tmp_path / 'out' / name} does not hold ")
+    producer = {"kept_terms.json": "prune", "selected_models.json": "select"}[name]
+    assert err.endswith(f" (hint: rerun the '{producer}' stage)\n")
+
+
+def test_data_file_that_is_not_utf8_fails_prep_naming_the_file_and_line(tmp_path, capsys):
+    parity_table(tmp_path)
+    data = tmp_path / "d.csv"
+    data.write_bytes(data.read_bytes().replace(b"\n7,", b"\n7\xe9,"))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("merged_table = d.csv\nmerged_schema = d.schema\nout_dir = out\n")
+    assert cli_main(["all", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"regsel: [prep] {data}: line 8: byte 0xe9 is not UTF-8")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_dummy_named_like_another_column_fails_in_prep(tmp_path, capsys):
+    # the numeric column g1 and the dummy of level 1 of factor g would share one name in the reports
+    rows = "".join(f"{i},{0.25 * i},{i % 3},{i % 7}\n" for i in range(1, 61))
+    (tmp_path / "m.csv").write_text("id,g1,g,y\n" + rows)
+    (tmp_path / "m.schema").write_text("id\tid\ng1\tnumeric\ng\tfactor\ny\tresponse\n")
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("merged_table = m.csv\nmerged_schema = m.schema\nreport_model = full\n"
+                   "cv_replications = 20\nout_dir = m_out\n")
+    assert cli_main(["all", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("regsel: [prep] two design columns are named 'g1'")
+    assert not (tmp_path / "m_out").exists()
 
 
 def test_prep_names_the_file_holding_two_response_columns(tmp_path, capsys):

@@ -13,21 +13,25 @@ VIFs and the prune trail against auxiliary regressions, and on small ones
 the AIC of fits and of stepwise traces against an 80-digit reference.  Nested candidate sets over a factor
 with rare levels check Monte Carlo CV against literal refits, and against
 refits of each training split encoded on its own when the rare levels
-include the reference level.
+include the reference level.  Valid data files, schemas and configs, mutated
+byte by byte and cell by cell, check that each reader loads its input or
+raises an error that names the file.
 """
 
+import codecs
 import math
 import tempfile
+import traceback
 from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from regsel import (CVConfig, DesignMatrix, RawTable, coerce_to_factor, drop_incomplete_rows,
-                    encode_design, fit_ols, fit_statistics, load_table, mc_cross_validate,
-                    press_residuals, read_schema, step_select_modes, vif_prune, write_schema,
-                    write_table)
+from regsel import (CVConfig, ColumnRole, DesignMatrix, RawTable, Schema, coerce_to_factor,
+                    drop_incomplete_rows, encode_design, fit_ols, fit_statistics, load_table,
+                    mc_cross_validate, press_residuals, read_config, read_schema,
+                    step_select_modes, vif_prune, write_schema, write_table)
 from oracles import (aic_error_bound, assert_same_design, csv_module_bytes, loo_predictions,
                      prune_by_auxiliary_regression, reencoded_cv_mspe, reference_aic, refit_cv_mspe,
                      unseen_level_rows)
@@ -157,6 +161,82 @@ def test_handed_over_design_with_kept_text_equals_a_parse(table):
 def test_write_table_quotes_as_the_csv_module(table):
     with tempfile.TemporaryDirectory() as tmp:
         assert write_table(table, Path(tmp) / "t.csv").read_bytes() == csv_module_bytes(table)
+
+
+# A valid input of each reader, and the separator of its fields.
+READER_INPUTS = {
+    "data": ("id,x,g,y\n1,0.5,a,2\n2,1.5,b,3\n3,2.5,a,4\n", ","),
+    "schema": ("id\tid\nx\tnumeric\tlenient\ng\tfactor\ny\tresponse\n", "\t"),
+    "config": ("merged_table = d.csv\nmerged_schema = d.schema\nvstar = 5\nmodes = forward,both\n"
+               "exclude_rows = 2\n", " = "),
+}
+DATA_SCHEMA = Schema({"id": ColumnRole.ID, "x": ColumnRole.NUMERIC, "g": ColumnRole.FACTOR,
+                      "y": ColumnRole.RESPONSE})
+TOKENS = (" 1.5 ", "nan", "1e999", "1_0", "\u0663", '""', "NA")
+# bytes that are not UTF-8 (0xc3 starts a two-byte sequence), NUL and a quote
+BYTES = (b"\xe9", b"\xff", b"\x80", b"\xc3", b"\x00", b'"')
+
+
+@st.composite
+def reader_inputs(draw):
+    """A reader's kind and the bytes of a valid input of it after one to three
+    cell mutations (a field set to one of TOKENS, a line's fields cut short or
+    one added, a header's name repeated, a line repeated), the file cut to
+    nothing or to its first line, CRLF line ends, up to two of BYTES inserted
+    and a byte-order mark."""
+    kind = draw(st.sampled_from(sorted(READER_INPUTS)))
+    text, sep = READER_INPUTS[kind]
+    lines = [line.split(sep) for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[i])))      # a slice at len(lines[i]) appends
+        op = draw(st.sampled_from(("token", "ragged", "repeat-name", "repeat-line")))
+        if op == "token":
+            lines[i][j:j + 1] = [draw(st.sampled_from(TOKENS))]
+        elif op == "ragged":
+            lines[i] = lines[i][:j] if draw(st.booleans()) else lines[i] + ["1"]
+        elif op == "repeat-name":
+            lines[0][j:j + 1] = lines[0][:1]
+        else:
+            lines.insert(i, list(lines[i]))
+    if draw(st.sampled_from((False, False, False, True))):
+        lines = lines[:draw(st.integers(0, 1))]
+    data = "".join(sep.join(cells) + "\n" for cells in lines).encode()
+    if draw(st.booleans()):
+        data = data.replace(b"\n", b"\r\n")
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(BYTES)) + data[at:]
+    if draw(st.booleans()):
+        data = codecs.BOM_UTF8 + data
+    return kind, data
+
+
+@PROPERTY_SETTINGS
+@given(reader_inputs())
+@example(("data", b"id,x,g,y\n1," + b"9" * 131073 + b",a,2\n"))     # a field over the csv limit
+@example(("schema", None))                                             # no file
+def test_each_reader_loads_its_input_or_names_the_file(kind_and_data):
+    """Each reader loads its input, or raises FileNotFoundError for a missing
+    file, or a ValueError whose text starts with the file's path.  A config
+    setting out of range is the one exception: it is checked when the
+    RunConfig is built, from a file or in Python, so its error names the setting."""
+    kind, data = kind_and_data
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"input.{kind}"
+        if data is not None:
+            path.write_bytes(data)
+        try:
+            if kind == "data":
+                load_table(path, DATA_SCHEMA)
+            else:
+                (read_schema if kind == "schema" else read_config)(path)
+        except FileNotFoundError as exc:
+            assert data is None and str(exc) == f"{kind} file not found: {path}"
+        except ValueError as exc:
+            setting_check = kind == "config" and "_validate_config" in {
+                frame.name for frame in traceback.extract_tb(exc.__traceback__)}
+            assert str(exc).startswith(str(path)) or setting_check, repr(exc)
 
 
 @st.composite

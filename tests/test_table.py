@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,6 +204,35 @@ def test_load_errors_name_the_file(tmp_path, text, message):
     with pytest.raises(ValueError) as excinfo:
         load_table(f, {"ID": "id", "x": "numeric"})
     assert str(excinfo.value) == f"{f}: {message}"
+
+
+# a numeric file of about 38 kB, so its rows span several of the decoder's read chunks
+LONG = b"ID,x\n" + b"".join(b"%d,%d.25\n" % (i, i) for i in range(1, 3001))
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"ID,x\n1,caf\xe9\n", "line 2: byte 0xe9 is not UTF-8"),
+    (b"\xef\xbb\xbfID,x\n1,2\n2,\xc3", "line 3: byte 0xc3 is not UTF-8"),
+    (LONG + b"3001,1\xff\n", "line 3002: byte 0xff is not UTF-8"),
+    (b"ID,x\n1,2\n2," + b"9" * 131073 + b"\n", "line 3: field larger than field limit (131072)"),
+], ids=["latin-1", "cut-short-after-a-bom", "bad-byte-past-the-first-chunk",
+        "field-over-the-csv-limit"])
+def test_undecodable_or_unreadable_data_names_the_file_and_line(tmp_path, data, message):
+    f = tmp_path / "d.csv"
+    f.write_bytes(data)
+    with pytest.raises(ValueError) as excinfo:
+        load_table(f, {"ID": "id", "x": "numeric"})
+    assert str(excinfo.value) == f"{f}: {message}"
+
+
+def test_a_schema_that_is_not_utf8_names_the_file_and_line(tmp_path):
+    f = tmp_path / "s.schema"
+    f.write_bytes(b"ID\tid\n# caf\xe9\nx\tnumeric\n")
+    with pytest.raises(ValueError) as excinfo:
+        read_schema(f)
+    assert str(excinfo.value) == f"{f}: line 2: byte 0xe9 is not UTF-8"
+    with pytest.raises(FileNotFoundError, match="schema file not found: "):
+        read_schema(tmp_path / "none.schema")
 
 
 def test_a_header_without_a_role_names_the_file(tmp_path):
@@ -724,6 +754,11 @@ LABEL_ERROR = "a label holding a tab or line break cannot name a column of regse
 
 _X3 = np.column_stack([np.ones(3), [1.0, 2.0, 4.0]])
 _X3_TERMS = (Term("x", "numeric", (1,)),)
+_X4 = np.column_stack([_X3, [0.0, 1.0, 0.0]])
+_X4_TERMS = (Term("x", "numeric", (1,)), Term("z", "numeric", (2,)))
+# a numeric column g1 beside a factor g whose level 1 gives the dummy g1
+_G1 = make_table(["id", "g1", "g", "y"], ["id", "numeric", "factor", "response"],
+                 [np.arange(6), np.arange(6.0), ["0", "1", "2"] * 2, [1.0, 0.0, 2.0, 3.0, 1.0, 5.0]])
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -731,6 +766,8 @@ _X3_TERMS = (Term("x", "numeric", (1,)),)
      "s.schema:1: expected 'name<TAB>role[<TAB>lenient]', got 'x'"),
     (lambda tmp: read_schema(_schema_file(tmp, "x\tnumeric\nx\tfactor\n")), ValueError,
      "s.schema:2: duplicate schema entry for column 'x'"),
+    (lambda tmp: read_schema(_schema_file(tmp, "id\tid\n*\tnumeric\n*\texclude\n")), ValueError,
+     "s.schema:3: duplicate schema entry for column '*'"),
     (lambda tmp: make_table(["a", "b"], ["numeric"], [[1.0]]), ValueError,
      "names, roles and columns must have equal length"),
     (lambda tmp: make_table(["a", "a"], ["numeric"] * 2, [[1.0], [2.0]]), ValueError,
@@ -767,6 +804,12 @@ _X3_TERMS = (Term("x", "numeric", (1,)),)
      ValueError, "first design column must be the all-ones intercept"),
     (lambda tmp: DesignMatrix(_X3, np.ones(3), ("(Intercept)", "x"), (), np.arange(3)),
      ValueError, "every non-intercept column must belong to exactly one term group"),
+    (lambda tmp: DesignMatrix(_X4, np.ones(3), ("(Intercept)", "x", "x"), _X4_TERMS, np.arange(3)),
+     ValueError, "two design columns are named 'x'"),
+    (lambda tmp: DesignMatrix(_X4, np.ones(3), ("(Intercept)", "x", "z"),
+                              (_X4_TERMS[0], replace(_X4_TERMS[1], name="x")), np.arange(3)),
+     ValueError, "two terms are named 'x'"),
+    (lambda tmp: encode_design(_G1), ValueError, "two design columns are named 'g1'"),
     (lambda tmp: DesignMatrix.from_arrays(_X3, np.ones(3), names=["x"]), ValueError,
      "names length must match the number of predictor columns"),
     (lambda tmp: DesignMatrix.from_arrays(_X3[:, 1], np.ones(3)).drop_rows([3]), IndexError,
@@ -775,11 +818,12 @@ _X3_TERMS = (Term("x", "numeric", (1,)),)
      "dropping all rows leaves an empty design"),
     (lambda tmp: DesignMatrix.from_arrays(_X3[:, 1], np.ones(3)).level_codes("x1"), ValueError,
      "term 'x1' is not a factor"),
-], ids=["schema-line", "schema-duplicate", "build-lengths", "build-duplicate-names",
-        "build-rows", "build-two-responses", "load-two-ids", "load-two-responses",
+], ids=["schema-line", "schema-duplicate", "schema-duplicate-default", "build-lengths",
+        "build-duplicate-names", "build-rows", "build-two-responses", "load-two-ids", "load-two-responses",
         "coerce-listed-twice", "encode-tab-label", "encode-lf-label", "encode-cr-label",
         "role-of-unknown", "sparse-no-rows", "design-empty",
         "design-y-length", "design-names-length", "design-intercept", "design-term-groups",
+        "design-repeated-column", "design-repeated-term", "encode-dummy-repeats-a-column",
         "from-arrays-names", "drop-rows-range", "drop-all-rows", "level-codes-numeric"])
 def test_table_errors(tmp_path, call, error, message):
     with pytest.raises(error) as excinfo:
