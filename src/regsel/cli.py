@@ -13,6 +13,10 @@ import sys
 from .pipeline import STAGES, PipelineError, _parse_value, read_config, run_stage
 
 
+# each option that overrides a config key, whose value parses as that key's does
+_KEY_OPTIONS = {"--seed": "cv_seed", "--exclude-rows": "exclude_rows"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regsel",
@@ -22,21 +26,18 @@ def build_parser() -> argparse.ArgumentParser:
     for name in (*STAGES, "all"):
         p = sub.add_parser(name, help=f"run the {name} stage" if name != "all" else "run every stage")
         p.add_argument("--config", required=True, help="path to the key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="override cv_seed")
-        p.add_argument("--exclude-rows", default=None,
-                       help="override exclude_rows (comma-separated 1-based row numbers)")
-        p.add_argument("--out", default=None, help="override the output directory")
+        for flag, key in _KEY_OPTIONS.items():
+            p.add_argument(flag, dest=key, help=f"override the config key {key}")
+        p.add_argument("--out", help="override the output directory")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {"cv_seed": args.seed, "out_dir": args.out}
     try:
-        if args.exclude_rows is not None:
-            overrides["exclude_rows"] = _parse_value("exclude_rows", args.exclude_rows,
-                                                     source="option --exclude-rows")
-        cfg = read_config(args.config, overrides=overrides)
+        overrides = {key: _parse_value(key, getattr(args, key), source=f"option {flag}")
+                     for flag, key in _KEY_OPTIONS.items() if getattr(args, key) is not None}
+        cfg = read_config(args.config, overrides={**overrides, "out_dir": args.out})
     except (OSError, ValueError) as exc:
         print(f"regsel: config error: {exc}", file=sys.stderr)
         return 2

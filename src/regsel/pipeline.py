@@ -32,7 +32,7 @@ from .crossval import CVConfig, mc_cross_validate
 from .influence import influence_flags, vif, vif_prune
 from .ols import fit_ols, refit_log_response
 from .stepwise import COMPARISON_ROWS, MODES, ComparisonTable, Scope, compare_models, format_trace, step_select_modes
-from .table import DesignMatrix, _read_text, coerce_to_factor, drop_incomplete_rows, drop_sparse_columns, encode_design, load_table, merge_by_id, read_schema, tsv_lines, write_schema, write_table
+from .table import DesignMatrix, _number, _read_text, coerce_to_factor, drop_incomplete_rows, drop_sparse_columns, encode_design, load_table, merge_by_id, read_schema, tsv_lines, write_schema, write_table
 
 __all__ = ["RunConfig", "PipelineError", "read_config", "run_pipeline", "run_stage", "STAGES",
            "write_reference_config"]
@@ -111,7 +111,7 @@ def _parse_value(name: str, raw: str, source: str | None = None):
     '<raw>'"); ``source`` defaults to "config key '<name>'".
     """
     source = source or f"config key '{name}'"
-    raw = raw.split("#", 1)[0].strip()    # allow trailing comments
+    raw = raw.strip()
     kind = type(_DEFAULTS[name])
     if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
@@ -121,10 +121,10 @@ def _parse_value(name: str, raw: str, source: str | None = None):
         raise ValueError(f"{source} expects true/false, got {raw!r}")
     try:
         if kind in (int, float):
-            return kind(raw)
+            return _number(raw, kind)
         if kind is tuple:
             items = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-            return tuple(int(tok) for tok in items) if name == "exclude_rows" else items
+            return tuple(_number(tok, int) for tok in items) if name == "exclude_rows" else items
     except ValueError:
         expected = {int: "an integer", float: "a number"}.get(kind, "comma-separated integers")
         raise ValueError(f"{source} expects {expected}, got {raw!r}") from None
@@ -160,7 +160,7 @@ def read_config(path, overrides: dict | None = None) -> RunConfig:
                              f"(first on line {first_line[key]})")
         first_line[key] = lineno
         try:
-            values[key] = _parse_value(key, val)
+            values[key] = _parse_value(key, val.split("#", 1)[0])     # a comment ends the line
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     for key in ("table_a", "schema_a", "table_b", "schema_b", "response_table",

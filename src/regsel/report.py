@@ -84,7 +84,10 @@ def write_influence_data(model: FittedModel, report: InfluenceReport, path) -> P
                   f"# cook_threshold\t{report.cook_threshold!r}")))
 
 
-_HISTOGRAM_HEADER = ("bin_left", "bin_right", "count")
+def _histogram_lines(values) -> list:
+    """``values`` binned by Sturges' rule: each bin's edges and count, and no bin when empty."""
+    counts, edges = np.histogram(values, bins="sturges") if len(values) else ([], [0.0])
+    return tsv_lines(("bin_left", "bin_right", "count"), edges[:-1], edges[1:], counts)
 
 
 def residual_diagnostics(model: FittedModel, out_dir, prefix: str = "model") -> list:
@@ -97,7 +100,6 @@ def residual_diagnostics(model: FittedModel, out_dir, prefix: str = "model") -> 
     n = model.n
     t = studentized(model, "external")
     theo = special.ndtri((np.arange(1, n + 1) - 0.5) / n)
-    counts, edges = np.histogram(t, bins="sturges")
     return [
         write_lines(out_dir / f"{prefix}_resid_vs_index.tsv",
                     tsv_lines(("index", "residual"), range(1, n + 1), model.residuals)),
@@ -105,8 +107,7 @@ def residual_diagnostics(model: FittedModel, out_dir, prefix: str = "model") -> 
                     tsv_lines(("fitted", "residual"), model.fitted, model.residuals)),
         write_lines(out_dir / f"{prefix}_qq.tsv",
                     tsv_lines(("theoretical_quantile", "studentized_residual"), theo, np.sort(t))),
-        write_lines(out_dir / f"{prefix}_studentized_hist.tsv",
-                    tsv_lines(_HISTOGRAM_HEADER, edges[:-1], edges[1:], counts)),
+        write_lines(out_dir / f"{prefix}_studentized_hist.tsv", _histogram_lines(t)),
     ]
 
 
@@ -131,21 +132,15 @@ def write_vif_values(values: dict, path) -> Path:
 
 def write_vif_histogram(values: dict, path) -> Path:
     """Histogram binning of the finite VIFs, bin edges included."""
-    finite = [v for v in values.values() if np.isfinite(v)]
-    if not finite:
-        return write_lines(path, tsv_lines(_HISTOGRAM_HEADER))
-    counts, edges = np.histogram(finite, bins="sturges")
-    return write_lines(path, tsv_lines(_HISTOGRAM_HEADER, edges[:-1], edges[1:], counts))
+    return write_lines(path, _histogram_lines([v for v in values.values() if np.isfinite(v)]))
 
 
-def write_summary(model: FittedModel, text_path, tsv_path=None, k: float = 2.0):
-    """Write the plain-text report, and optionally a machine-readable TSV of the coefficient table."""
-    paths = [write_string(text_path, format_summary(model, k=k))]
-    if tsv_path is not None:
-        paths.append(write_lines(tsv_path, tsv_lines(
-            ("name", "estimate", "std_error", "t_value", "p_value", "aliased"),
-            *zip(*coefficient_table(model)), model.aliased.astype(int))))
-    return paths
+def write_summary(model: FittedModel, text_path, tsv_path, k: float = 2.0) -> list:
+    """Write the plain-text report and a machine-readable TSV of the coefficient table."""
+    return [write_string(text_path, format_summary(model, k=k)),
+            write_lines(tsv_path, tsv_lines(
+                ("name", "estimate", "std_error", "t_value", "p_value", "aliased"),
+                *zip(*coefficient_table(model)), model.aliased.astype(int)))]
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +156,12 @@ def write_mspe_dump(result: CVResult, path) -> Path:
 
 _SUMMARY_ROWS = ("Min.", "1st Qu.", "Median", "Mean", "3rd Qu.", "Max.")
 _BOXPLOT_ROWS = ("min", "q1", "median", "mean", "q3", "max", "iqr", "lower_fence", "upper_fence")
+
+
+def _box(v) -> tuple:
+    """The five-number summary of ``v`` and its 1.5*IQR whisker fences."""
+    s = five_number_summary(v)
+    return s, s.q1 - 1.5 * s.iqr, s.q3 + 1.5 * s.iqr
 
 
 def write_mspe_summary(result: CVResult, path) -> Path:
@@ -184,9 +185,7 @@ def emit_mspe_boxplot_data(result: CVResult, out_dir, root: bool = False) -> lis
     paths = []
     for j, label in enumerate(result.labels):
         v = data[:, j]
-        s = five_number_summary(v)
-        lo_fence = s.q1 - 1.5 * s.iqr
-        hi_fence = s.q3 + 1.5 * s.iqr
+        s, lo_fence, hi_fence = _box(v)
         outliers = v[(v < lo_fence) | (v > hi_fence)]
         values = [s.minimum, s.q1, s.median, s.mean, s.q3, s.maximum, s.iqr, lo_fence, hi_fence]
         paths.append(write_lines(out_dir / f"boxplot_{suffix}_{label}.tsv", tsv_lines(
@@ -207,6 +206,15 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return [(out_lo + (v - lo) / span * (out_hi - out_lo)) for v in values]
 
 
+def _write_svg(path, body, ylabel: str) -> Path:
+    """An SVG page: white background, the ``body`` elements, ``ylabel`` up the left edge."""
+    return write_lines(path, [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}">',
+        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>', *body,
+        f'<text x="14" y="{_SVG_H / 2:.0f}" transform="rotate(-90 14 {_SVG_H / 2:.0f})" '
+        f'text-anchor="middle">{ylabel}</text>', "</svg>"])
+
+
 def svg_scatter(x, y, path, highlight=None, xlabel: str = "x", ylabel: str = "y",
                 vline: float | None = None) -> Path:
     """Minimal scatter-plot SVG; `highlight` marks points in a second colour."""
@@ -215,8 +223,7 @@ def svg_scatter(x, y, path, highlight=None, xlabel: str = "x", ylabel: str = "y"
     highlight = np.zeros(x.size, dtype=bool) if highlight is None else np.asarray(highlight, dtype=bool)
     xs = _scale(x, x.min(), x.max(), _PAD, _SVG_W - _PAD)
     ys = _scale(y, y.min(), y.max(), _SVG_H - _PAD, _PAD)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}">',
-             f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>']
+    parts = []
     if vline is not None and x.max() > x.min():
         vx = _scale([vline], x.min(), x.max(), _PAD, _SVG_W - _PAD)[0]
         parts.append(f'<line x1="{vx:.1f}" y1="{_PAD}" x2="{vx:.1f}" y2="{_SVG_H - _PAD}" '
@@ -225,10 +232,7 @@ def svg_scatter(x, y, path, highlight=None, xlabel: str = "x", ylabel: str = "y"
         colour = "red" if hot else "black"
         parts.append(f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="2.5" fill="{colour}"/>')
     parts.append(f'<text x="{_SVG_W / 2:.0f}" y="{_SVG_H - 12}" text-anchor="middle">{xlabel}</text>')
-    parts.append(f'<text x="14" y="{_SVG_H / 2:.0f}" transform="rotate(-90 14 {_SVG_H / 2:.0f})" '
-                 f'text-anchor="middle">{ylabel}</text>')
-    parts.append("</svg>")
-    return write_lines(path, parts)
+    return _write_svg(path, parts, ylabel)
 
 
 def svg_boxplot(groups: dict, path, ylabel: str = "value") -> Path:
@@ -241,12 +245,10 @@ def svg_boxplot(groups: dict, path, ylabel: str = "value") -> Path:
         return _scale([v], lo, hi, _SVG_H - _PAD, _PAD)[0]
 
     slot = (_SVG_W - 2 * _PAD) / len(labels)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}">',
-             f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>']
+    parts = []
     for i, label in enumerate(labels):
         v = np.asarray(groups[label], dtype=float)
-        s = five_number_summary(v)
-        lo_f, hi_f = s.q1 - 1.5 * s.iqr, s.q3 + 1.5 * s.iqr
+        s, lo_f, hi_f = _box(v)
         inside = v[(v >= lo_f) & (v <= hi_f)]
         whis_lo = float(inside.min()) if inside.size else s.q1
         whis_hi = float(inside.max()) if inside.size else s.q3
@@ -261,7 +263,4 @@ def svg_boxplot(groups: dict, path, ylabel: str = "value") -> Path:
         for out in v[(v < lo_f) | (v > hi_f)]:
             parts.append(f'<circle cx="{cx:.1f}" cy="{sy(float(out)):.1f}" r="2" fill="black"/>')
         parts.append(f'<text x="{cx:.1f}" y="{_SVG_H - 20}" text-anchor="middle">{label}</text>')
-    parts.append(f'<text x="14" y="{_SVG_H / 2:.0f}" transform="rotate(-90 14 {_SVG_H / 2:.0f})" '
-                 f'text-anchor="middle">{ylabel}</text>')
-    parts.append("</svg>")
-    return write_lines(path, parts)
+    return _write_svg(path, parts, ylabel)

@@ -47,6 +47,21 @@ __all__ = [
 ]
 
 MISSING_TOKENS = ("", "NA")
+# regsel's tables end fields and lines with these, so no column name or factor label may hold one
+_BREAKS = "\t\r\n"
+
+
+def _plain(text: str) -> bool:
+    # float() and int() read "1_0" as 10 and "٣" as 3; neither is a number to regsel
+    return "_" not in text and text.isascii()
+
+
+def _number(token: str, kind=float):
+    """``kind(token)`` if ``token`` is ASCII without ``_``, else ValueError: the one rule by which
+    data cells, ids, factor labels, config values and option values become numbers."""
+    if not _plain(token):
+        raise ValueError(f"not a number: {token!r}")
+    return kind(token)
 
 
 class ColumnRole(str, Enum):
@@ -145,13 +160,13 @@ def read_schema(path) -> Schema:
 def level_order(labels) -> tuple:
     """The distinct ``labels`` of a factor in level order, first the reference.
 
-    Levels go in order of value when every label reads as a finite number
-    (``"2" < "10"``, ``"-2" < "-1"``; ties such as ``"1"`` and ``"1.0"``
-    go by label), and in label order otherwise.
+    Levels go in order of value when every label is a finite number by
+    :func:`_number` (``"2" < "10"``, ``"-2" < "-1"``; ties such as ``"1"``
+    and ``"1.0"`` go by label), and in label order otherwise (``"1_0"``).
     """
     distinct = sorted(set(labels))
     try:
-        values = [float(label) for label in distinct]
+        values = [_number(label) for label in distinct]
     except ValueError:
         return tuple(distinct)
     if not all(math.isfinite(v) for v in values):
@@ -278,25 +293,16 @@ class RawTable:
 # ---------------------------------------------------------------------------
 
 
-def _plain(text: str) -> bool:
-    # float() and int() read "1_0" as 10 and "٣" as 3; neither is a number in a data file
-    return "_" not in text and text.isascii()
-
-
 def _parse_numeric(token: str, name: str, row: int, lenient: bool) -> float:
     token = token.strip()
     if token in MISSING_TOKENS:
         return math.nan
     try:
-        if not _plain(token):
-            raise ValueError
-        value = float(token)
+        value = _number(token)
     except ValueError:
         if lenient:
             return math.nan
-        raise ValueError(
-            f"column '{name}', data row {row}: cannot parse {token!r} as numeric"
-        ) from None
+        raise ValueError(f"column '{name}', data row {row}: cannot parse {token!r} as numeric") from None
     if not math.isfinite(value):
         raise ValueError(f"column '{name}', data row {row}: non-finite value {token!r}")
     return value
@@ -360,10 +366,10 @@ def load_table(path, schema, delimiter: str = ",") -> RawTable:
             raise ValueError(f"schema names columns not present in file: {', '.join(unknown)}")
         roles = [schema.role_of(name) for name in header]
         for name, role in zip(header, roles):
-            if not name or name[0] == "#" or any(c in name for c in "\t\r\n") or (
+            if not name or name[0] == "#" or any(c in name for c in _BREAKS + "\0") or (
                     "/" in name and role in (ColumnRole.NUMERIC, ColumnRole.FACTOR)):
                 raise ValueError(f"column {name!r} cannot be written back: names must be non-empty, not start "
-                                 "with '#', hold no tab or line break, and no '/' if numeric or factor")
+                                 "with '#', hold no tab, line break or NUL, and no '/' if numeric or factor")
 
         for i, row in enumerate(rows, start=1):
             if len(row) != len(header):
@@ -380,9 +386,7 @@ def load_table(path, schema, delimiter: str = ",") -> RawTable:
                     if tok in MISSING_TOKENS:
                         raise ValueError(f"column '{name}', data row {i}: id value is missing")
                 try:
-                    if not _plain("".join(raw)):
-                        raise ValueError
-                    columns.append(np.array([int(tok) for tok in raw], dtype=np.int64))
+                    columns.append(np.array([_number(tok, int) for tok in raw], dtype=np.int64))
                 except (ValueError, OverflowError):     # not int64: read as text
                     columns.append(np.array(raw, dtype=object))
             else:
@@ -791,7 +795,7 @@ def encode_design(table: RawTable) -> DesignMatrix:
             if len(levels) < 2:
                 raise ValueError(f"factor '{name}' has fewer than two observed levels")
             for label in levels:
-                if any(c in label for c in "\t\r\n"):
+                if any(c in label for c in _BREAKS):
                     raise ValueError(f"factor '{name}' has the level {label!r}: a label holding "
                                      "a tab or line break cannot name a column of regsel's reports")
             idx = tuple(range(len(names), len(names) + len(levels) - 1))

@@ -3,7 +3,8 @@
 Each oracle recomputes a quantity by its definition (literal delete-one
 refits, explicit auxiliary regressions, exhaustive enumeration) so the
 closed-form production implementations are checked against a separate
-route, not against themselves.
+route, not against themselves.  The reference reader parses a data file by
+the grammar README "File formats" writes down, on the csv module alone.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import csv
 import io
 import itertools
 import math
+import re
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -317,6 +320,73 @@ def csv_module_bytes(table: RawTable) -> bytes:
     writer.writerow(table.names)
     writer.writerows(zip(*cells))
     return out.getvalue().encode("utf-8")
+
+
+# README "File formats": a number is what float() reads, spelled in ASCII digits without ``_``
+# (IGNORECASE alone would let ``ı`` match ``i`` in ``inf``), and an integer id is ASCII digits
+_NUMBER = re.compile(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|inf|infinity|nan)",
+                     re.ASCII | re.IGNORECASE)
+_INTEGER = re.compile(r"[+-]?[0-9]+", re.ASCII)
+_MISSING = ("", "NA")
+
+
+def reference_table(path, roles: dict, default=None, lenient=(), delimiter=",") -> dict:
+    """A data file read by the written grammar of README "File formats", on
+    the csv module alone (nothing from ``regsel.table``): its names and roles,
+    each column's dtype and values (a float column as its bit patterns) and
+    each factor's levels, or ValueError for a file the grammar rejects.
+    ``roles`` maps names to role strings, ``default`` is the ``*`` role."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+        records = list(csv.reader(io.StringIO(text, newline=""), delimiter=delimiter))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"not a delimited UTF-8 file: {exc}") from None
+    if not records:
+        raise ValueError("no header")
+    header, rows = [name.strip() for name in records[0]], [r for r in records[1:] if r]
+    kinds = [roles.get(name, default) for name in header]
+    if not rows or set(roles) - set(header) or len(set(header)) < len(header) or None in kinds:
+        raise ValueError("no data rows, or a schema and header that do not match")
+    for name, kind in zip(header, kinds):
+        if not name or name[0] == "#" or set(name) & set("\t\r\n\0") or (
+                "/" in name and kind in ("numeric", "factor")):
+            raise ValueError(f"column name {name!r} is not allowed")
+    if kinds.count("id") > 1 or kinds.count("response") > 1 or any(len(r) != len(header) for r in rows):
+        raise ValueError("two id or response columns, or a ragged row")
+    columns, levels = [], {}
+    for j, (name, kind) in enumerate(zip(header, kinds)):
+        cells = [row[j].strip() for row in rows]
+        if kind in ("numeric", "response"):
+            lenient_column = name in lenient or (name not in roles and "*" in lenient)
+            values = []
+            for cell in cells:
+                if cell in _MISSING:
+                    values.append(math.nan)
+                elif _NUMBER.fullmatch(cell):
+                    if not math.isfinite(float(cell)):
+                        raise ValueError(f"{cell!r} is not finite")
+                    values.append(float(cell))
+                elif lenient_column:
+                    values.append(math.nan)
+                else:
+                    raise ValueError(f"{cell!r} is not a number")
+            columns.append(("float64", np.array(values, dtype=np.float64).view(np.int64).tolist()))
+        elif kind == "id":
+            if set(cells) & set(_MISSING):
+                raise ValueError("an id is missing")
+            if all(_INTEGER.fullmatch(c) and -2 ** 63 <= int(c) < 2 ** 63 for c in cells):
+                columns.append(("int64", [int(c) for c in cells]))
+            else:
+                columns.append(("object", cells))
+        else:
+            labels = [None if c in _MISSING else c for c in cells]
+            columns.append(("object", labels))
+            if kind == "factor":
+                distinct = sorted(set(labels) - {None})
+                values = [float(c) if _NUMBER.fullmatch(c) else math.nan for c in distinct]
+                by_value = all(map(math.isfinite, values))
+                levels[name] = tuple(c for _, c in sorted(zip(values, distinct))) if by_value else tuple(distinct)
+    return {"names": tuple(header), "roles": tuple(kinds), "columns": columns, "levels": levels}
 
 
 def assert_same_design(got: DesignMatrix, want: DesignMatrix) -> None:

@@ -200,8 +200,13 @@ ROUTE = "merged_table = m.csv\nmerged_schema = m.schema\nout_dir = out\n"
     (ROUTE + "vstar = 10\nvstar = 5\n", "{cfg}:5: config key 'vstar' is set twice (first on line 4)"),
     (ROUTE + "modes = forward,forward\n", "mode 'forward' is listed twice"),
     (ROUTE + "factor_columns = b,b\n", "factor column 'b' is listed twice"),
+    (ROUTE + "cv_replications = 1_0\n", "{cfg}:4: config key 'cv_replications' expects an integer, got '1_0'"),
+    (ROUTE + "vstar = \u0661\u0665\n", "{cfg}:4: config key 'vstar' expects a number, got '\u0661\u0665'"),
+    (ROUTE + "exclude_rows = \u0663\n",
+     "{cfg}:4: config key 'exclude_rows' expects comma-separated integers, got '\u0663'"),
 ], ids=["bool", "no-file", "no-equals", "two-table-key", "merged-schema", "key-set-twice",
-        "mode-listed-twice", "factor-listed-twice"])
+        "mode-listed-twice", "factor-listed-twice", "underscore-int", "arabic-indic-float",
+        "arabic-indic-rows"])
 def test_malformed_config_exits_2_before_any_output(tmp_path, capsys, text, message):
     cfg = tmp_path / "c.cfg"
     if text is not None:
@@ -640,6 +645,20 @@ def test_cli_option_overrides(dataset_dir, tmp_path, capsys):
                      "--exclude-rows", "3,4", "--seed", "11"]) == 0
     capsys.readouterr()
     assert (out / "prep.csv").exists()
+
+
+@pytest.mark.parametrize("flag, raw, expected", [
+    ("--seed", "1_0", "an integer"), ("--seed", "\u0663", "an integer"), ("--seed", "abc", "an integer"),
+    ("--seed", "5#x", "an integer"), ("--exclude-rows", "3#,4", "comma-separated integers"),
+])
+def test_option_values_parse_as_their_config_keys(dataset_dir, tmp_path, capsys, flag, raw, expected):
+    """An option value is read by its config key's rule, and '#' starts no comment in it."""
+    out = tmp_path / "option_out"
+    cfg = write_config(dataset_dir, "out_option_values")
+    assert cli_main(["prep", "--config", str(cfg), "--out", str(out), flag, raw]) == 2
+    assert capsys.readouterr().err == \
+        f"regsel: config error: option {flag} expects {expected}, got {raw!r}\n"
+    assert not out.exists()
 
 
 def test_cli_out_is_relative_to_the_working_directory(dataset_dir, bundle_and_out, tmp_path,

@@ -15,7 +15,9 @@ with rare levels check Monte Carlo CV against literal refits, and against
 refits of each training split encoded on its own when the rare levels
 include the reference level.  Valid data files, schemas and configs, mutated
 byte by byte and cell by cell, check that each reader loads its input or
-raises an error that names the file.
+raises an error that names the file; small data files with cells replaced,
+padded and quoted check that load_table reads what the reference reader of
+README's grammar reads, and rejects what it rejects.
 """
 
 import codecs
@@ -33,8 +35,8 @@ from regsel import (CVConfig, ColumnRole, DesignMatrix, RawTable, Schema, coerce
                     mc_cross_validate, press_residuals, read_config, read_schema,
                     step_select_modes, vif_prune, write_schema, write_table)
 from oracles import (aic_error_bound, assert_same_design, csv_module_bytes, loo_predictions,
-                     prune_by_auxiliary_regression, reencoded_cv_mspe, reference_aic, refit_cv_mspe,
-                     unseen_level_rows)
+                     prune_by_auxiliary_regression, reencoded_cv_mspe, reference_aic, reference_table,
+                     refit_cv_mspe, unseen_level_rows)
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
@@ -237,6 +239,87 @@ def test_each_reader_loads_its_input_or_names_the_file(kind_and_data):
             setting_check = kind == "config" and "_validate_config" in {
                 frame.name for frame in traceback.extract_tb(exc.__traceback__)}
             assert str(exc).startswith(str(path)) or setting_check, repr(exc)
+
+
+# The columns of a table the reference reader parses, with their roles; each
+# example's schema leaves out a drawn subset of x, g and e, and draws a default role.
+REFERENCE_ROLES = {"id": "id", "x": "numeric", "g": "factor", "e": "exclude", "y": "response"}
+GRAMMAR_LABELS = ("a", "b", "2", "10", "1.0", "-1", "1_0", "\u0663", "Ω", "a,b")
+# names the grammar rejects (a tab, a NUL, a leading '#', a '/' in a numeric or factor name), and a repeat
+GRAMMAR_NAMES = ("a\tb", "a\x00b", "#c", "a/b", "x")
+
+
+def _quote(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
+
+
+@st.composite
+def grammar_tables(draw):
+    """The bytes of a small valid data file, and a schema as role strings
+    (listed roles, a default, lenient columns), after one to four cell
+    mutations: a cell set to one of TOKENS (a name to one of GRAMMAR_NAMES,
+    which leaves the schema and takes the default role), padded with spaces
+    or a tab, or quoted as the csv module quotes."""
+    n = draw(st.integers(1, 4))
+    ids = [str(draw(st.integers(-999, 999))) for _ in range(n)]
+    ids[0] = str(draw(st.sampled_from((ids[0],) * 3 + (2 ** 63 - 1, 2 ** 63, -2 ** 63 - 1))))
+    floats = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    labels = st.sampled_from(GRAMMAR_LABELS).map(lambda c: _quote(c) if "," in c else c)
+    lines = [list(REFERENCE_ROLES)] + [
+        [i, draw(floats), draw(labels), draw(labels), draw(floats)] for i in ids]
+    unlisted = draw(st.sets(st.sampled_from(("x", "g", "e"))))
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.integers(0, n)), draw(st.integers(0, 4))
+        op = draw(st.sampled_from(("token", "pad", "quote")))
+        if op == "token":
+            lines[i][j] = draw(st.sampled_from(GRAMMAR_NAMES if i == 0 else TOKENS))
+            if i == 0:
+                unlisted.add(list(REFERENCE_ROLES)[j])
+        elif op == "pad":
+            lines[i][j] = draw(st.sampled_from((" ", "  ", "\t"))) + lines[i][j] + " "
+        else:
+            lines[i][j] = _quote(lines[i][j])
+    roles = {name: role for name, role in REFERENCE_ROLES.items() if name not in unlisted}
+    default = draw(st.sampled_from((None, "numeric", "factor", "exclude")))
+    lenient = draw(st.sets(st.sampled_from(("x", "y", "*"))))
+    data = "".join(",".join(cells) + "\n" for cells in lines).encode()
+    return data, roles, default, frozenset(lenient)
+
+
+def table_facts(table: RawTable) -> dict:
+    """A loaded table in the shape :func:`oracles.reference_table` returns."""
+    columns = [(c.dtype.name, c.view(np.int64).tolist() if c.dtype == np.float64 else c.tolist())
+               for c in table.columns]
+    return {"names": table.names, "roles": tuple(r.value for r in table.roles), "columns": columns,
+            "levels": table.levels}
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(grammar_tables())
+@example((b"id,x,g,e,y\n1,0.5,2,a,1\n2,1.5,1_0,b,2\n", dict(REFERENCE_ROLES), None, frozenset()))
+@example((b"id,x,g,e,y\n1_0,0.5,10,a,1\n7,1.5,10,a,1\n", dict(REFERENCE_ROLES), None, frozenset()))
+@example((b'id,x,"a\x00b",e,y\n1,0.5,a,a,1\n', {"id": "id", "y": "response"}, "exclude", frozenset()))
+def test_load_table_agrees_with_the_reference_reader(case):
+    """load_table and the reference reader give the same names, roles, float
+    bits, id dtype and values, labels and level order, or both reject the
+    file, load_table with a ValueError that starts with the path."""
+    data, roles, default, lenient = case
+    schema = Schema(roles={name: ColumnRole(role) for name, role in roles.items()}, lenient=lenient,
+                    default=None if default is None else ColumnRole(default))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(data)
+        try:
+            want = reference_table(path, roles, default, lenient)
+        except ValueError:
+            want = None
+        try:
+            got = table_facts(load_table(path, schema))
+        except ValueError as exc:
+            assert want is None, f"load_table rejects what the grammar accepts: {exc}"
+            assert str(exc).startswith(str(path)), repr(exc)
+            return
+        assert got == want
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -67,6 +68,8 @@ def test_load_factor_levels(tmp_path):
     (["a", "2", "10"], ("10", "2", "a")),             # one label is not: by label
     (["1.0", "1", "0.5"], ("0.5", "1", "1.0")),       # equal values go by label
     (["2", "nan", "10"], ("10", "2", "nan")),         # not finite: by label
+    (["2", "1_0"], ("1_0", "2")),                     # "1_0" is not a number: by label
+    (["10", "\u0663"], ("10", "\u0663")),              # nor is a non-ASCII digit
 ])
 def test_factor_levels_follow_one_order_rule(labels, levels):
     t = make_table(["f", "y"], ["factor", "response"], [labels, np.ones(len(labels))])
@@ -289,7 +292,8 @@ def test_lenient_default_role_applies_to_unlisted_columns(tmp_path):
     ("ID,,y", "''"),
     ("ID,#a,y", "'#a'"),
     ("ID,a/b,y", "'a/b'"),
-], ids=["tab", "line-break", "empty", "hash", "slash"])
+    ('ID,"a\0b",y', "'a\\x00b'"),
+], ids=["tab", "line-break", "empty", "hash", "slash", "nul"])
 def test_names_regsel_cannot_write_back_are_rejected(tmp_path, header, name):
     f = tmp_path / "d.csv"
     f.write_text(f"{header}\n1,0.5,2\n2,1.5,3\n")
@@ -298,6 +302,9 @@ def test_names_regsel_cannot_write_back_are_rejected(tmp_path, header, name):
         schema = Schema(roles={"ID": ColumnRole.ID, "y": ColumnRole.RESPONSE}, default=role)
         with pytest.raises(ValueError) as excinfo:
             load_table(f, schema)
+        if "\0" in header and sys.version_info < (3, 11):     # the csv module of 3.10 refuses NUL itself
+            assert str(excinfo.value) == f"{f}: line 1: line contains NUL"
+            continue
         assert str(excinfo.value).startswith(f"{f}: column {name} cannot be written back")
 
 
