@@ -194,7 +194,7 @@ def vif_prune(design: DesignMatrix, vstar: float = 10.0):
     breaking ties toward the earliest column.  Returns the pruned design and
     a VifReport with the elimination trail.
     """
-    if vstar <= 1.0:
+    if not vstar > 1.0:
         raise ValueError(f"vstar must exceed 1, got {vstar}")
     survivors = [t.name for t in design.terms if t.kind == "numeric"]
     if not survivors:

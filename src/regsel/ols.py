@@ -172,8 +172,10 @@ def pivoted_effective_coef(X: np.ndarray, y: np.ndarray):
     """Rank-revealing least squares on raw arrays.
 
     Returns (coef, aliased) where aliased columns carry coefficient zero,
-    mirroring :func:`fit_ols` without the model bookkeeping.  Used by
-    resampling loops that refit the same column block many times.
+    mirroring :func:`fit_ols` without the model bookkeeping.  It is Monte
+    Carlo CV's exact-refit fallback, taken only where a candidate's training
+    Gram is near singular (counted in ``exact_refits``), and the function
+    whose calls perfbench counts as ``ols.pivoted_refit_calls``.
     """
     return qr_block(X).solve(y)
 

@@ -345,15 +345,27 @@ def _write_json(path: Path, obj) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _load_keyed(path, schema_path, delimiter: str):
+    """A table of the two-table route, loaded as load_table loads it; a repeated
+    id is an error naming the file, the id column and both data rows."""
+    table = load_table(path, read_schema(schema_path), delimiter)
+    first = {}
+    for row, value in enumerate(table.column(table.id_name).tolist() if table.id_name else (), start=1):
+        if first.setdefault(value, row) != row:
+            raise ValueError(f"{Path(path)}: column '{table.id_name}', data row {row}: "
+                             f"duplicate id {value!r} (also data row {first[value]})")
+    return table
+
+
 def _stage_prep(cfg: RunConfig) -> list:
     out = cfg.out
     if cfg.merged_table is not None:
         table = load_table(cfg.merged_table, read_schema(cfg.merged_schema), cfg.delimiter)
         table = drop_sparse_columns(table, cfg.na_ratio)
     else:
-        a = load_table(cfg.table_a, read_schema(cfg.schema_a), cfg.delimiter)
-        b = load_table(cfg.table_b, read_schema(cfg.schema_b), cfg.delimiter)
-        resp = load_table(cfg.response_table, read_schema(cfg.response_schema), cfg.delimiter)
+        a = _load_keyed(cfg.table_a, cfg.schema_a, cfg.delimiter)
+        b = _load_keyed(cfg.table_b, cfg.schema_b, cfg.delimiter)
+        resp = _load_keyed(cfg.response_table, cfg.response_schema, cfg.delimiter)
         a = drop_sparse_columns(a, cfg.na_ratio)
         b = drop_sparse_columns(b, cfg.na_ratio)
         table = merge_by_id(merge_by_id(a, b), resp)

@@ -93,10 +93,10 @@ class Scope:
     k: float = 2.0
 
     def __post_init__(self):
+        if not np.isfinite(self.k):     # every AIC would be infinite or NaN, so no move could improve on another
+            raise ValueError(f"penalty k must be finite, got {self.k}")
         if not self.k > 0:
             raise ValueError(f"penalty k must be positive, got {self.k}")
-        if self.k == np.inf:    # every AIC would be infinite, so no move could improve on another
-            raise ValueError(f"penalty k must be finite, got {self.k}")
 
     def resolve(self, design: DesignMatrix):
         all_terms = design.term_names

@@ -61,29 +61,21 @@ def make_dataset(n: int = 500, seed: int = 6021) -> SyntheticStudy:
     exp_[:, 1] = exp_[:, 0] + 0.08 * rng.standard_normal(n)
     exp_[:, 9] = (exp_[:, 8] + exp_[:, 10]) / np.sqrt(2.0) + 0.05 * rng.standard_normal(n)
 
+    groups = ["g1", "g2", "g3"]
     site = rng.choice([f"s{i}" for i in range(1, 7)], size=n)
-    group_b = rng.choice(["g1", "g2", "g3"], size=n)
+    group_b = rng.choice(groups, size=n)
     flag_a = rng.integers(0, 2, size=n).astype(np.float64)
     flag_b = rng.integers(0, 2, size=n).astype(np.float64)
     flag_c = rng.integers(0, 2, size=n).astype(np.float64)
     flag_d = np.array([str(v) for v in rng.integers(0, 2, size=n)], dtype=object)
 
-    # exposures table is keyed by ids_b; build the response on the union of ids
-    cov_by_id = {int(i): row for i, row in zip(ids_a, cov)}
-    exp_by_id = {int(i): row for i, row in zip(ids_b, exp_)}
-    grp_by_id = {int(i): g for i, g in zip(ids_b, group_b)}
-    group_effect = {"g1": 0.0, "g2": 0.8, "g3": 1.2}
+    # the response covers the union of ids: ids_a are its first n, ids_b its last n
+    group_effect = np.array([0.0, 0.8, 1.2])[np.searchsorted(groups, group_b)]
     sigma = 1.0
-    y = np.empty(ids_y.size)
-    for k, i in enumerate(ids_y):
-        c = cov_by_id.get(int(i))
-        e = exp_by_id.get(int(i))
-        mean = 50.0
-        if c is not None:
-            mean += 1.5 * c[0]
-        if e is not None:
-            mean += -2.0 * e[4] + group_effect[grp_by_id[int(i)]]
-        y[k] = mean + sigma * rng.standard_normal()
+    mean = np.full(ids_y.size, 50.0)
+    mean[:n] += 1.5 * cov[:, 0]
+    mean[2:] += -2.0 * exp_[:, 4] + group_effect
+    y = mean + sigma * rng.standard_normal(ids_y.size)
 
     # missing data: two sparse columns crossing the 1% line, light NA elsewhere
     cov[:, N_COV - 1] = _sprinkle(rng, cov[:, N_COV - 1], 8)

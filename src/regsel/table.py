@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain
@@ -293,36 +294,31 @@ class RawTable:
 # ---------------------------------------------------------------------------
 
 
-def _parse_numeric(token: str, name: str, row: int, lenient: bool) -> float:
-    token = token.strip()
-    if token in MISSING_TOKENS:
-        return math.nan
-    try:
-        value = _number(token)
-    except ValueError:
-        if lenient:
-            return math.nan
-        raise ValueError(f"column '{name}', data row {row}: cannot parse {token!r} as numeric") from None
-    if not math.isfinite(value):
-        raise ValueError(f"column '{name}', data row {row}: non-finite value {token!r}")
-    return value
-
-
 def _parse_numeric_column(raw: list, name: str, lenient: bool) -> tuple:
-    """Parse a numeric column in one numpy call, which reads each token as
-    ``float()`` does, and keep ``raw`` as the column's text.  A column with a
-    missing, non-finite or unparsable cell takes the per-cell path instead, so
-    that cell gets its row's error, and keeps no text."""
+    """The values of a numeric column of stripped tokens, and its text.  A column of finite
+    numbers parses in one numpy call, which reads each token as ``float()`` does, and keeps
+    ``raw`` as its text.  Any other column goes cell by cell and keeps no text: a missing
+    cell is NaN, and so is an unparsable cell of a lenient column; the first other bad cell
+    raises, naming its row."""
     if _plain("".join(raw)):
-        try:
+        with suppress(ValueError):
             values = np.array(raw, dtype=np.float64)
-        except ValueError:
-            pass
-        else:
             if np.isfinite(values).all():
                 return values, np.array(raw, dtype=object)
-    return np.array([_parse_numeric(tok, name, i, lenient) for i, tok in enumerate(raw, start=1)],
-                    dtype=np.float64), None
+    values = []
+    for row, token in enumerate(raw, start=1):
+        value = math.nan        # a missing cell, or an unparsable one in a lenient column
+        if token not in MISSING_TOKENS:
+            try:
+                value = _number(token)
+            except ValueError:
+                if not lenient:
+                    raise ValueError(f"column '{name}', data row {row}: cannot parse {token!r} as numeric") from None
+            else:
+                if not math.isfinite(value):
+                    raise ValueError(f"column '{name}', data row {row}: non-finite value {token!r}")
+        values.append(value)
+    return np.array(values, dtype=np.float64), None
 
 
 def load_table(path, schema, delimiter: str = ",") -> RawTable:
@@ -508,8 +504,7 @@ def merge_by_id(a: RawTable, b: RawTable) -> RawTable:
     for side, ids in (("left", ids_a), ("right", ids_b)):
         vals, counts = np.unique(ids, return_counts=True)
         if (counts > 1).any():
-            dup = vals[counts > 1][0]
-            raise ValueError(f"duplicate id {dup.item()!r} in the {side} table")
+            raise ValueError(f"duplicate id {vals[counts > 1].tolist()[0]!r} in the {side} table")
     overlap = (set(a.names) & set(b.names)) - {id_name}
     if overlap:
         raise ValueError(f"non-id columns present in both tables: {', '.join(sorted(overlap))}")

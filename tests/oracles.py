@@ -4,7 +4,9 @@ Each oracle recomputes a quantity by its definition (literal delete-one
 refits, explicit auxiliary regressions, exhaustive enumeration) so the
 closed-form production implementations are checked against a separate
 route, not against themselves.  The reference reader parses a data file by
-the grammar README "File formats" writes down, on the csv module alone.
+the grammar README "File formats" writes down, on the csv module alone, and
+the reference join joins two tables on their ids with Python lists and
+NumPy indexing alone.
 """
 
 from __future__ import annotations
@@ -382,11 +384,67 @@ def reference_table(path, roles: dict, default=None, lenient=(), delimiter=",") 
             labels = [None if c in _MISSING else c for c in cells]
             columns.append(("object", labels))
             if kind == "factor":
-                distinct = sorted(set(labels) - {None})
-                values = [float(c) if _NUMBER.fullmatch(c) else math.nan for c in distinct]
-                by_value = all(map(math.isfinite, values))
-                levels[name] = tuple(c for _, c in sorted(zip(values, distinct))) if by_value else tuple(distinct)
+                levels[name] = _level_order(labels)
     return {"names": tuple(header), "roles": tuple(kinds), "columns": columns, "levels": levels}
+
+
+def _level_order(labels) -> tuple:
+    """README's level order of a factor's labels (``None`` is missing): by value
+    when every label is a finite number, ties by label, and else by label."""
+    distinct = sorted(set(labels) - {None})
+    values = [float(c) if _NUMBER.fullmatch(c) else math.nan for c in distinct]
+    if all(map(math.isfinite, values)):
+        return tuple(c for _, c in sorted(zip(values, distinct)))
+    return tuple(distinct)
+
+
+def reference_join(a: RawTable, b: RawTable) -> dict:
+    """The inner join of two tables on their id column, on Python lists and
+    NumPy indexing alone (nothing from ``regsel.table``): the names and
+    roles of ``a`` then the non-id ones of ``b``, each column's dtype and
+    values at the ids both tables hold, ascending (a float column as its bit
+    patterns), each column's text at those ids, the factors' levels, and the
+    audit, as ``{"names", "roles", "columns", "text", "levels", "audit"}``.
+
+    ValueError where the join is undefined: a table without an id column,
+    id columns with different names or with text on one side and integers
+    on the other, an id repeated within a table, a non-id name in both
+    tables, two response columns, or no id in both tables."""
+    sides = []
+    for t in (a, b):
+        roles = [r.value for r in t.roles]
+        if "id" not in roles:
+            raise ValueError("a table has no id column")
+        ids = t.columns[roles.index("id")].tolist()
+        if len(set(ids)) < len(ids):
+            raise ValueError("an id is repeated within a table")
+        sides.append((t, roles, t.names[roles.index("id")], ids))
+    (_, roles_a, key, ids_a), (_, roles_b, key_b, ids_b) = sides
+    if key != key_b or {type(i) for i in ids_a} != {type(i) for i in ids_b}:
+        raise ValueError("the id columns differ in name or in kind")
+    if (set(a.names) & set(b.names)) - {key} or (roles_a + roles_b).count("response") > 1:
+        raise ValueError("a non-id name in both tables, or two response columns")
+    common = sorted(set(ids_a) & set(ids_b))
+    if not common:
+        raise ValueError("no id in both tables")
+    names, kinds, columns, texts, levels = [], [], [], [], {}
+    for (t, roles, _, ids), skip in zip(sides, (None, key)):
+        rows = [ids.index(i) for i in common]
+        for name, role, column, text in zip(t.names, roles, t.columns, t.text):
+            if name == skip:
+                continue
+            values = column[rows].tolist()
+            names.append(name)
+            kinds.append(role)
+            columns.append((column.dtype.name, np.array(values, dtype=np.float64).view(np.int64).tolist()
+                            if column.dtype == np.float64 else values))
+            texts.append(None if text is None else text[rows].tolist())
+            if role == "factor":
+                levels[name] = _level_order(values)
+    audit = (f"merge_by_id on '{key}': kept {len(common)} rows, excluded {len(ids_a) - len(common)} "
+             f"left-only and {len(ids_b) - len(common)} right-only ids")
+    return {"names": tuple(names), "roles": tuple(kinds), "columns": columns, "text": texts,
+            "levels": levels, "audit": (*a.audit, *b.audit, audit)}
 
 
 def assert_same_design(got: DesignMatrix, want: DesignMatrix) -> None:

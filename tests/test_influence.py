@@ -419,8 +419,9 @@ def test_vif_prune_would_remove_everything():
 
 def test_vif_prune_vstar_validation():
     d = DesignMatrix.from_arrays([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="exceed 1"):
-        vif_prune(d, vstar=0.5)
+    for vstar in (0.5, math.nan):
+        with pytest.raises(ValueError, match=f"vstar must exceed 1, got {vstar}"):
+            vif_prune(d, vstar=vstar)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,7 @@ DELIMITER = "delimiter must be one character other than a quote or a line break 
 @pytest.mark.parametrize("key, raw, message", [
     ("k_penalty", "0", "penalty k must be positive, got 0.0"),
     ("k_penalty", "inf", "penalty k must be finite, got inf"),
+    ("k_penalty", "nan", "penalty k must be finite, got nan"),
     ("vstar", "1", "vstar must exceed 1, got 1.0"),
     ("top_m_full", "0", "top_m_full must be >= 1, got 0"),
     ("top_m_selected", "0", "top_m_selected must be >= 1, got 0"),
@@ -484,13 +485,15 @@ def test_prep_csv_keeps_the_input_text_of_numeric_cells(tmp_path):
     assert_same_design(handed, pipeline._prepared("prune", cfg.out))
 
 
-def two_table_prep_error(tmp_path, capsys, b_header, b_schema) -> str:
+def two_table_prep_error(tmp_path, capsys, b_header, b_schema, repeat=None) -> str:
     """The stderr of ``regsel prep`` on the two-table route with ``b.csv`` as
-    given; the run must exit 1 and leave no output directory."""
+    given, and id 5 also on data row 9 of the table ``repeat`` names; the run
+    must exit 1 and leave no output directory."""
     for stem, header, schema in (("a", "id,x", "id\tid\nx\tnumeric\n"), ("b", b_header, b_schema),
                                  ("r", "id,y", "id\tid\ny\tresponse\n")):
+        ids = [5 if stem == repeat and i == 9 else i for i in range(1, 41)]
         (tmp_path / f"{stem}.csv").write_text(header + "\n" + "".join(
-            f"{i}" + f",{i % 7}" * header.count(",") + "\n" for i in range(1, 41)))
+            f"{i}" + f",{i % 7}" * header.count(",") + "\n" for i in ids))
         (tmp_path / f"{stem}.schema").write_text(schema)
     cfg = tmp_path / "ab.cfg"
     cfg.write_text("table_a = a.csv\nschema_a = a.schema\ntable_b = b.csv\nschema_b = b.schema\n"
@@ -505,6 +508,12 @@ def two_table_prep_error(tmp_path, capsys, b_header, b_schema) -> str:
 def test_prep_names_the_file_holding_a_column_without_a_role(tmp_path, capsys):
     err = two_table_prep_error(tmp_path, capsys, "id,w,z", "id\tid\nz\tnumeric\n")
     assert "b.csv: column 'w' has no role in the schema and no default role is declared" in err
+
+
+@pytest.mark.parametrize("stem", ["a", "b", "r"], ids=["covariates", "exposures", "outcome"])
+def test_prep_names_the_file_and_rows_of_a_repeated_id(tmp_path, capsys, stem):
+    err = two_table_prep_error(tmp_path, capsys, "id,z", "id\tid\nz\tnumeric\n", repeat=stem)
+    assert f"{tmp_path / stem}.csv: column 'id', data row 9: duplicate id 5 (also data row 5)" in err
 
 
 @pytest.mark.parametrize("stage, name, content", [

@@ -17,7 +17,9 @@ include the reference level.  Valid data files, schemas and configs, mutated
 byte by byte and cell by cell, check that each reader loads its input or
 raises an error that names the file; small data files with cells replaced,
 padded and quoted check that load_table reads what the reference reader of
-README's grammar reads, and rejects what it rejects.
+README's grammar reads, and rejects what it rejects; pairs of tables with
+repeated, unmatched and differently typed ids check that merge_by_id joins
+what the reference join joins, and rejects what it rejects.
 """
 
 import codecs
@@ -32,11 +34,11 @@ from hypothesis import strategies as st
 
 from regsel import (CVConfig, ColumnRole, DesignMatrix, RawTable, Schema, coerce_to_factor,
                     drop_incomplete_rows, encode_design, fit_ols, fit_statistics, load_table,
-                    mc_cross_validate, press_residuals, read_config, read_schema,
+                    mc_cross_validate, merge_by_id, press_residuals, read_config, read_schema,
                     step_select_modes, vif_prune, write_schema, write_table)
 from oracles import (aic_error_bound, assert_same_design, csv_module_bytes, loo_predictions,
-                     prune_by_auxiliary_regression, reencoded_cv_mspe, reference_aic, reference_table,
-                     refit_cv_mspe, unseen_level_rows)
+                     prune_by_auxiliary_regression, reencoded_cv_mspe, reference_aic, reference_join,
+                     reference_table, refit_cv_mspe, unseen_level_rows)
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
@@ -320,6 +322,63 @@ def test_load_table_agrees_with_the_reference_reader(case):
             assert str(exc).startswith(str(path)), repr(exc)
             return
         assert got == want
+
+
+@st.composite
+def join_pairs(draw):
+    """Two tables as load_table gives them, for merge_by_id: integer or text
+    ids, mostly of one kind and one column name, drawn from a small pool so
+    that some repeat and some are held by one table only; the id column at
+    any position among numeric (some keeping text), factor and exclude
+    columns, whose names may overlap, and maybe a response column."""
+    text_ids = draw(st.booleans())
+    tables = []
+    for side, pool, response in ((0, ("x", "g", "w", "e"), "y"), (1, ("w", "z", "h", "f"), "outcome")):
+        text_ids ^= draw(st.integers(0, 9)) == 7
+        ids = draw(st.lists(st.integers(0, 11), min_size=1, max_size=8, unique=draw(st.integers(0, 3)) != 2))
+        n = len(ids)
+        names = draw(st.lists(st.sampled_from(pool), unique=True, max_size=3))
+        roles = [draw(st.sampled_from(("numeric", "factor", "exclude"))) for _ in names]
+        if draw(st.integers(0, 2)) == 0:
+            names.append(response)
+            roles.append("response")
+        columns, texts = [], []
+        for role in roles:
+            if role in ("numeric", "response"):
+                values = draw(st.lists(NUMBERS, min_size=n, max_size=n))
+                keep = draw(st.booleans()) and all(map(math.isfinite, values))
+                columns.append(values)
+                texts.append(np.array([repr(v) for v in values], dtype=object) if keep else None)
+            else:
+                columns.append(draw(st.lists(st.none() | st.sampled_from(GRAMMAR_LABELS), min_size=n, max_size=n)))
+                texts.append(None)
+        at = draw(st.integers(0, len(names)))
+        names.insert(at, "key" if side and draw(st.integers(0, 9)) == 7 else "id")
+        roles.insert(at, "id")
+        columns.insert(at, np.array([str(i) for i in ids], dtype=object) if text_ids else ids)
+        texts.insert(at, None)
+        tables.append(RawTable.build(names, roles, columns, audit=(f"table {side}",), text=texts))
+    return tuple(tables)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(join_pairs())
+def test_merge_by_id_agrees_with_the_reference_join(pair):
+    """merge_by_id gives the reference join's names, roles, column bits, text,
+    factor levels and audit, or both reject the pair, merge_by_id with a
+    ValueError."""
+    try:
+        want = reference_join(*pair)
+    except ValueError:
+        want = None
+    try:
+        got = merge_by_id(*pair)
+    except ValueError as exc:
+        assert want is None, f"merge_by_id rejects what the reference joins: {exc}"
+        return
+    assert want is not None, "merge_by_id joins what the reference rejects"
+    text = [None if t is None else t.tolist() for t in got.text]
+    assert {**table_facts(got), "text": text, "audit": got.audit} == want
 
 
 @st.composite

@@ -23,6 +23,7 @@ from regsel import (
     write_table,
 )
 from regsel.table import format_values, tsv_lines
+from oracles import reference_table
 
 
 def make_table(names, roles, columns):
@@ -100,27 +101,31 @@ def test_load_rejects_non_finite_numbers(tmp_path, token, column):
 
 @pytest.mark.parametrize("lenient", [False, True])
 def test_column_parse_matches_the_per_cell_parse(tmp_path, lenient):
-    from regsel.table import _parse_numeric
+    """Each column, whether one numpy call or the cell-by-cell parse reads it,
+    gets the reference reader's bits, or the message of its one bad cell."""
     rng = np.random.default_rng(79)
     doubles = rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)
     tokens = [repr(float(v)) for v in doubles] + [
         repr(0.1), repr(1 / 3), "-0.0", "4.9e-324", "2.5e-320", "1e308", "1_0", " nan", "inf",
         "NA", "", "abc"]
-    schema = Schema({"ID": ColumnRole.ID, "x": ColumnRole.NUMERIC, "y": ColumnRole.RESPONSE},
-                    lenient=frozenset({"x"}) if lenient else frozenset())
+    # what row 2 of a three-cell column is told when the reference rejects it
+    reasons = {"1_0": "cannot parse '1_0' as numeric", "abc": "cannot parse 'abc' as numeric",
+               " nan": "non-finite value 'nan'", "inf": "non-finite value 'inf'"}
+    roles = {"ID": "id", "x": "numeric", "y": "response"}
+    lenient_names = {"x"} if lenient else set()
+    schema = Schema({name: ColumnRole(role) for name, role in roles.items()}, lenient=frozenset(lenient_names))
     f = tmp_path / "d.csv"
     for column in ([*tokens[:40]], *(["0.25", tok, "-3.5"] for tok in tokens)):
         f.write_text("ID,x,y\n" + "".join(f"{i},{c},{i}\n" for i, c in enumerate(column, start=1)))
         try:
-            expected = np.array([_parse_numeric(c, "x", i, lenient)
-                                 for i, c in enumerate(column, start=1)])
-        except ValueError as exc:
+            want = reference_table(f, roles, lenient=lenient_names)
+        except ValueError:
             with pytest.raises(ValueError) as info:
                 load_table(f, schema)
-            assert str(info.value) == f"{f}: {exc}"
+            assert str(info.value) == f"{f}: column 'x', data row 2: {reasons[column[1]]}"
             continue
         got = load_table(f, schema).column("x")
-        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), column
+        assert got.view(np.int64).tolist() == want["columns"][1][1], column
 
 
 @pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11"])     # 1_0, Arabic-Indic 3, fullwidth 1
