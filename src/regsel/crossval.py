@@ -155,16 +155,9 @@ class CVResult:
 def five_number_summary(v) -> FiveNumberSummary:
     """Min, quartiles (linear-interpolation rule h = (n-1)p + 1), mean, max."""
     v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("five-number summary of an empty vector")
-    return FiveNumberSummary(
-        minimum=float(v.min()),
-        q1=interpolated_quantile(v, 0.25),
-        median=interpolated_quantile(v, 0.50),
-        mean=float(v.mean()),
-        q3=interpolated_quantile(v, 0.75),
-        maximum=float(v.max()),
-    )
+    q1, median, q3 = (interpolated_quantile(v, p) for p in (0.25, 0.50, 0.75))
+    return FiveNumberSummary(minimum=float(v.min()), q1=q1, median=median, mean=float(v.mean()),
+                             q3=q3, maximum=float(v.max()))
 
 
 # ---------------------------------------------------------------------------

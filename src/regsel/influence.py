@@ -71,11 +71,10 @@ def press_residuals(model: FittedModel) -> np.ndarray:
 
 def cooks_distance(model: FittedModel) -> np.ndarray:
     """Cook's distance D_i = e_i^2 h_i / (rank * sigma2 * (1 - h_i)^2)."""
-    if model.n <= model.rank:
-        raise ValueError("Cook's distance undefined: no residual degrees of freedom")
+    sigma2 = model.sigma2       # first: a fit with no residual df says so, not that a leverage is 1
     h = _check_leverage_below_one(model)
     e = model.residuals
-    return (e ** 2) * h / (model.rank * model.sigma2 * (1.0 - h) ** 2)
+    return (e ** 2) * h / (model.rank * sigma2 * (1.0 - h) ** 2)
 
 
 def studentized(model: FittedModel, kind: str = "internal") -> np.ndarray:
@@ -102,8 +101,6 @@ def studentized(model: FittedModel, kind: str = "internal") -> np.ndarray:
 
 def dffits(model: FittedModel) -> np.ndarray:
     """DFFITS_i = t_i * sqrt(h_i / (1 - h_i)) with t_i externally studentized."""
-    if model.n - model.rank - 1 < 1:
-        raise ValueError("DFFITS undefined: need n - rank - 1 >= 1")
     h = model.leverage
     return studentized(model, "external") * np.sqrt(h / (1.0 - h))
 
@@ -178,8 +175,6 @@ def vif(design: DesignMatrix) -> VifReport:
     intercept; factor blocks are left out, as in the prune loop that passes
     them through.  Infinite VIFs are flagged, not raised.
     """
-    if design.n_cols - 1 < 2:
-        raise ValueError("VIF requires at least two non-intercept design columns")
     names = [t.name for t in design.terms if t.kind == "numeric"]
     if not names:
         raise ValueError("no columns to score: the design has no numeric terms")

@@ -259,15 +259,16 @@ def fit_statistics(model: FittedModel, k: float = 2.0) -> FitStatistics:
 
     R-squared uses the total sum of squares about the mean (an intercept is
     always present here); an intercept-only model has R-squared identically
-    zero.  A constant response (TSS zero) or a near-perfect fit (RSS below
-    1e-12 * TSS) leaves R-squared or the log-AIC undefined and raises.
+    zero.  A constant response (every value equal to the first, whose TSS
+    can round above zero), a TSS of zero, or a near-perfect fit (RSS below
+    1e-12 * TSS) leaves R-squared or the log-AIC undefined and raises; so
+    does a fit without residual degrees of freedom, through ``sigma2``.
     """
     n, r = model.n, model.rank
-    if n - r < 1:
-        raise ValueError("fit statistics undefined: no residual degrees of freedom")
+    sigma_hat = math.sqrt(model.sigma2)
     y = model.design.y
     tss = float(np.sum((y - y.mean()) ** 2))
-    if tss == 0.0:
+    if tss == 0.0 or (y == y[0]).all():
         raise ValueError("fit statistics undefined: the response is constant")
     if model.rss <= RSS_FLOOR_FACTOR * tss:
         raise ValueError("AIC undefined: residual sum of squares is (numerically) zero")
@@ -277,7 +278,7 @@ def fit_statistics(model: FittedModel, k: float = 2.0) -> FitStatistics:
         adj_r_squared=adjusted_r_squared(r_squared, n, r),
         aic_full=aic_full_value(model.rss, n, r),
         aic_selection=aic_selection_value(model.rss, n, r, k),
-        sigma_hat=math.sqrt(model.rss / (n - r)),
+        sigma_hat=sigma_hat,
     )
 
 
@@ -305,8 +306,6 @@ def refit_log_response(model: FittedModel) -> FittedModel:
 def coefficient_table(model: FittedModel):
     """Rows of (name, estimate, std_error, t_value, p_value); NaNs mark aliased columns."""
     n, r = model.n, model.rank
-    if n - r < 1:
-        raise ValueError("standard errors undefined: no residual degrees of freedom")
     w = model.qr.inverse_gram_rows()
     se = math.sqrt(model.sigma2) * np.sqrt(np.einsum("ij,ij->i", w, w))
     rows = []

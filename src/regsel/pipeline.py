@@ -201,9 +201,9 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ValueError(f"na_ratio must be in [0, 1], got {cfg.na_ratio}")
     if not cfg.vstar > 1.0:
         raise ValueError(f"vstar must exceed 1, got {cfg.vstar}")
-    for key in ("top_m_full", "top_m_selected"):
-        if getattr(cfg, key) < 1:
-            raise ValueError(f"{key} must be >= 1, got {getattr(cfg, key)}")
+    for key, least in (("max_factor_levels", 2), ("top_m_full", 1), ("top_m_selected", 1)):
+        if getattr(cfg, key) < least:
+            raise ValueError(f"{key} must be >= {least}, got {getattr(cfg, key)}")
     # the library's own checks of the search penalty and the CV settings
     cfg.scope()
     CVConfig(models=(), replications=cfg.cv_replications, train_fraction=cfg.cv_train_fraction,
@@ -357,6 +357,14 @@ def _load_keyed(path, schema_path, delimiter: str):
     return table
 
 
+def _merge(left, right, files: str):
+    """merge_by_id(left, right), an error of which names ``files``, the files the tables come from."""
+    try:
+        return merge_by_id(left, right)
+    except ValueError as exc:
+        raise ValueError(f"{files}: {exc}") from None
+
+
 def _stage_prep(cfg: RunConfig) -> list:
     out = cfg.out
     if cfg.merged_table is not None:
@@ -368,7 +376,8 @@ def _stage_prep(cfg: RunConfig) -> list:
         resp = _load_keyed(cfg.response_table, cfg.response_schema, cfg.delimiter)
         a = drop_sparse_columns(a, cfg.na_ratio)
         b = drop_sparse_columns(b, cfg.na_ratio)
-        table = merge_by_id(merge_by_id(a, b), resp)
+        table = _merge(_merge(a, b, f"{cfg.table_a} and {cfg.table_b}"), resp,
+                       f"{cfg.table_a}, {cfg.table_b} and {cfg.response_table}")
     table = drop_incomplete_rows(table)
     table = coerce_to_factor(table, cfg.factor_columns, auto=cfg.factor_auto,
                              max_levels=cfg.max_factor_levels)
@@ -521,7 +530,9 @@ def run_stage(stage: str, cfg: RunConfig) -> list:
     except PipelineError:
         raise
     except Exception as exc:
-        raise PipelineError(stage, str(exc), hint=hint) from exc
+        # the message itself: str() of a KeyError is the repr of its message
+        message = str(exc.args[0]) if len(exc.args) == 1 else str(exc)
+        raise PipelineError(stage, message, hint=hint) from exc
 
 
 def run_pipeline(cfg: RunConfig) -> dict:

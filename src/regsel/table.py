@@ -187,7 +187,7 @@ class RawTable:
     ``names``, ``roles`` and ``columns`` are parallel; numeric/response
     columns are float64 with NaN for missing cells, factor and exclude
     columns are object arrays of labels with ``None`` for missing, and the
-    id column is int64 (or object of strings when ids are not integral).
+    id column is int64 (or object, such as strings, when ids are not integral).
     ``text`` holds, for a numeric or response column whose every cell
     :func:`load_table` parsed, the stripped input tokens as an object array,
     and ``None`` for every other column.  ``levels`` maps each factor column
@@ -229,8 +229,8 @@ class RawTable:
                 col = np.array([None if v is None else str(v) for v in col], dtype=object)
                 out_levels[name] = level_order({v for v in col if v is not None})
                 norm_cols.append(col)
-            elif role is ColumnRole.ID:
-                norm_cols.append(np.asarray(col))
+            elif role is ColumnRole.ID:     # integers, or else objects: no text id may match an integer
+                norm_cols.append(col if col.dtype.kind in "iu" else col.astype(object, copy=False))
             else:
                 norm_cols.append(np.asarray(col, dtype=object))
         text = tuple(t if r in _NUMERIC else None
@@ -244,14 +244,17 @@ class RawTable:
     def n_rows(self) -> int:
         return int(self.columns[0].shape[0]) if self.columns else 0
 
-    def role_of(self, name: str) -> ColumnRole:
+    def _index(self, name: str) -> int:
         try:
-            return self.roles[self.names.index(name)]
+            return self.names.index(name)
         except ValueError:
             raise KeyError(f"no column named '{name}'") from None
 
+    def role_of(self, name: str) -> ColumnRole:
+        return self.roles[self._index(name)]
+
     def column(self, name: str) -> np.ndarray:
-        return self.columns[self.names.index(name)]
+        return self.columns[self._index(name)]
 
     def _name_of(self, role: ColumnRole):
         for name, r in zip(self.names, self.roles):
@@ -557,8 +560,6 @@ def coerce_to_factor(table: RawTable, columns: Sequence[str] = (),
     """
     targets = list(columns)
     for name in targets:
-        if name not in table.names:
-            raise KeyError(f"no column named '{name}'")
         if table.role_of(name) is not ColumnRole.NUMERIC:
             raise ValueError(f"column '{name}' is not numeric; cannot coerce to factor")
         if targets.count(name) > 1:

@@ -153,7 +153,7 @@ def _square_model():
 @pytest.mark.parametrize("call, message", [
     (lambda: _square_model().sigma2, "residual variance undefined: no residual degrees of freedom"),
     (lambda: coefficient_table(_square_model()),
-     "standard errors undefined: no residual degrees of freedom"),
+     "residual variance undefined: no residual degrees of freedom"),
     (lambda: adjusted_r_squared(0.5, 3, 3), "adjusted R-squared undefined: n <= rank"),
     (lambda: predict(fit_ols(DesignMatrix.from_arrays(np.eye(4)[:, :2], np.arange(4.0), names=["a", "b"])),
                      DesignMatrix.from_arrays(np.eye(4)[:, :2], np.arange(4.0), names=["b", "a"])),
@@ -203,6 +203,14 @@ def test_perfect_fit_aic_error():
 def test_fit_statistics_of_a_constant_response_raises():
     X = np.random.default_rng(4).standard_normal((30, 2))
     m = fit_ols(DesignMatrix.from_arrays(X, np.full(30, 5.0)))
+    with pytest.raises(ValueError, match="fit statistics undefined: the response is constant"):
+        fit_statistics(m)
+
+
+def test_a_constant_response_whose_tss_rounds_above_zero_raises():
+    y = np.full(7, 0.1)
+    assert float(np.sum((y - y.mean()) ** 2)) > 0.0
+    m = fit_ols(DesignMatrix.from_arrays(np.arange(7.0), y, names=["x"]))
     with pytest.raises(ValueError, match="fit statistics undefined: the response is constant"):
         fit_statistics(m)
 

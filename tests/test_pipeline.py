@@ -168,6 +168,8 @@ DELIMITER = "delimiter must be one character other than a quote or a line break 
     ("vstar", "1", "vstar must exceed 1, got 1.0"),
     ("top_m_full", "0", "top_m_full must be >= 1, got 0"),
     ("top_m_selected", "0", "top_m_selected must be >= 1, got 0"),
+    ("max_factor_levels", "1", "max_factor_levels must be >= 2, got 1"),
+    ("max_factor_levels", "-1", "max_factor_levels must be >= 2, got -1"),
     ("na_ratio", "1.5", "na_ratio must be in [0, 1], got 1.5"),
     ("modes", "forward,sideways", "unknown selection modes: sideways"),
     ("modes", "backward", "report_model 'forward' is not among the enabled modes"),
@@ -485,15 +487,16 @@ def test_prep_csv_keeps_the_input_text_of_numeric_cells(tmp_path):
     assert_same_design(handed, pipeline._prepared("prune", cfg.out))
 
 
-def two_table_prep_error(tmp_path, capsys, b_header, b_schema, repeat=None) -> str:
+def two_table_prep_error(tmp_path, capsys, b_header, b_schema, repeat=None, b_ids=range(1, 41)) -> str:
     """The stderr of ``regsel prep`` on the two-table route with ``b.csv`` as
-    given, and id 5 also on data row 9 of the table ``repeat`` names; the run
-    must exit 1 and leave no output directory."""
+    given, its data rows holding ``b_ids``, and id 5 also on data row 9 of the
+    table ``repeat`` names; the run must exit 1 and leave no output directory."""
     for stem, header, schema in (("a", "id,x", "id\tid\nx\tnumeric\n"), ("b", b_header, b_schema),
                                  ("r", "id,y", "id\tid\ny\tresponse\n")):
-        ids = [5 if stem == repeat and i == 9 else i for i in range(1, 41)]
+        ids = [5 if stem == repeat and row == 9 else i
+               for row, i in enumerate(b_ids if stem == "b" else range(1, 41), start=1)]
         (tmp_path / f"{stem}.csv").write_text(header + "\n" + "".join(
-            f"{i}" + f",{i % 7}" * header.count(",") + "\n" for i in ids))
+            f"{i}" + f",{row % 7}" * header.count(",") + "\n" for row, i in enumerate(ids, start=1)))
         (tmp_path / f"{stem}.schema").write_text(schema)
     cfg = tmp_path / "ab.cfg"
     cfg.write_text("table_a = a.csv\nschema_a = a.schema\ntable_b = b.csv\nschema_b = b.schema\n"
@@ -514,6 +517,19 @@ def test_prep_names_the_file_holding_a_column_without_a_role(tmp_path, capsys):
 def test_prep_names_the_file_and_rows_of_a_repeated_id(tmp_path, capsys, stem):
     err = two_table_prep_error(tmp_path, capsys, "id,z", "id\tid\nz\tnumeric\n", repeat=stem)
     assert f"{tmp_path / stem}.csv: column 'id', data row 9: duplicate id 5 (also data row 5)" in err
+
+
+@pytest.mark.parametrize("b_header, b_schema, b_ids, message", [
+    ("id,z", "id\texclude\nz\tnumeric\n", range(1, 41), "both tables must have an id column to merge"),
+    ("ID,z", "ID\tid\nz\tnumeric\n", range(1, 41), "id columns differ: 'id' vs 'ID'"),
+    ("id,x", "id\tid\nx\tnumeric\n", range(1, 41), "non-id columns present in both tables: x"),
+    ("id,z", "id\tid\nz\tnumeric\n", [f"k{i}" for i in range(1, 41)],
+     "id column 'id' holds text in the right table and integers in the left table, so no id can match"),
+    ("id,z", "id\tid\nz\tnumeric\n", range(41, 81), "no common ids between the tables"),
+], ids=["no-id-role", "id-names-differ", "shared-column", "text-ids", "disjoint-ids"])
+def test_prep_names_both_files_of_a_merge_that_fails(tmp_path, capsys, b_header, b_schema, b_ids, message):
+    err = two_table_prep_error(tmp_path, capsys, b_header, b_schema, b_ids=b_ids)
+    assert f"[prep] {tmp_path / 'a.csv'} and {tmp_path / 'b.csv'}: {message} (hint: " in err
 
 
 @pytest.mark.parametrize("stage, name, content", [
@@ -710,6 +726,26 @@ def test_cli_stage_error_exit_code(tmp_path, capsys):
     assert cli_main(["all", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "[prep]" in err and "hint" in err
+
+
+def test_unknown_factor_column_fails_prep_with_the_plain_message(dataset_dir, tmp_path, capsys):
+    cfg = dataset_dir / "unknown_factor.cfg"
+    cfg.write_text(config_text(tmp_path / "out", factor_columns="zzz"))
+    assert cli_main(["all", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("regsel: [prep] no column named 'zzz' (hint: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_study_with_one_numeric_predictor_runs_every_stage(tmp_path, capsys):
+    rows = "".join(f"{i},{0.25 * i},{1 + i % 7}\n" for i in range(1, 41))
+    (tmp_path / "m.csv").write_text("id,x,y\n" + rows)
+    (tmp_path / "m.schema").write_text("id\tid\nx\tnumeric\ny\tresponse\n")
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("merged_table = m.csv\nmerged_schema = m.schema\ncv_replications = 20\nout_dir = m_out\n")
+    assert cli_main(["all", "--config", str(cfg)]) == 0
+    assert json.loads((tmp_path / "m_out" / "kept_terms.json").read_text()) == ["x"]
+    name, value = (tmp_path / "m_out" / "vif_values_before.tsv").read_text().splitlines()[1].split("\t")
+    assert name == "x" and abs(float(value) - 1.0) < 1e-12
 
 
 def test_prep_that_fails_on_its_data_leaves_no_output_directory(tmp_path, capsys):

@@ -347,6 +347,12 @@ def test_near_tie_within_the_margin_goes_to_the_earliest_term():
     assert assert_matches_refit_search(d, "forward").moves[0].term == "first"
 
 
+def test_search_on_a_constant_response_whose_tss_rounds_above_zero_raises():
+    X = np.random.default_rng(77).standard_normal((20, 2))
+    with pytest.raises(ValueError, match="fit statistics undefined: the response is constant"):
+        step_select(DesignMatrix.from_arrays(X, np.full(20, 0.1)), mode="forward")
+
+
 def test_candidate_without_residual_df_is_logged_as_skipped():
     rng = np.random.default_rng(76)
     X = rng.standard_normal((4, 3))
@@ -354,7 +360,7 @@ def test_candidate_without_residual_df_is_logged_as_skipped():
     d = DesignMatrix.from_arrays(X, y)
     trace = assert_matches_refit_search(d, "forward", modes=("forward",))   # the upper model has no residual df
     assert [m.term for m in trace.moves] == ["x1", "x2"]
-    assert trace.skipped == ("add x3: fit statistics undefined: no residual degrees of freedom",)
+    assert trace.skipped == ("add x3: residual variance undefined: no residual degrees of freedom",)
 
 
 def _exact_x1_design():

@@ -551,6 +551,14 @@ def test_merge_by_id_errors(left, right, message):
     assert str(excinfo.value) == message
 
 
+def test_text_ids_built_from_strings_never_match_integer_ids():
+    text = make_table(["id", "x"], ["id", "numeric"], [["1", "2", "3"], [1.0, 2.0, 3.0]])
+    ints = make_table(["id", "z"], ["id", "numeric"], [np.arange(1, 4), [1.0, 2.0, 3.0]])
+    assert text.column("id").dtype == object
+    with pytest.raises(ValueError, match="id column 'id' holds text in the left table"):
+        merge_by_id(text, ints)
+
+
 @pytest.mark.parametrize("text_side", ["left", "right"])
 def test_merge_rejects_text_ids_against_integer_ids(tmp_path, text_side):
     (tmp_path / "ints.csv").write_text("id,x\n1,0.5\n2,1.5\n3,2.5\n")
@@ -804,6 +812,8 @@ _G1 = make_table(["id", "g1", "g", "y"], ["id", "numeric", "factor", "response"]
      f"factor 'g' has the level 'e\\rf': {LABEL_ERROR}"),
     (lambda tmp: make_table(["a"], ["numeric"], [[1.0]]).role_of("b"), KeyError,
      "no column named 'b'"),
+    (lambda tmp: make_table(["a"], ["numeric"], [[1.0]]).column("b"), KeyError,
+     "no column named 'b'"),
     (lambda tmp: drop_sparse_columns(make_table(["a"], ["numeric"], [[]]), 0.5), ValueError,
      "table has no rows"),
     (lambda tmp: DesignMatrix(np.ones((0, 1)), np.ones(0), ("(Intercept)",), (), np.arange(0)),
@@ -833,7 +843,7 @@ _G1 = make_table(["id", "g1", "g", "y"], ["id", "numeric", "factor", "response"]
 ], ids=["schema-line", "schema-duplicate", "schema-duplicate-default", "build-lengths",
         "build-duplicate-names", "build-rows", "build-two-responses", "load-two-ids", "load-two-responses",
         "coerce-listed-twice", "encode-tab-label", "encode-lf-label", "encode-cr-label",
-        "role-of-unknown", "sparse-no-rows", "design-empty",
+        "role-of-unknown", "column-of-unknown", "sparse-no-rows", "design-empty",
         "design-y-length", "design-names-length", "design-intercept", "design-term-groups",
         "design-repeated-column", "design-repeated-term", "encode-dummy-repeats-a-column",
         "from-arrays-names", "drop-rows-range", "drop-all-rows", "level-codes-numeric"])
