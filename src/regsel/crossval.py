@@ -21,11 +21,23 @@ Reproducibility is the design driver: replication i's split comes from a
 counter-based Philox stream keyed by (seed, i), so the MSPE vectors are a
 pure function of (data, config): bitwise identical across runs and
 replication-count extensions.
+
+Replications are split into contiguous blocks, one per core in the
+process's affinity mask, each of at least ``MIN_BLOCK`` replications.  The
+first block runs in the calling process and each other one in a child
+forked once the chains are built; the rows are joined in index order and
+the tallies summed, so the result has the same bits for any block count.
+There is no setting for the count: ``taskset`` limits the cores, and a
+call forks only where ``fork`` exists and the process runs one thread, so
+a multi-threaded BLAS (whose pool counts as threads) keeps CV in one
+process.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import linalg
@@ -57,8 +69,8 @@ def replication_split(seed: int, index: int, n: int, n_train: int):
     return perm[:n_train], perm[n_train:]
 
 
-def _replication_splits(seed: int, count: int, n: int, n_train: int):
-    """``replication_split(seed, i, n, n_train)`` for i in range(count).
+def _replication_splits(seed: int, count: int, n: int, n_train: int, start: int = 0):
+    """``replication_split(seed, i, n, n_train)`` for i in range(start, start + count).
 
     One Philox generator is re-keyed to (seed, i) for each replication
     instead of building a new one: the state set is the freshly keyed one
@@ -68,7 +80,7 @@ def _replication_splits(seed: int, count: int, n: int, n_train: int):
     bitgen = np.random.Philox(key=key)
     rng = np.random.Generator(bitgen)
     state = bitgen.state
-    for i in range(count):
+    for i in range(start, start + count):
         key[1] = i
         state["state"]["key"] = key
         bitgen.state = state
@@ -315,6 +327,116 @@ def _pivoted_refit(X, y, cols, train, test) -> float:
     return float(err @ err) / err.size
 
 
+def _cv_block(chains, seed, n, n_train, sparse, factors, lo, hi):
+    """(MSPE rows, tallies) of replications [lo, hi): a row per replication
+    and a column per chain member, and each member's unseen rows, reduced
+    solves and exact refits as the rows of a 3 x members array."""
+    starts = np.cumsum([0] + [chain.sizes.size for chain in chains]).tolist()
+    mspe = np.empty((hi - lo, starts[-1]))
+    tally = np.zeros((3, starts[-1]), dtype=np.int64)
+    for row, (train, test) in zip(mspe, _replication_splits(seed, hi - lo, n, n_train, start=lo)):
+        for chain, start in zip(chains, starts):
+            got = chain.mspe(test)
+            row[start:start + got.size] = got
+            for j in range(got.size, chain.sizes.size):
+                row[start + j], unseen, reduced = chain.fallback(j, train, test, sparse, factors)
+                tally[:, start + j] += (unseen, reduced, not reduced)
+    return mspe, tally
+
+
+MIN_BLOCK = 1000
+"""Fewest replications a block must hold for a call to fork a child for it."""
+
+
+def _usable_cores() -> int:
+    """Cores in this process's affinity mask, or 1 where there is none."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _may_fork() -> bool:
+    """Whether ``fork`` exists here and this process runs one thread.
+
+    Threads are counted as Linux lists them, so a multi-threaded BLAS's
+    pool counts too: forked beside it, every process restarts its own pool
+    and they contend for the same cores.  Where the count cannot be read,
+    no call forks.
+    """
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return False
+    if threads > 1:
+        return False
+    import multiprocessing      # only when a call may fork: importing regsel loads none of it
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _block_bounds(reps: int) -> list:
+    """Contiguous [lo, hi) blocks of range(reps): one per usable core, each
+    of at least MIN_BLOCK replications, or one block when this process may
+    not fork (see :func:`_may_fork`)."""
+    blocks = min(_usable_cores(), reps // MIN_BLOCK)
+    if blocks < 2 or not _may_fork():
+        blocks = 1
+    edges = [reps * b // blocks for b in range(blocks + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _send_block(run, lo, hi, send):
+    """A child's work: send ``(True, run(lo, hi))``, or ``(False, error)``."""
+    try:
+        result = True, run(lo, hi)
+    except Exception as exc:        # re-raised by the parent with its type and message
+        result = False, exc
+    send.send(result)
+
+
+def _run_blocks(run, bounds) -> list:
+    """``run(lo, hi)`` of every block, in order.
+
+    The first block runs in this process, each other one in a child forked
+    after the chains are built, so only its bounds and its result cross a
+    pipe (a chain's BLAS and LAPACK routines do not pickle).  Every child
+    is joined before this returns: on an error here the children are
+    terminated first, and a child that ends without a result raises
+    ``RuntimeError`` instead of waiting on it.
+    """
+    if len(bounds) == 1:
+        return [run(*bounds[0])]
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for lo, hi in bounds[1:]:
+            receive, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_send_block, args=(run, lo, hi, send), daemon=True)
+            child.start()
+            send.close()            # the child holds the only write end: its death reads as EOF
+            children.append((child, receive))
+        results = [run(*bounds[0])]
+        for (child, receive), (lo, hi) in zip(children, bounds[1:]):
+            try:
+                ok, value = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"cross-validation block of replications [{lo}, {hi}) ended "
+                                   f"without a result (exit code {child.exitcode})") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receive in children:
+            receive.close()
+            child.join()
+
+
 def mc_cross_validate(design: DesignMatrix, config: CVConfig) -> CVResult:
     """Run the seeded Monte Carlo cross-validation loop.
 
@@ -343,20 +465,12 @@ def mc_cross_validate(design: DesignMatrix, config: CVConfig) -> CVResult:
     sparse = np.flatnonzero(np.count_nonzero(X, axis=0) <= n - n_train)
     factors = _factor_levels(design)
     chains = _Chain.build(X, y, list(dict.fromkeys(keys)))
-    starts = np.cumsum([0] + [chain.sizes.size for chain in chains]).tolist()
     column = {cols: k for k, cols in enumerate(cols for chain in chains for cols in chain.members)}
 
-    reps = config.replications
-    mspe = np.empty((reps, len(column)))
-    tally = np.zeros((3, len(column)), dtype=np.int64)     # unseen rows, reduced, exact
-    for i, (train, test) in enumerate(_replication_splits(config.seed, reps, n, n_train)):
-        row = mspe[i]
-        for chain, start in zip(chains, starts):
-            got = chain.mspe(test)
-            row[start:start + got.size] = got
-            for j in range(got.size, chain.sizes.size):
-                row[start + j], unseen, reduced = chain.fallback(j, train, test, sparse, factors)
-                tally[:, start + j] += (unseen, reduced, not reduced)
+    run = partial(_cv_block, chains, config.seed, n, n_train, sparse, factors)
+    blocks = _run_blocks(run, _block_bounds(config.replications))
+    mspe = np.concatenate([rows for rows, _ in blocks])
+    tally = sum(counts for _, counts in blocks)
     slot_of = [column[cols] for cols in keys]
     unseen, reduced, exact = (tuple(counts[slot_of].tolist()) for counts in tally)
     return CVResult(labels=labels, mspe=mspe[:, slot_of], config=config, unseen_level_rows=unseen,

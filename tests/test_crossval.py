@@ -1,3 +1,8 @@
+import multiprocessing
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -13,6 +18,7 @@ from regsel import (
     write_mspe_dump,
     write_mspe_summary,
 )
+from regsel import crossval
 from regsel.crossval import _Chain, _columns, _replication_splits
 from regsel.table import RawTable, encode_design
 
@@ -363,6 +369,155 @@ def test_design_without_its_reference_rows_re_references_each_split():
     np.testing.assert_allclose(res.column("factor")[only_b], res.column("numeric")[only_b],
                                rtol=1e-10, atol=0)
     np.testing.assert_allclose(res.mspe[~only_b], refit_cv_mspe(d, cfg)[~only_b], rtol=1e-10, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# blocks of replications in forked processes
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """``force(cores, min_block)``: calls may fork up to ``cores`` blocks of
+    at least ``min_block`` replications, whatever this process's threads."""
+    def force(cores, min_block):
+        monkeypatch.setattr(crossval, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(crossval, "MIN_BLOCK", min_block)
+        monkeypatch.setattr(crossval, "_may_fork", lambda: True)
+    return force
+
+
+def every_fallback_design(rng):
+    """A two-row level ("rare") and a column x3 that is collinear with x1
+    and x2 on every row but the first two, so splits take reduced solves,
+    unseen-level rows and exact refits."""
+    n = 40
+    labels = np.array(["a", "b"] * 19 + ["rare"] * 2, dtype=object)
+    rng.shuffle(labels)
+    x = rng.standard_normal((n, 3))
+    x[:, 2] = x[:, 0] + 0.5 * x[:, 1]
+    x[:2, 2] += 1.0
+    y = 1.0 + x @ np.array([1.0, -1.0, 2.0]) + 2.0 * (labels == "rare") + rng.standard_normal(n)
+    d = encode_design(RawTable.build(
+        ["id", "x1", "x2", "x3", "f", "y"], ["id", "numeric", "numeric", "numeric", "factor", "response"],
+        [np.arange(n), *x.T, labels, y]))
+    models = {"small": ("x1",), "factor": ("x1", "x2", "f"), "full": ("x1", "x2", "x3", "f")}
+    return d, models
+
+
+def test_forked_blocks_give_the_bits_and_tallies_of_one_process(forking):
+    d, models = every_fallback_design(np.random.default_rng(103))
+    cfg = CVConfig.for_models(models, replications=1200, seed=12)
+    results = []
+    for cores in (1, 2, 3):
+        forking(cores, 100)
+        assert len(crossval._block_bounds(cfg.replications)) == cores
+        results.append(mc_cross_validate(d, cfg))
+        assert multiprocessing.active_children() == []
+    one = results[0]
+    assert min(one.reduced_solves[1:]) > 0 and one.exact_refits[2] > 0
+    assert min(one.unseen_level_rows[1:]) > 0
+    for res in results[1:]:
+        assert res.mspe.tobytes() == one.mspe.tobytes()
+        assert res.unseen_level_rows == one.unseen_level_rows
+        assert res.reduced_solves == one.reduced_solves
+        assert res.exact_refits == one.exact_refits
+
+
+def test_forked_blocks_preserve_the_prefix_across_moved_boundaries(forking):
+    d, models = every_fallback_design(np.random.default_rng(104))
+    forking(3, 100)
+    short = mc_cross_validate(d, CVConfig.for_models(models, replications=900, seed=13))
+    long = mc_cross_validate(d, CVConfig.for_models(models, replications=1200, seed=13))
+    assert crossval._block_bounds(900) == [(0, 300), (300, 600), (600, 900)]
+    assert crossval._block_bounds(1200) == [(0, 400), (400, 800), (800, 1200)]
+    assert short.mspe.tobytes() == long.mspe[:900].tobytes()
+
+
+def test_blocks_follow_the_cores_and_the_replication_count(monkeypatch):
+    monkeypatch.setattr(crossval, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(crossval, "_may_fork", lambda: True)
+    assert crossval._block_bounds(300) == [(0, 300)]        # too few to pay for a fork
+    assert crossval._block_bounds(8000) == [(0, 4000), (4000, 8000)]
+    monkeypatch.setattr(crossval, "_may_fork", lambda: False)
+    assert crossval._block_bounds(8000) == [(0, 8000)]
+    monkeypatch.setattr(crossval, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(crossval, "_may_fork", lambda: True)
+    assert crossval._block_bounds(8000) == [(0, 8000)]
+
+
+def test_a_process_with_a_second_thread_does_not_fork():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not crossval._may_fork()
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def patch_kernel(monkeypatch, design, cfg, actions):
+    """Patch ``_Chain.mspe`` to call ``actions[i]()`` on replication i's split."""
+    n = design.n_rows
+    held_out = {i: replication_split(cfg.seed, i, n, round(cfg.train_fraction * n))[1] for i in actions}
+    kernel = _Chain.mspe
+
+    def patched(self, test):
+        for i, rows in held_out.items():
+            if np.array_equal(test, rows):
+                actions[i]()
+        return kernel(self, test)
+
+    monkeypatch.setattr(_Chain, "mspe", patched)
+
+
+def boom():
+    raise FloatingPointError("replication went wrong")
+
+
+def stall():
+    time.sleep(60)
+
+
+def test_an_error_in_a_childs_block_is_raised_in_the_parent(forking, monkeypatch):
+    d, models = every_fallback_design(np.random.default_rng(105))
+    cfg = CVConfig.for_models(models, replications=300, seed=14)
+    forking(3, 100)
+    good = mc_cross_validate(d, cfg)
+    assert multiprocessing.active_children() == []
+    kernel = _Chain.mspe
+    patch_kernel(monkeypatch, d, cfg, {250: boom})
+    with pytest.raises(FloatingPointError, match="^replication went wrong$"):
+        mc_cross_validate(d, cfg)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(_Chain, "mspe", kernel)
+    assert mc_cross_validate(d, cfg).mspe.tobytes() == good.mspe.tobytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_an_error_in_the_parents_block_ends_the_children_at_once(forking, monkeypatch):
+    d, models = every_fallback_design(np.random.default_rng(106))
+    cfg = CVConfig.for_models(models, replications=300, seed=15)
+    forking(3, 100)
+    patch_kernel(monkeypatch, d, cfg, {50: boom, 150: stall, 250: stall})
+    start = time.perf_counter()
+    with pytest.raises(FloatingPointError, match="^replication went wrong$"):
+        mc_cross_validate(d, cfg)
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_that_dies_without_a_result_raises_naming_its_block(forking, monkeypatch):
+    d, models = every_fallback_design(np.random.default_rng(107))
+    cfg = CVConfig.for_models(models, replications=300, seed=16)
+    forking(3, 100)
+    patch_kernel(monkeypatch, d, cfg, {150: lambda: os._exit(3)})
+    with pytest.raises(RuntimeError, match=r"replications \[100, 200\) ended without a result "
+                                           r"\(exit code 3\)"):
+        mc_cross_validate(d, cfg)
+    assert multiprocessing.active_children() == []
 
 
 def test_config_validation():

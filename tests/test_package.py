@@ -2,6 +2,10 @@
 public names, and ``regsel`` re-exports those lists in import order."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import regsel
 
@@ -24,3 +28,10 @@ def test_every_exported_name_is_its_module_object():
             assert getattr(regsel, name) is getattr(module, name), name
     from regsel import read_config
     assert read_config is regsel.pipeline.read_config
+
+
+def test_importing_regsel_loads_no_process_machinery():
+    # multiprocessing is imported only by a cross-validation call that forks
+    code = "import sys, regsel, regsel.cli; sys.exit('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
