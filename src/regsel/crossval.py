@@ -28,9 +28,9 @@ first block runs in the calling process and each other one in a child
 forked once the chains are built; the rows are joined in index order and
 the tallies summed, so the result has the same bits for any block count.
 There is no setting for the count: ``taskset`` limits the cores, and a
-call forks only where ``fork`` exists and the process runs one thread, so
-a multi-threaded BLAS (whose pool counts as threads) keeps CV in one
-process.
+call forks only where ``fork`` exists and the process runs one thread and
+is not daemonic, so a multi-threaded BLAS (whose pool counts as threads)
+or a ``Pool`` worker keeps CV in one process.
 """
 
 from __future__ import annotations
@@ -354,7 +354,8 @@ def _usable_cores() -> int:
 
 
 def _may_fork() -> bool:
-    """Whether ``fork`` exists here and this process runs one thread.
+    """Whether ``fork`` exists here, this process runs one thread, and it
+    may have children (a daemonic process, such as a ``Pool`` worker, may not).
 
     Threads are counted as Linux lists them, so a multi-threaded BLAS's
     pool counts too: forked beside it, every process restarts its own pool
@@ -369,7 +370,8 @@ def _may_fork() -> bool:
         return False
     import multiprocessing      # only when a call may fork: importing regsel loads none of it
 
-    return "fork" in multiprocessing.get_all_start_methods()
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon)
 
 
 def _block_bounds(reps: int) -> list:

@@ -458,6 +458,24 @@ def test_a_process_with_a_second_thread_does_not_fork():
     assert not thread.is_alive()
 
 
+def test_a_daemonic_process_runs_its_blocks_in_process(monkeypatch):
+    d, models = every_fallback_design(np.random.default_rng(108))
+    cfg = CVConfig.for_models(models, replications=300, seed=17)
+    monkeypatch.setattr(crossval, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(crossval, "MIN_BLOCK", 100)
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    # a daemonic process, as a Pool worker is, may not start children of its own
+    child = ctx.Process(target=lambda: send.send(mc_cross_validate(d, cfg).mspe.tobytes()), daemon=True)
+    child.start()
+    send.close()
+    with receive:
+        got = receive.recv()
+    child.join(timeout=60)
+    assert child.exitcode == 0
+    assert got == mc_cross_validate(d, cfg).mspe.tobytes()
+
+
 def patch_kernel(monkeypatch, design, cfg, actions):
     """Patch ``_Chain.mspe`` to call ``actions[i]()`` on replication i's split."""
     n = design.n_rows
