@@ -15,9 +15,10 @@ e + β_j x_partial.  VIFs come from one QR of the centered, unit-scaled
 block of numeric predictors, as the row sums of W².  A column's VIF is
 infinite (flagged, not raised) when it is aliased, lies in the support of
 an aliased column's dependency, has zero variance, or is at least
-``VIF_COLLINEAR``.  :func:`vif_prune` removes the single worst column per
-pass, the earliest on ties, until every survivor is at or below the
-threshold.
+``VIF_COLLINEAR``.  :func:`vif_prune` is the one VIF loop: it removes the
+single worst column per pass, the earliest on ties, until every survivor is
+at or below the threshold or no numeric term is left, and :func:`vif` is its
+pass that removes nothing.  A design without numeric terms passes unchanged.
 """
 
 from __future__ import annotations
@@ -120,8 +121,11 @@ class VifReport:
     """
 
     values: dict
-    infinite: tuple = ()
     trail: tuple = ()
+
+    @property
+    def infinite(self) -> tuple:
+        return tuple(name for name, v in self.values.items() if math.isinf(v))
 
 
 def _block_vifs(block: np.ndarray) -> np.ndarray:
@@ -158,27 +162,14 @@ def _block_vifs(block: np.ndarray) -> np.ndarray:
     return vifs
 
 
-def _numeric_columns(design: DesignMatrix, names) -> np.ndarray:
-    return design.X[:, [design.term(name).columns[0] for name in names]]
-
-
-def _report(names, vifs: np.ndarray, **kwargs) -> VifReport:
-    values = dict(zip(names, vifs.tolist()))
-    infinite = tuple(name for name, v in values.items() if math.isinf(v))
-    return VifReport(values=values, infinite=infinite, **kwargs)
-
-
 def vif(design: DesignMatrix) -> VifReport:
     """Variance inflation factors of the design's numeric terms.
 
-    Each numeric term is scored against the other numeric terms and the
-    intercept; factor blocks are left out, as in the prune loop that passes
-    them through.  Infinite VIFs are flagged, not raised.
+    The pass of :func:`vif_prune` that removes nothing: each numeric term is
+    scored against the other numeric terms and the intercept, and factor
+    blocks are left out.  A design with no numeric term gets an empty report.
     """
-    names = [t.name for t in design.terms if t.kind == "numeric"]
-    if not names:
-        raise ValueError("no columns to score: the design has no numeric terms")
-    return _report(names, _block_vifs(_numeric_columns(design, names)))
+    return vif_prune(design, math.inf)[1]
 
 
 def vif_prune(design: DesignMatrix, vstar: float = 10.0):
@@ -186,26 +177,22 @@ def vif_prune(design: DesignMatrix, vstar: float = 10.0):
 
     Each pass recomputes VIFs over the surviving numeric predictors (factor
     terms pass through untouched) and removes the maximum-VIF variable,
-    breaking ties toward the earliest column.  Returns the pruned design and
+    breaking ties toward the earliest column; it stops when every survivor
+    is at or below ``vstar`` or none is left.  Returns the pruned design and
     a VifReport with the elimination trail.
     """
     if not vstar > 1.0:
         raise ValueError(f"vstar must exceed 1, got {vstar}")
     survivors = [t.name for t in design.terms if t.kind == "numeric"]
-    if not survivors:
-        raise ValueError("design has no numeric predictors to prune")
     trail = []
     while True:
-        vifs = _block_vifs(_numeric_columns(design, survivors))
-        worst = int(np.argmax(vifs))               # the first maximum: earliest column wins ties
-        if vifs[worst] <= vstar:
+        vifs = _block_vifs(design.X[:, [design.term(name).columns[0] for name in survivors]])
+        if not survivors or vifs.max() <= vstar:
             break
+        worst = int(np.argmax(vifs))               # the first maximum: earliest column wins ties
         trail.append((survivors.pop(worst), float(vifs[worst])))
-        if not survivors:
-            raise ValueError(
-                f"VIF pruning at vstar={vstar} would remove every numeric predictor")
     kept = [t.name for t in design.terms if t.kind == "factor" or t.name in survivors]
-    return design.subset_terms(kept), _report(survivors, vifs, trail=tuple(trail))
+    return design.subset_terms(kept), VifReport(dict(zip(survivors, vifs.tolist())), tuple(trail))
 
 
 # ---------------------------------------------------------------------------

@@ -509,7 +509,7 @@ def _stage_report(cfg: RunConfig) -> list:
 _STAGES = {
     "prep": (_stage_prep, ("prep.csv", "prep.schema"),
              "check the input paths and schema files named in the config"),
-    "prune": (_stage_prune, ("kept_terms.json",), "rerun 'prep', then check vstar against the data"),
+    "prune": (_stage_prune, ("kept_terms.json",), "rerun 'prep' first"),
     "select": (_stage_select, ("selected_models.json",), "rerun 'prep' and 'prune' first"),
     "diagnose": (_stage_diagnose, (), "rerun 'select' first"),
     "cv": (_stage_cv, (), "rerun 'select' first; cv_train_fraction may be too small for the models"),

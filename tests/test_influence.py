@@ -8,6 +8,7 @@ import pytest
 from regsel import (
     DesignMatrix,
     RawTable,
+    VifReport,
     added_variable_data,
     cooks_distance,
     dffits,
@@ -354,8 +355,7 @@ def assert_prune_matches_oracles(d, vstar):
     for name, v in report.trail:
         assert vif(d.subset_terms(factors + survivors)).values[name] == v
         survivors.remove(name)
-    if len(survivors) > 1:
-        assert vif(pruned).values == report.values
+    assert vif(pruned).values == report.values
     return report
 
 
@@ -413,9 +413,12 @@ def test_vif_prune_two_survivors_remove_the_earlier(seed):
 
 
 def test_vif_prune_would_remove_everything():
+    # a prune that removes every numeric predictor leaves the intercept alone
     d = DesignMatrix.from_arrays(np.full(10, 3.0), np.arange(10.0), names=["const"])
-    with pytest.raises(ValueError, match="every numeric predictor"):
-        vif_prune(d, vstar=10.0)
+    pruned, report = vif_prune(d, vstar=10.0)
+    assert report.trail == (("const", math.inf),)
+    assert report.values == {}
+    assert pruned.term_names == () and pruned.column_names == ("(Intercept)",)
 
 
 def test_vif_prune_vstar_validation():
@@ -462,20 +465,31 @@ def _factor_only_design():
     return encode_design(t)
 
 
-@pytest.mark.parametrize("call, message", [
+def _pruned_factor_only_design():
+    pruned, report = vif_prune(_factor_only_design())
+    return pruned.term_names, report
+
+
+@pytest.mark.parametrize("call, expected", [
     (lambda m: cooks_distance(fit_ols(DesignMatrix.from_arrays([0.0, 1.0], [1.0, 3.0]))),
      "residual variance undefined: no residual degrees of freedom"),
     (lambda m: studentized(m, "external"), "external studentized residuals require n > rank + 1"),
-    (lambda m: vif(_factor_only_design()), "no columns to score: the design has no numeric terms"),
-    (lambda m: vif_prune(_factor_only_design()), "design has no numeric predictors to prune"),
+    (lambda m: vif(_factor_only_design()), VifReport(values={})),
+    (lambda m: _pruned_factor_only_design(), (("g",), VifReport(values={}))),
     (lambda m: interpolated_quantile([], 0.5), "quantile of an empty vector"),
     (lambda m: interpolated_quantile([1.0, 2.0], 1.5), "probability must be in [0, 1], got 1.5"),
 ], ids=["cooks-square", "external-studentized", "vif-no-numeric", "prune-no-numeric",
         "quantile-empty", "quantile-probability"])
-def test_influence_errors(hand_model, call, message):
+def test_influence_errors(hand_model, call, expected):
+    """A string is the error the call raises; any other value is what a call
+    on an input that once raised now returns (a design without numeric
+    terms has no VIFs and passes prune unchanged)."""
+    if not isinstance(expected, str):
+        assert call(hand_model) == expected
+        return
     with pytest.raises(ValueError) as excinfo:
         call(hand_model)
-    assert str(excinfo.value) == message
+    assert str(excinfo.value) == expected
 
 
 def test_interpolated_quantile_matches_numpy():

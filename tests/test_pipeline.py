@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -736,16 +737,45 @@ def test_unknown_factor_column_fails_prep_with_the_plain_message(dataset_dir, tm
     assert not (tmp_path / "out").exists()
 
 
-def test_a_study_with_one_numeric_predictor_runs_every_stage(tmp_path, capsys):
-    rows = "".join(f"{i},{0.25 * i},{1 + i % 7}\n" for i in range(1, 41))
-    (tmp_path / "m.csv").write_text("id,x,y\n" + rows)
-    (tmp_path / "m.schema").write_text("id\tid\nx\tnumeric\ny\tresponse\n")
+def _run_merged_study(tmp_path, columns: dict) -> Path:
+    """`regsel all` on a 40-row merged table of the given predictors (name ->
+    (schema role, cell of row i)) and y = 1 + i mod 7; returns its output directory."""
+    header = ",".join(["id", *columns, "y"])
+    rows = "".join(",".join([str(i), *(cell(i) for _, cell in columns.values()), str(1 + i % 7)]) + "\n"
+                   for i in range(1, 41))
+    (tmp_path / "m.csv").write_text(header + "\n" + rows)
+    roles = "".join(f"{name}\t{role}\n" for name, (role, _) in columns.items())
+    (tmp_path / "m.schema").write_text("id\tid\n" + roles + "y\tresponse\n")
     cfg = tmp_path / "m.cfg"
     cfg.write_text("merged_table = m.csv\nmerged_schema = m.schema\ncv_replications = 20\nout_dir = m_out\n")
     assert cli_main(["all", "--config", str(cfg)]) == 0
-    assert json.loads((tmp_path / "m_out" / "kept_terms.json").read_text()) == ["x"]
-    name, value = (tmp_path / "m_out" / "vif_values_before.tsv").read_text().splitlines()[1].split("\t")
-    assert name == "x" and abs(float(value) - 1.0) < 1e-12
+    return tmp_path / "m_out"
+
+
+@pytest.mark.parametrize("columns, before, kept", [
+    ({"x": ("numeric", lambda i: f"{0.25 * i}")}, {"x": 1.0}, ["x"]),
+    ({"g": ("factor", lambda i: "abc"[i % 3])}, {}, ["g"]),
+    ({"g": ("factor", lambda i: "abc"[i % 3]), "c": ("numeric", lambda i: "2.5")}, {"c": math.inf}, ["g"]),
+], ids=["one-numeric", "all-factor", "constant-numeric"])
+def test_a_study_with_at_most_one_numeric_predictor_runs_every_stage(tmp_path, capsys, columns,
+                                                                     before, kept):
+    # a lone numeric predictor has a VIF of 1, a constant one is pruned (VIF
+    # inf), and a design with no numeric term passes prune unchanged
+    out = _run_merged_study(tmp_path, columns)
+    assert json.loads((out / "kept_terms.json").read_text()) == kept
+    rows = [line.split("\t") for line in (out / "vif_values_before.tsv").read_text().splitlines()[1:]]
+    assert [name for name, _ in rows] == list(before)
+    assert all(math.isclose(float(value), before[name], rel_tol=1e-12) for name, value in rows)
+
+
+def test_a_prune_that_fails_on_a_damaged_prep_hints_to_rerun_prep(tmp_path, capsys):
+    out = _run_merged_study(tmp_path, {"x": ("numeric", lambda i: f"{0.25 * i}")})
+    prep = out / "prep.csv"
+    prep.write_text(prep.read_text().replace(",0.25,", ",abc,"))
+    capsys.readouterr()
+    assert cli_main(["prune", "--config", str(tmp_path / "m.cfg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"regsel: [prune] {prep}: ") and err.endswith(" (hint: rerun 'prep' first)\n")
 
 
 def test_prep_that_fails_on_its_data_leaves_no_output_directory(tmp_path, capsys):

@@ -10,7 +10,9 @@ draws a design shape and a seed for its values.  Designs with one exactly
 duplicated column and factors check the rank/leverage identity and the
 PRESS = leave-one-out identity; designs with near-collinear columns check
 VIFs and the prune trail against auxiliary regressions, and on small ones
-the AIC of fits and of stepwise traces against an 80-digit reference.  Nested candidate sets over a factor
+the AIC of fits and of stepwise traces against an 80-digit reference.
+Tables of constant, random and copied numeric columns beside factors check
+that prune passes every design that encoding accepts.  Nested candidate sets over a factor
 with rare levels check Monte Carlo CV against literal refits, and against
 refits of each training split encoded on its own when the rare levels
 include the reference level.  Valid data files, schemas and configs, mutated
@@ -476,6 +478,52 @@ def test_vif_prune_matches_auxiliary_regression(design):
     assert report.values.keys() == values.keys()
     for name, want in values.items():
         assert_vifs_agree(report.values[name], want)
+
+
+@st.composite
+def mixed_tables(draw):
+    """Zero to three numeric columns, each constant, random, or an earlier
+    one plus noise of scale 1e-9 to 1e-1, and zero to two factors of one to
+    four labels; 3 to 30 rows.  Some of these encode_design rejects."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    n = draw(st.integers(3, 30))
+    rng = np.random.default_rng(seed)
+    names, roles, columns = ["y"], ["response"], [rng.standard_normal(n)]
+    for j in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["constant", "random", "copy"][:3 if j else 2]))
+        if kind == "constant":
+            x = np.full(n, draw(st.floats(-1e3, 1e3)))
+        elif kind == "random":
+            x = rng.standard_normal(n)
+        else:
+            x = columns[draw(st.integers(1, j))] + 10.0 ** draw(st.floats(-9.0, -1.0)) * rng.standard_normal(n)
+        names.append(f"x{j + 1}")
+        roles.append("numeric")
+        columns.append(x)
+    for j in range(draw(st.integers(0, 2))):
+        names.append(f"g{j + 1}")
+        roles.append("factor")
+        columns.append(rng.choice(["a", "b", "c", "d"][:draw(st.integers(1, 4))], size=n))
+    return RawTable.build(names, roles, columns)
+
+
+@PROPERTY_SETTINGS
+@given(mixed_tables(), st.floats(1.01, 100.0))
+def test_vif_prune_passes_every_design_encode_design_accepts(table, vstar):
+    """No design that encoding accepts makes prune raise: every factor term
+    is kept, every numeric term is either removed or kept at a VIF of at
+    most vstar."""
+    try:
+        design = encode_design(table)
+    except ValueError:
+        return
+    pruned, report = vif_prune(design, vstar=vstar)
+    factors = [t.name for t in design.terms if t.kind == "factor"]
+    numeric = [t.name for t in design.terms if t.kind == "numeric"]
+    assert [t.name for t in pruned.terms if t.kind == "factor"] == factors
+    assert [t.name for t in pruned.terms if t.kind == "numeric"] == list(report.values)
+    assert sorted([name for name, _ in report.trail] + list(report.values)) == sorted(numeric)
+    assert all(v <= vstar for v in report.values.values())
 
 
 @PROPERTY_SETTINGS
