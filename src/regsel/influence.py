@@ -4,9 +4,11 @@ Everything here reads a pivoted QR; nothing refits.  The deletion
 diagnostics are closed-form functions of the stored fit (residuals,
 leverage, RSS, rank): PRESS residuals equal the leave-one-out prediction
 errors, Cook's distance and DFFITS match their delete-one definitions, and
-the studentized residuals come in internal and external flavours.
+the studentized residuals come in internal and external flavours.  Each is
+NaN, as in R, at a row fit exactly (1 - h_i <= ``_LEVERAGE_EPS``, as for a
+factor level held by one row); a fit short of residual degrees of freedom raises.
 :func:`influence_flags` reports only what the bundle writes: leverage,
-Cook's distance and their flags.
+Cook's distance and their flags; a NaN distance is never top-flagged.
 
 The rest reads the rows W of ``BlockQR.inverse_gram_rows()``, with
 W Wᵀ = (XᵀX)⁻¹ on the non-aliased columns.  Added-variable residuals come
@@ -53,29 +55,21 @@ _LEVERAGE_EPS = 1e-12
 VIF_COLLINEAR = 1e8
 
 
-def _check_leverage_below_one(model: FittedModel) -> np.ndarray:
+def _leverage(model: FittedModel) -> np.ndarray:
+    """The hat values with NaN at each row fit exactly, whose deletion diagnostics are undefined."""
     h = model.leverage
-    bad = np.flatnonzero(1.0 - h <= _LEVERAGE_EPS)
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"row {i + 1} (id {model.design.row_ids[i]}) has leverage 1: "
-            "the point is fit exactly and its deletion diagnostics are undefined")
-    return h
+    return np.where(1.0 - h <= _LEVERAGE_EPS, np.nan, h)
 
 
 def press_residuals(model: FittedModel) -> np.ndarray:
     """Leave-one-out prediction errors e_i / (1 - h_i)."""
-    h = _check_leverage_below_one(model)
-    return model.residuals / (1.0 - h)
+    return model.residuals / (1.0 - _leverage(model))
 
 
 def cooks_distance(model: FittedModel) -> np.ndarray:
     """Cook's distance D_i = e_i^2 h_i / (rank * sigma2 * (1 - h_i)^2)."""
-    sigma2 = model.sigma2       # first: a fit with no residual df says so, not that a leverage is 1
-    h = _check_leverage_below_one(model)
-    e = model.residuals
-    return (e ** 2) * h / (model.rank * sigma2 * (1.0 - h) ** 2)
+    h = _leverage(model)
+    return (model.residuals ** 2) * h / (model.rank * model.sigma2 * (1.0 - h) ** 2)
 
 
 def studentized(model: FittedModel, kind: str = "internal") -> np.ndarray:
@@ -85,7 +79,7 @@ def studentized(model: FittedModel, kind: str = "internal") -> np.ndarray:
     the delete-one estimate s_(i) and needs one more residual degree of
     freedom.
     """
-    h = _check_leverage_below_one(model)
+    h = _leverage(model)
     e = model.residuals
     n, r = model.n, model.rank
     if kind == "internal":
@@ -96,13 +90,13 @@ def studentized(model: FittedModel, kind: str = "internal") -> np.ndarray:
         s2 = np.maximum((model.rss - e ** 2 / (1.0 - h)) / (n - r - 1), 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             t = e / np.sqrt(s2 * (1.0 - h))
-        return np.where(e == 0.0, 0.0, t)
+        return np.where(e == 0.0, 0.0 * h, t)        # 0 for a zero residual, NaN where h is
     raise ValueError(f"kind must be 'internal' or 'external', got {kind!r}")
 
 
 def dffits(model: FittedModel) -> np.ndarray:
     """DFFITS_i = t_i * sqrt(h_i / (1 - h_i)) with t_i externally studentized."""
-    h = model.leverage
+    h = _leverage(model)
     return studentized(model, "external") * np.sqrt(h / (1.0 - h))
 
 
@@ -238,7 +232,9 @@ def influence_flags(model: FittedModel, top_m: int) -> InfluenceReport:
     h = model.leverage
     hbar = float(h.mean())
     cooks = cooks_distance(model)
-    threshold = interpolated_quantile(cooks, (n - top_m) / n)
+    finite = cooks[np.isfinite(cooks)]         # a row fit exactly has no distance and no top flag
+    threshold = (interpolated_quantile(finite, max(finite.size - top_m, 0) / finite.size)
+                 if finite.size else math.nan)     # none is finite only when the RSS is 0
     # ties at the threshold are all included; tolerate last-ulp float noise
     top = (cooks >= threshold) | np.isclose(cooks, threshold, rtol=1e-12, atol=0.0)
     return InfluenceReport(

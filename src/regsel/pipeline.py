@@ -14,8 +14,9 @@ prep stage hands the design it encoded to the later stages, so a single
 fails in prep before any file is written.
 
 Row exclusions (the outlier protocol) are 1-based row numbers into the
-prepared dataset (the same numbers the influence files report).  Excluded
-artifacts mirror the primary ones inside an ``excluded/`` subdirectory.
+prepared dataset (the same numbers the influence files report); a row past
+it fails prep.  Excluded artifacts mirror the primary ones inside an
+``excluded/`` subdirectory.
 """
 
 from __future__ import annotations
@@ -186,7 +187,8 @@ def _validate_config(cfg: RunConfig) -> None:
     bad_modes = set(cfg.modes) - set(MODES)
     if bad_modes:
         raise ValueError(f"unknown selection modes: {', '.join(sorted(bad_modes))}")
-    for kind, values in (("mode", cfg.modes), ("factor column", cfg.factor_columns)):
+    for kind, values in (("mode", cfg.modes), ("factor column", cfg.factor_columns),
+                         ("excluded row", cfg.exclude_rows)):
         for value in values:
             if values.count(value) > 1:
                 raise ValueError(f"{kind} '{value}' is listed twice")
@@ -319,6 +321,13 @@ def _selected(stage: str, cfg: RunConfig, design: DesignMatrix, out: Path) -> di
     return _term_lists(stage, out / "selected_models.json", design.term_names, cfg.modes)
 
 
+def _check_exclude_rows(stage: str, cfg: RunConfig, design: DesignMatrix) -> None:
+    last = max(cfg.exclude_rows, default=0)
+    if last > design.n_rows:
+        raise PipelineError(stage, f"exclude_rows names row {last} but the "
+                                   f"prepared dataset has {design.n_rows} rows")
+
+
 def _runs(cfg: RunConfig, stage: str) -> list:
     """(pruned design, output directory) of the primary run, then of the
     excluded-rows rerun when ``exclude_rows`` is set."""
@@ -327,10 +336,7 @@ def _runs(cfg: RunConfig, stage: str) -> list:
     design = design.subset_terms(_term_lists(stage, out / "kept_terms.json", design.term_names))
     runs = [(design, out)]
     if cfg.exclude_rows:
-        last = max(cfg.exclude_rows)
-        if last > design.n_rows:
-            raise PipelineError(stage, f"exclude_rows names row {last} but the "
-                                       f"prepared dataset has {design.n_rows} rows")
+        _check_exclude_rows(stage, cfg, design)
         runs.append((design.drop_rows(np.asarray(cfg.exclude_rows, dtype=np.intp) - 1),
                      out / "excluded"))
     return runs
@@ -391,6 +397,7 @@ def _stage_prep(cfg: RunConfig) -> list:
         raise PipelineError("prep", f"the response '{design.response_name}' is {design.y[0]} in every "
                             "prepared row, so no model can explain it",
                             hint="check the response column and the rows prep keeps")
+    _check_exclude_rows("prep", cfg, design)
     out.mkdir(parents=True, exist_ok=True)     # only once the inputs have loaded and encoded
     paths = [
         rpt.write_file(out / "prep.csv", lambda tmp: write_table(table, tmp)),

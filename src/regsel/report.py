@@ -85,21 +85,23 @@ def write_influence_data(model: FittedModel, report: InfluenceReport, path) -> P
 
 
 def _histogram_lines(values) -> list:
-    """``values`` binned by Sturges' rule: each bin's edges and count, and no bin when empty."""
-    counts, edges = np.histogram(values, bins="sturges") if len(values) else ([], [0.0])
+    """The finite ``values`` binned by Sturges' rule: each bin's edges and count, and no bin when none."""
+    values = np.extract(np.isfinite(values), values)
+    counts, edges = np.histogram(values, bins="sturges") if values.size else ([], [0.0])
     return tsv_lines(("bin_left", "bin_right", "count"), edges[:-1], edges[1:], counts)
 
 
 def residual_diagnostics(model: FittedModel, out_dir, prefix: str = "model") -> list:
     """Residual diagnostic data: residuals vs index, residuals vs fitted,
-    a normal QQ pairing of sorted externally studentized residuals with
-    N(0,1) quantiles at (i - 0.5)/n, and a histogram binning of the
-    studentized residuals (Sturges bins, edges emitted)."""
+    a normal QQ pairing of the m finite externally studentized residuals,
+    sorted, with N(0,1) quantiles at (i - 0.5)/m (R's qqnorm drops NA too),
+    and a histogram binning of them (Sturges bins, edges emitted)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     n = model.n
     t = studentized(model, "external")
-    theo = special.ndtri((np.arange(1, n + 1) - 0.5) / n)
+    t = t[np.isfinite(t)]
+    theo = special.ndtri((np.arange(1, t.size + 1) - 0.5) / t.size)
     return [
         write_lines(out_dir / f"{prefix}_resid_vs_index.tsv",
                     tsv_lines(("index", "residual"), range(1, n + 1), model.residuals)),
@@ -132,7 +134,7 @@ def write_vif_values(values: dict, path) -> Path:
 
 def write_vif_histogram(values: dict, path) -> Path:
     """Histogram binning of the finite VIFs, bin edges included."""
-    return write_lines(path, _histogram_lines([v for v in values.values() if np.isfinite(v)]))
+    return write_lines(path, _histogram_lines(list(values.values())))
 
 
 def write_summary(model: FittedModel, text_path, tsv_path, k: float = 2.0) -> list:
@@ -217,10 +219,11 @@ def _write_svg(path, body, ylabel: str) -> Path:
 
 def svg_scatter(x, y, path, highlight=None, xlabel: str = "x", ylabel: str = "y",
                 vline: float | None = None) -> Path:
-    """Minimal scatter-plot SVG; `highlight` marks points in a second colour."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    highlight = np.zeros(x.size, dtype=bool) if highlight is None else np.asarray(highlight, dtype=bool)
+    """Minimal scatter-plot SVG of the finite points; `highlight` marks points in a second colour."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    hot = np.zeros(x.size, dtype=bool) if highlight is None else np.asarray(highlight, dtype=bool)
+    keep = np.isfinite(x) & np.isfinite(y)
+    x, y, highlight = x[keep], y[keep], hot[keep]
     xs = _scale(x, x.min(), x.max(), _PAD, _SVG_W - _PAD)
     ys = _scale(y, y.min(), y.max(), _SVG_H - _PAD, _PAD)
     parts = []

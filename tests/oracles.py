@@ -64,6 +64,21 @@ def loo_dffits(design: DesignMatrix) -> np.ndarray:
     return out
 
 
+def loo_diagnostics(design: DesignMatrix, rows) -> dict:
+    """The deletion diagnostics at the ``rows`` of a boolean mask, by delete-one
+    refits: PRESS residuals, Cook's distances, DFFITS, and the externally
+    studentized residuals t_i = DFFITS_i sqrt((1 - h_i) / h_i), from which
+    the internal r_i solve t_i² = r_i² (n - p - 1) / (n - p - r_i²)."""
+    full = fit_ols(design)
+    h = full.leverage[rows]
+    dff = loo_dffits(design)[rows]
+    external = dff * np.sqrt((1.0 - h) / h)
+    df = full.n - full.rank
+    return {"press": (design.y - loo_predictions(design))[rows], "cooks": loo_cooks(design)[rows],
+            "dffits": dff, "external": external,
+            "internal": external * np.sqrt(df / (df - 1 + external ** 2))}
+
+
 def aux_regression_vif(design: DesignMatrix) -> dict:
     """VIF via a literal auxiliary regression of each numeric term on the others.
 
@@ -462,3 +477,17 @@ def random_design(rng, n, p, names=None) -> DesignMatrix:
     beta = rng.standard_normal(p)
     y = 1.0 + X @ beta + rng.standard_normal(n)
     return DesignMatrix.from_arrays(X, y, names=names)
+
+
+def one_row_level_design(rng, n, p, single=True) -> DesignMatrix:
+    """n rows of p standard-normal columns beside a factor ``f`` whose levels
+    a and b alternate; with ``single``, one random row holds the last level
+    c instead, so the full model fits that row exactly (leverage 1)."""
+    X = rng.standard_normal((n, p))
+    labels = np.array(["a", "b"] * n, dtype=object)[:n]
+    if single:
+        labels[rng.integers(n)] = "c"
+    y = 1.0 + X @ rng.standard_normal(p) + (labels == "b") + rng.standard_normal(n)
+    names = ["id", *(f"x{j + 1}" for j in range(p)), "f", "y"]
+    roles = ["id", *["numeric"] * p, "factor", "response"]
+    return encode_design(RawTable.build(names, roles, [np.arange(1, n + 1), *X.T, labels, y]))

@@ -22,8 +22,9 @@ from regsel import (
     vif,
     vif_prune,
 )
-from oracles import (added_variable_by_regression, aux_regression_vif, loo_cooks, loo_dffits,
-                     loo_predictions, prune_by_auxiliary_regression, random_design)
+from oracles import (added_variable_by_regression, aux_regression_vif, loo_cooks, loo_diagnostics,
+                     loo_dffits, loo_predictions, one_row_level_design,
+                     prune_by_auxiliary_regression, random_design)
 
 
 @pytest.fixture
@@ -72,9 +73,17 @@ def test_press_identity_with_residuals():
 
 
 def test_press_leverage_one_error():
-    d = DesignMatrix.from_arrays([0.0, 1.0], [3.0, 4.0], names=["x"])
-    with pytest.raises(ValueError, match="leverage 1"):
-        press_residuals(fit_ols(d))
+    # a row fit exactly (a factor level held by one row) has no deletion
+    # diagnostics: each is NaN there, as in R, and the refit value elsewhere
+    d = one_row_level_design(np.random.default_rng(31), 30, 2)
+    m = fit_ols(d)
+    fit = d.X[:, d.column_names.index("fc")] == 0.0          # every row but the one at level c
+    got = {"press": press_residuals(m), "cooks": cooks_distance(m), "dffits": dffits(m),
+           "internal": studentized(m, "internal"), "external": studentized(m, "external")}
+    want = loo_diagnostics(d, fit)
+    for name, values in got.items():
+        assert np.isnan(values).tolist() == (~fit).tolist(), name
+        assert np.abs(values[fit] - want[name]).max() < 1e-8, name
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +462,22 @@ def test_flags_hand_model_tie_inclusion(hand_model):
     report = influence_flags(hand_model, top_m=1)
     assert report.top_influence.tolist() == [True, False, True]
     assert abs(report.cook_threshold - 2.5) < 1e-12
+
+
+def test_flags_leave_a_row_fit_exactly_out_of_the_cook_threshold():
+    # the row at the one-row level c has no Cook's distance: it keeps its
+    # high-leverage flag, is never top-flagged, and the threshold is the
+    # top-m rule over the other rows' distances
+    d = one_row_level_design(np.random.default_rng(32), 30, 2)
+    m = fit_ols(d)
+    exact = d.X[:, d.column_names.index("fc")] == 1.0
+    for top_m in (1, 5, 29, 30):
+        report = influence_flags(m, top_m=top_m)
+        finite = report.cooks_d[~exact]
+        assert np.isnan(report.cooks_d[exact]).all() and report.high_leverage[exact].all()
+        assert not report.top_influence[exact].any()
+        assert report.cook_threshold == interpolated_quantile(finite, max(29 - top_m, 0) / 29)
+        assert report.top_influence.sum() >= min(top_m, 29)
 
 
 def test_flags_top_m_validation(hand_model):

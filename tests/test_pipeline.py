@@ -175,6 +175,7 @@ DELIMITER = "delimiter must be one character other than a quote or a line break 
     ("modes", "forward,sideways", "unknown selection modes: sideways"),
     ("modes", "backward", "report_model 'forward' is not among the enabled modes"),
     ("exclude_rows", "3,0", "exclude_rows are 1-based row numbers; 0 or negatives are invalid"),
+    ("exclude_rows", "3,3", "excluded row '3' is listed twice"),
     ("delimiter", ";;", DELIMITER + "';;'"),
     ("delimiter", "", DELIMITER + "''"),
 ])
@@ -408,12 +409,36 @@ def test_stage_errors_are_tagged(tmp_path):
 
 
 def test_exclude_rows_out_of_range(dataset_dir, tmp_path):
-    path = write_config(dataset_dir, "out_badrow", exclude_rows="100000")
-    cfg = read_config(path)
+    # prep refuses a row past the prepared dataset before it writes anything,
+    # and a stage rerun under a config changed since prep refuses it alike
+    cfg = read_config(write_config(dataset_dir, "out_badrow"))
+    bad = replace(cfg, exclude_rows=(100000,))
+    message = r"exclude_rows names row 100000 but the prepared dataset has \d+ rows$"
+    with pytest.raises(PipelineError, match=r"^\[prep\] " + message):
+        run_stage("prep", bad)
+    assert not cfg.out.exists()
     run_stage("prep", cfg)
     run_stage("prune", cfg)
-    with pytest.raises(PipelineError, match="exclude_rows"):
-        run_stage("select", cfg)
+    with pytest.raises(PipelineError, match=r"^\[select\] " + message):
+        run_stage("select", bad)
+
+
+def test_exclude_rows_past_the_prepared_rows_fails_in_prep(dataset_dir, capsys):
+    path = write_config(dataset_dir, "out_row999", exclude_rows="999")
+    assert cli_main(["all", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == ("regsel: [prep] exclude_rows names row 999 but the "
+                                       "prepared dataset has 158 rows\n")
+    assert not (dataset_dir / "out_row999").exists()
+
+
+def test_run_pipeline_lists_exactly_the_files_it_writes(tmp_path):
+    write_dataset(tmp_path, n=300)
+    write_reference_config(tmp_path / "study.cfg")
+    cfg = read_config(tmp_path / "study.cfg", overrides={
+        "emit_svg": True, "exclude_rows": (5, 17), "cv_replications": 20, "out_dir": str(tmp_path / "out")})
+    listed = [path for paths in run_pipeline(cfg).values() for path in paths]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == {path for path in cfg.out.rglob("*") if path.is_file()}
 
 
 def test_failed_checkpoint_write_keeps_the_previous_one(dataset_dir, monkeypatch):

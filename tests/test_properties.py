@@ -8,9 +8,12 @@ design parsing its files gives, also when its numeric cells keep the text
 they were read from.  For the OLS core each example
 draws a design shape and a seed for its values.  Designs with one exactly
 duplicated column and factors check the rank/leverage identity and the
-PRESS = leave-one-out identity; designs with near-collinear columns check
-VIFs and the prune trail against auxiliary regressions, and on small ones
-the AIC of fits and of stepwise traces against an 80-digit reference.
+PRESS = leave-one-out identity; designs with and without a factor level
+held by one row check that every deletion diagnostic is NaN exactly at a
+row fit exactly and the delete-one refit value elsewhere; designs with
+near-collinear columns check VIFs and the prune trail against auxiliary
+regressions, and on small ones the AIC of fits and of stepwise traces
+against an 80-digit reference.
 Tables of constant, random and copied numeric columns beside factors check
 that prune passes every design that encoding accepts.  Nested candidate sets over a factor
 with rare levels check Monte Carlo CV against literal refits, and against
@@ -35,12 +38,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from regsel import (CVConfig, ColumnRole, DesignMatrix, RawTable, Schema, coerce_to_factor,
-                    drop_incomplete_rows, encode_design, fit_ols, fit_statistics, load_table,
-                    mc_cross_validate, merge_by_id, press_residuals, read_config, read_schema,
-                    step_select_modes, vif_prune, write_schema, write_table)
-from oracles import (aic_error_bound, assert_same_design, csv_module_bytes, loo_predictions,
-                     prune_by_auxiliary_regression, reencoded_cv_mspe, reference_aic, reference_join,
-                     reference_table, refit_cv_mspe, unseen_level_rows)
+                    cooks_distance, dffits, drop_incomplete_rows, encode_design, fit_ols,
+                    fit_statistics, load_table, mc_cross_validate, merge_by_id, press_residuals,
+                    read_config, read_schema, step_select_modes, studentized, vif_prune,
+                    write_schema, write_table)
+from regsel.influence import _LEVERAGE_EPS
+from oracles import (aic_error_bound, assert_same_design, csv_module_bytes, loo_diagnostics,
+                     loo_predictions, one_row_level_design, prune_by_auxiliary_regression,
+                     reencoded_cv_mspe, reference_aic, reference_join, reference_table,
+                     refit_cv_mspe, unseen_level_rows)
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
@@ -437,6 +443,25 @@ def test_press_equals_leave_one_out(design):
     assume(m.leverage.max() < 0.95)
     loo_err = design.y - loo_predictions(design)
     assert np.abs(press_residuals(m) - loo_err).max() < 1e-8
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2 ** 32 - 1), st.integers(10, 30), st.integers(1, 3), st.booleans())
+def test_deletion_diagnostics_are_nan_exactly_where_a_row_is_fit_exactly(seed, n, p, single):
+    # the last level of f holds one row when `single`; every deletion
+    # diagnostic is NaN where 1 - h <= _LEVERAGE_EPS and the refit value elsewhere
+    design = one_row_level_design(np.random.default_rng(seed), n, p, single)
+    m = fit_ols(design)
+    exact = 1.0 - m.leverage <= _LEVERAGE_EPS
+    assert exact.sum() == single
+    fit = ~exact
+    assume(m.leverage[fit].max() < 0.95)
+    got = {"press": press_residuals(m), "cooks": cooks_distance(m), "dffits": dffits(m),
+           "internal": studentized(m, "internal"), "external": studentized(m, "external")}
+    want = loo_diagnostics(design, fit)
+    for name, values in got.items():
+        assert np.array_equal(np.isnan(values), exact), name
+        assert np.abs(values[fit] - want[name]).max() < 1e-8, name
 
 
 @st.composite

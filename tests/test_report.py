@@ -15,7 +15,7 @@ from regsel.report import (
     write_vif_histogram,
     write_vif_values,
 )
-from oracles import random_design
+from oracles import one_row_level_design, random_design
 
 
 def _read_tsv(path, skip_meta=True):
@@ -101,6 +101,30 @@ def test_qq_matches_normal_at_kolmogorov_bound(tmp_path):
     hist = next(p for p in paths if p.name.endswith("studentized_hist.tsv"))
     _, rows = _read_tsv(hist)
     assert sum(int(r[2]) for r in rows) == n
+
+
+def test_a_row_fit_exactly_is_left_out_of_the_plot_data(tmp_path):
+    # the row at the one-row level c has no studentized residual and no Cook's
+    # distance: the QQ pairing and the histogram use the other n - 1 rows, the
+    # scatter leaves its point out, and no file holds "nan"
+    d = one_row_level_design(np.random.default_rng(105), 30, 2)
+    m = fit_ols(d)
+    paths = residual_diagnostics(m, tmp_path, prefix="exact")
+    qq = next(p for p in paths if p.name.endswith("qq.tsv"))
+    _, rows = _read_tsv(qq)
+    theo = np.array([float(r[0]) for r in rows])
+    assert np.array_equal(theo, stats.norm.ppf((np.arange(1, 30) - 0.5) / 29))
+    hist = next(p for p in paths if p.name.endswith("studentized_hist.tsv"))
+    assert sum(int(r[2]) for r in _read_tsv(hist)[1]) == 29
+    report = influence_flags(m, top_m=5)
+    paths.append(write_influence_data(m, report, tmp_path / "inf.tsv"))
+    paths.append(write_vif_histogram({"a": 1.5, "b": math.nan, "c": 2.5}, tmp_path / "hist.tsv"))
+    paths.append(svg_scatter(report.leverage, report.cooks_d, tmp_path / "inf.svg",
+                             highlight=report.top_influence, vline=2.0 * report.mean_leverage))
+    assert paths[-1].read_text().count("<circle") == 29
+    assert sum(int(r[2]) for r in _read_tsv(paths[-2])[1]) == 2
+    for path in paths:
+        assert "nan" not in path.read_text().lower(), path.name
 
 
 def test_added_variable_files(tmp_path):
